@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -56,55 +55,59 @@ _OPERATIONAL_ERRORS = (
 )
 
 
-def _parse_key_values(path: str) -> dict[str, str]:
-    values: dict[str, str] = {}
-    for raw in Path(path).read_text(encoding="utf-8").splitlines():
+_PROFILE_KEYS = {
+    "cpl_limit": int,
+    "cps_limit": float,
+    "max_lines_per_block": int,
+    "orphan_threshold": int,
+}
+_CONFIG_KEYS = {
+    "epochs": int,
+    "fine_tune_epochs": int,
+    "learning_rate": float,
+    "seed": int,
+    "iterations": int,
+}
+
+
+def _read_settings(path: str, types: dict[str, type]) -> dict[str, object]:
+    """Typed ``key = value`` lines; an unknown key or a bad value names its line."""
+    values: dict[str, object] = {}
+    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    for line_number, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        if "=" not in line:
-            raise ValueError(f"{path}: expected 'key = value', got {line!r}")
-        key, value = line.split("=", 1)
-        values[key.strip()] = value.strip()
+        key, sep, value = (part.strip() for part in line.partition("="))
+        if not sep:
+            raise ValueError(f"{path}:{line_number}: expected 'key = value', got {line!r}")
+        if key not in types:
+            raise ValueError(
+                f"{path}:{line_number}: unknown key {key!r}, expected one of {sorted(types)}"
+            )
+        try:
+            values[key] = types[key](value)
+        except ValueError:
+            raise ValueError(f"{path}:{line_number}: bad value for {key}: {value!r}") from None
     return values
 
 
 def _load_profile(path: str | None) -> ConstraintProfile:
-    if path is None:
-        return ConstraintProfile()
-    values = _parse_key_values(path)
-    kwargs = {}
-    for key in ("cpl_limit", "max_lines_per_block", "orphan_threshold"):
-        if key in values:
-            kwargs[key] = int(values[key])
-    if "cps_limit" in values:
-        kwargs["cps_limit"] = float(values["cps_limit"])
-    unknown = set(values) - {"cpl_limit", "cps_limit", "max_lines_per_block", "orphan_threshold"}
-    if unknown:
-        raise ValueError(f"{path}: unknown profile keys {sorted(unknown)}")
-    return ConstraintProfile(**kwargs)
+    return ConstraintProfile(**_read_settings(path, _PROFILE_KEYS)) if path else ConstraintProfile()
 
 
-def _settings(args: argparse.Namespace) -> dict[str, str]:
-    return _parse_key_values(args.config) if args.config else {}
-
-
-def _pick(args_value, settings: dict[str, str], key: str, cast, default):
+def _pick(args_value, settings: dict[str, object], key: str, default):
     if args_value is not None:
         return args_value
-    if key in settings:
-        return cast(settings[key])
-    return default
+    return settings.get(key, default)
 
 
 def _training_config(args: argparse.Namespace, default_epochs: int) -> TrainingConfig:
-    settings = _settings(args)
+    settings = args.settings
     return TrainingConfig(
-        epochs=_pick(getattr(args, "epochs", None), settings, "epochs", int, default_epochs),
-        learning_rate=_pick(
-            getattr(args, "learning_rate", None), settings, "learning_rate", float, 1.0
-        ),
-        seed=_pick(args.seed, settings, "seed", int, 0),
+        epochs=_pick(getattr(args, "epochs", None), settings, "epochs", default_epochs),
+        learning_rate=_pick(getattr(args, "learning_rate", None), settings, "learning_rate", 1.0),
+        seed=_pick(args.seed, settings, "seed", 0),
         shuffle=not getattr(args, "no_shuffle", False),
     )
 
@@ -175,9 +178,7 @@ def _cmd_fine_tune(args: argparse.Namespace) -> int:
 
 def _cmd_segment(args: argparse.Namespace) -> int:
     profile = _load_profile(args.profile)
-    settings = _settings(args)
-    seed = _pick(args.seed, settings, "seed", int, 0)
-    beam = _pick(args.beam, settings, "beam_width", int, 4)
+    seed = _pick(args.seed, args.settings, "seed", 0)
     lines = [
         raw for raw in Path(args.infile).read_text(encoding="utf-8").splitlines() if raw.strip()
     ]
@@ -189,8 +190,7 @@ def _cmd_segment(args: argparse.Namespace) -> int:
     else:
         model = load_model(args.model)
         out = [
-            segment_learned(model, line, profile, mode=args.mode, beam_width=beam).to_text()
-            for line in lines
+            segment_learned(model, line, profile, mode=args.mode).to_text() for line in lines
         ]
     _write_lines(args.out, out)
     return 0
@@ -224,15 +224,10 @@ def _cmd_stats(args: argparse.Namespace) -> int:
 
 def _cmd_reannotate(args: argparse.Namespace) -> int:
     profile = _load_profile(args.profile)
-    settings = _settings(args)
     config = PipelineConfig(
-        profile=profile,
-        training=replace(
-            TrainingConfig(), seed=_pick(args.seed, settings, "seed", int, 0)
-        ),
-        fine_tune_epochs=_pick(args.epochs, settings, "fine_tune_epochs", int, 6),
-        iterations=_pick(args.iterations, settings, "iterations", int, 1),
-        beam_width=_pick(args.beam, settings, "beam_width", int, 4),
+        training=_training_config(args, default_epochs=6),
+        fine_tune_epochs=_pick(args.epochs, args.settings, "fine_tune_epochs", 6),
+        iterations=_pick(args.iterations, args.settings, "iterations", 1),
     )
     corpus, model, reports = reannotate(
         _read_corpus(args.corpus), load_model(args.model), profile, config
@@ -300,7 +295,6 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--model", help="trained model file")
     group.add_argument("--count-char", action="store_true", help="use the character-count baseline")
     p.add_argument("--mode", choices=("full", "eol_only"), default="full")
-    p.add_argument("--beam", type=int, default=None, help="beam width (default 4)")
     p.set_defaults(func=_cmd_segment)
 
     p = commands.add_parser("evaluate", parents=[common], help="score hypotheses against references")
@@ -323,7 +317,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model-out", dest="model_out", help="write the last fine-tuned model here")
     p.add_argument("--iterations", type=int, default=None)
     p.add_argument("--epochs", type=int, default=None, help="fine-tune epochs per iteration")
-    p.add_argument("--beam", type=int, default=None)
     p.add_argument("--report", help="write per-iteration JSON report here")
     p.set_defaults(func=_cmd_reannotate)
 
@@ -334,6 +327,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        args.settings = _read_settings(args.config, _CONFIG_KEYS) if args.config else {}
         return args.func(args)
     except _OPERATIONAL_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -39,12 +39,9 @@ from .srt_io import SegmentDuration, SubtitleDocument
 class PipelineConfig:
     """Knobs shared by the pipeline commands."""
 
-    profile: ConstraintProfile = DEFAULT_PROFILE
     training: TrainingConfig = field(default_factory=TrainingConfig)
     fine_tune_epochs: int = DEFAULT_FINE_TUNE_EPOCHS
     iterations: int = 1
-    seed: int = 0
-    beam_width: int = 4
 
     def __post_init__(self):
         if self.iterations < 0:
@@ -144,7 +141,7 @@ def reannotate(
     accepted, and corpus line conformity never decreases.
     """
     if config is None:
-        config = PipelineConfig(profile=profile)
+        config = PipelineConfig()
     sentences = list(corpus)
     pool = [s for s in sentences if s.has_eol]
     reports: list[IterationReport] = []
@@ -164,10 +161,7 @@ def reannotate(
         fresh: list[AnnotatedSentence] = []
         for i in selected:
             try:
-                candidate = segment_learned(
-                    current_model, sentences[i], profile, mode="eol_only",
-                    beam_width=config.beam_width,
-                )
+                candidate = segment_learned(current_model, sentences[i], profile, mode="eol_only")
             except GrammarViolation:
                 continue
             if reannotation_filter(candidate, profile):

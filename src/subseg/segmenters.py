@@ -30,7 +30,6 @@ from .constraints import ConstraintProfile, DEFAULT_PROFILE
 
 DEFAULT_EPOCHS = 12
 DEFAULT_FINE_TUNE_EPOCHS = 6
-DEFAULT_BEAM_WIDTH = 4
 
 MODEL_FORMAT_VERSION = 1
 
@@ -103,21 +102,80 @@ class TrainingMeta:
 class LinearSegmenterModel:
     """Sparse multiclass weights over (feature, gap label) pairs.
 
-    The feature vocabulary is closed after training: unseen features simply
-    score zero.  Models are immutable once trained and safe to decode with
-    concurrently.
+    Features without a weight score zero.  Models are immutable once trained
+    and safe to decode with concurrently.
     """
 
     weights: dict[tuple[str, GapLabel], float]
-    feature_vocabulary: frozenset[str]
     meta: TrainingMeta
 
 
 _PUNCTUATION = set(".,;:!?…\"')»]}")
 
 
+_BUCKET_CHARS = 4
+_BUCKET_CAP = 15
+
+
 def _length_bucket(chars: int) -> int:
-    return min(chars // 4, 15)
+    return min(chars // _BUCKET_CHARS, _BUCKET_CAP)
+
+
+def _char_clamp(profile: ConstraintProfile) -> int:
+    """Line length past which no feature changes.
+
+    From there on the length bucket is capped and every next word overflows
+    the line, so the decoder may clamp its character count here.
+    """
+    return max(_BUCKET_CHARS * _BUCKET_CAP, profile.cpl_limit)
+
+
+def _tail(word: str) -> str:
+    return word[-1] if word[-1] in _PUNCTUATION else ""
+
+
+def _gap_features(words: Sequence[str], gap: int, to_end: int) -> tuple[list[str], str, int]:
+    """The features of the gap after ``words[gap - 1]`` that no decoder state
+    changes, with the word's punctuation tail and the next word's length (0
+    after the last word).  ``to_end`` is the length of ``words[gap:]`` joined."""
+    word = words[gap - 1]
+    nxt = words[gap] if gap < len(words) else None
+    next_len = len(nxt) if nxt is not None else 0
+    tail = _tail(word)
+    features = [
+        f"to_end={_length_bucket(to_end)}",
+        f"w={word}",
+        f"wlen={len(word)}",
+        f"n={nxt if nxt is not None else '</s>'}",
+        f"nlen={next_len}",
+        f"punct={int(bool(tail))}",
+        f"tail={tail}",
+        f"pos={(10 * gap) // len(words)}",
+    ]
+    if nxt is None:
+        features.append("end_of_sentence")
+    return features, tail, next_len
+
+
+def _state_key(
+    chars: int, prev: GapLabel, tail: str, next_len: int, cpl_limit: int
+) -> tuple[str, int, GapLabel, bool]:
+    overflow = next_len > 0 and chars + 1 + next_len > cpl_limit
+    return tail, _length_bucket(chars), prev, overflow
+
+
+def _state_features(tail: str, since_bucket: int, prev: GapLabel, overflow: bool) -> list[str]:
+    """The features that depend on the decoder state; the word enters only
+    through its punctuation tail."""
+    punct = int(bool(tail))
+    return [
+        f"since={since_bucket}",
+        f"prev={prev.name}",
+        f"over={int(overflow)}",
+        f"over&punct={int(overflow)}&{punct}",
+        f"since&prev={since_bucket}&{prev.name}",
+        f"punct&tail&since={punct}&{tail}&{since_bucket}",
+    ]
 
 
 def extract_features(
@@ -136,36 +194,9 @@ def extract_features(
     """
     if not 1 <= gap <= len(words):
         raise ValueError(f"gap must be in 1..{len(words)}, got {gap}")
-    word = words[gap - 1]
-    nxt = words[gap] if gap < len(words) else None
-    punct = word[-1] in _PUNCTUATION
-    tail = word[-1] if punct else ""
-    since_bucket = _length_bucket(chars_since_break)
-    if nxt is None:
-        overflow = False
-        to_end = 0
-    else:
-        overflow = chars_since_break + 1 + len(nxt) > profile.cpl_limit
-        to_end = sum(len(w) + 1 for w in words[gap:]) - 1
-    features = [
-        f"since={since_bucket}",
-        f"to_end={_length_bucket(to_end)}",
-        f"w={word}",
-        f"wlen={len(word)}",
-        f"n={nxt if nxt is not None else '</s>'}",
-        f"nlen={len(nxt) if nxt is not None else 0}",
-        f"punct={int(punct)}",
-        f"tail={tail}",
-        f"prev={prev_break.name}",
-        f"pos={(10 * gap) // len(words)}",
-        f"over={int(overflow)}",
-        f"over&punct={int(overflow)}&{int(punct)}",
-        f"since&prev={since_bucket}&{prev_break.name}",
-        f"punct&tail&since={int(punct)}&{tail}&{since_bucket}",
-    ]
-    if nxt is None:
-        features.append("end_of_sentence")
-    return features
+    features, tail, next_len = _gap_features(words, gap, len(" ".join(words[gap:])))
+    key = _state_key(chars_since_break, prev_break, tail, next_len, profile.cpl_limit)
+    return features + _state_features(*key)
 
 
 def _labels_to_sentence(words: Sequence[str], labels: Sequence[GapLabel]) -> AnnotatedSentence:
@@ -235,98 +266,27 @@ def segment_count_char(
     return _labels_to_sentence(words, labels)
 
 
-def _legal_labels(
-    gap: int,
-    total_gaps: int,
-    eols_in_block: int,
-    frozen: Mapping[int, GapLabel],
-    open_labels: tuple[GapLabel, ...],
-    profile: ConstraintProfile,
-) -> tuple[GapLabel, ...]:
-    forced = frozen.get(gap)
-    if forced is not None:
-        return (forced,)
-    if gap == total_gaps:
-        return (GapLabel.EOB,)
-    if eols_in_block + 2 > profile.max_lines_per_block:
-        return tuple(label for label in open_labels if label is not GapLabel.EOL)
-    return open_labels
+# decoder state: (characters on the current line, previous break, line breaks in the block)
+_State = tuple[int, GapLabel, int]
 
 
-def _score_row(
-    cache: dict,
-    words: Sequence[str],
-    weights: Mapping[tuple[str, GapLabel], float],
-    profile: ConstraintProfile,
-    gap: int,
-    chars: int,
-    prev: GapLabel,
-) -> dict[GapLabel, float]:
-    key = (gap, chars, prev)
-    row = cache.get(key)
-    if row is None:
-        features = extract_features(words, gap, chars, prev, profile)
-        row = {
-            label: sum(weights.get((feature, label), 0.0) for feature in features)
-            for label in _ALL_LABELS
-        }
-        cache[key] = row
-    return row
+def _advance(state: _State, label: GapLabel, next_len: int, clamp: int) -> _State:
+    """The state after labelling a gap, when the next word has ``next_len`` characters."""
+    chars, prev, eols = state
+    if label is GapLabel.NONE:
+        return min(chars + 1 + next_len, clamp), prev, eols
+    if label is GapLabel.EOL:
+        return min(next_len, clamp), GapLabel.EOL, eols + 1
+    return min(next_len, clamp), GapLabel.EOB, 0
 
 
-def _beam_pass(
-    words: Sequence[str],
-    weights: Mapping[tuple[str, GapLabel], float],
-    profile: ConstraintProfile,
-    frozen: Mapping[int, GapLabel],
-    open_labels: tuple[GapLabel, ...],
-    width: int,
-    cache: dict,
-) -> tuple[tuple[float, tuple[GapLabel, ...]], bool]:
-    """One left-to-right beam pass over merged decoder states.
-
-    States with the same (line characters, previous break, line count) are
-    merged keeping the better score, so the pass is exact whenever the
-    frontier never outgrows ``width`` (reported via the second value).
-    """
-    total_gaps = len(words)
-    # state key: (chars on current line, previous break kind, eols in block)
-    frontier: dict[tuple[int, GapLabel, int], tuple[float, tuple[GapLabel, ...]]] = {
-        (len(words[0]), GapLabel.EOB, 0): (0.0, ())
-    }
-    pruned = False
-    for gap in range(1, total_gaps + 1):
-        expanded: dict[tuple[int, GapLabel, int], tuple[float, tuple[GapLabel, ...]]] = {}
-        for (chars, prev, eols), (score, labels) in frontier.items():
-            row = _score_row(cache, words, weights, profile, gap, chars, prev)
-            for label in _legal_labels(gap, total_gaps, eols, frozen, open_labels, profile):
-                gained = score + row[label]
-                if gap < total_gaps:
-                    next_len = len(words[gap])
-                    if label is GapLabel.NONE:
-                        key = (chars + 1 + next_len, prev, eols)
-                    elif label is GapLabel.EOL:
-                        key = (next_len, GapLabel.EOL, eols + 1)
-                    else:
-                        key = (next_len, GapLabel.EOB, 0)
-                else:
-                    key = (0, label if label is not GapLabel.NONE else prev, 0)
-                candidate = (gained, labels + (label,))
-                held = expanded.get(key)
-                if held is None or _beats(candidate, held):
-                    expanded[key] = candidate
-        if len(expanded) > width:
-            pruned = True
-            kept = sorted(expanded.items(), key=lambda kv: (-kv[1][0], kv[1][1]))[:width]
-            frontier = dict(kept)
-        else:
-            frontier = expanded
-    best = min(frontier.values(), key=lambda sv: (-sv[0], sv[1]))
-    return best, pruned
+def _start(words: Sequence[str], clamp: int) -> _State:
+    """A sentence starts on a fresh screen, as if after an ``<eob>``."""
+    return _advance((0, GapLabel.EOB, 0), GapLabel.EOB, len(words[0]), clamp)
 
 
-def _beats(a: tuple[float, tuple[GapLabel, ...]], b: tuple[float, tuple[GapLabel, ...]]) -> bool:
-    return a[0] > b[0] or (a[0] == b[0] and a[1] < b[1])
+def _score(features: Sequence[str], weights: Mapping[tuple[str, GapLabel], float]) -> list[float]:
+    return [sum(weights.get((feature, label), 0.0) for feature in features) for label in _ALL_LABELS]
 
 
 def _decode(
@@ -335,24 +295,43 @@ def _decode(
     profile: ConstraintProfile,
     frozen: Mapping[int, GapLabel],
     open_labels: tuple[GapLabel, ...],
-    beam_width: int,
 ) -> tuple[tuple[GapLabel, ...], float]:
-    """Constrained decode; a wider beam never returns a worse-scoring path.
+    """Exact constrained decode: the best-scoring grammatical label path.
 
-    The result is the best path over beam passes of width 1..``beam_width``
-    (passes stop early once a width prunes nothing, since wider ones would
-    be identical).  Width 1 is therefore exactly the greedy decode.
+    A left-to-right dynamic program over decoder states.  Ties go to the
+    lexicographically smallest label sequence.  A line break is never taken,
+    frozen or not, once the block has the allowed number of lines.
     """
-    best: tuple[float, tuple[GapLabel, ...]] | None = None
-    cache: dict = {}
-    for width in range(1, max(1, beam_width) + 1):
-        result, pruned = _beam_pass(words, weights, profile, frozen, open_labels, width, cache)
-        if best is None or _beats(result, best):
-            best = result
-        if not pruned:
-            break
-    assert best is not None
-    return best[1], best[0]
+    clamp = _char_clamp(profile)
+    max_eols = profile.max_lines_per_block - 1
+    last = len(words)
+    state_rows: dict[tuple[str, int, GapLabel, bool], list[float]] = {}
+    # each entry holds (-score, labels), so the smallest entry is the one to keep
+    frontier: dict[_State, tuple[float, tuple[GapLabel, ...]]] = {_start(words, clamp): (0.0, ())}
+    to_end = len(" ".join(words))
+    for gap, word in enumerate(words, start=1):
+        to_end = max(to_end - len(word) - 1, 0)  # length of words[gap:] joined
+        features, tail, next_len = _gap_features(words, gap, to_end)
+        gap_row = _score(features, weights)
+        forced = frozen.get(gap, GapLabel.EOB if gap == last else None)
+        options = open_labels if forced is None else (forced,)
+        closed = tuple(label for label in options if label is not GapLabel.EOL)
+        expanded: dict[_State, tuple[float, tuple[GapLabel, ...]]] = {}
+        for state, (cost, labels) in frontier.items():
+            chars, prev, eols = state
+            key = _state_key(chars, prev, tail, next_len, profile.cpl_limit)
+            state_row = state_rows.get(key)
+            if state_row is None:
+                state_row = state_rows[key] = _score(_state_features(*key), weights)
+            for label in closed if eols >= max_eols else options:
+                candidate = (cost - gap_row[label] - state_row[label], labels + (label,))
+                after = _advance(state, label, next_len, clamp)
+                held = expanded.get(after)
+                if held is None or candidate < held:
+                    expanded[after] = candidate
+        frontier = expanded
+    cost, labels = min(frontier.values())
+    return labels, -cost
 
 
 def _path_steps(
@@ -361,20 +340,12 @@ def _path_steps(
     profile: ConstraintProfile,
 ) -> Iterable[tuple[list[str], GapLabel]]:
     """Feature/label pairs along a fixed label path (teacher forcing)."""
-    chars = len(words[0])
-    prev = GapLabel.EOB
-    eols = 0
-    for gap in range(1, len(words) + 1):
-        label = labels[gap - 1]
+    clamp = _char_clamp(profile)
+    state = _start(words, clamp)
+    for gap, label in enumerate(labels, start=1):
+        chars, prev, _ = state
         yield extract_features(words, gap, chars, prev, profile), label
-        if gap < len(words):
-            next_len = len(words[gap])
-            if label is GapLabel.NONE:
-                chars += 1 + next_len
-            elif label is GapLabel.EOL:
-                chars, prev, eols = next_len, GapLabel.EOL, eols + 1
-            else:
-                chars, prev, eols = next_len, GapLabel.EOB, 0
+        state = _advance(state, label, len(words[gap]) if gap < len(words) else 0, clamp)
 
 
 class _AveragedWeights:
@@ -420,7 +391,6 @@ def _run_perceptron(
     fine_tuned: bool,
 ) -> LinearSegmenterModel:
     state = _AveragedWeights(initial)
-    vocabulary: set[str] = set(feature for feature, _ in initial)
     rng = random.Random(config.seed)
     order = list(range(len(sentences)))
     gold_cache = [(s.words, _gold_labels(s)) for s in sentences]
@@ -432,26 +402,21 @@ def _run_perceptron(
         for i in order:
             state.step += 1
             words, gold = gold_cache[i]
-            # update against the same beam decode used at inference time
-            predicted, _ = _decode(
-                words, state.weights, profile, {}, _ALL_LABELS, beam_width=DEFAULT_BEAM_WIDTH
-            )
+            # update against the same exact decode used at inference time
+            predicted, _ = _decode(words, state.weights, profile, {}, _ALL_LABELS)
             if predicted != gold:
                 mistakes += 1
                 for features, label in _path_steps(words, gold, profile):
                     for feature in features:
-                        vocabulary.add(feature)
                         state.bump((feature, label), config.learning_rate)
                 for features, label in _path_steps(words, predicted, profile):
                     for feature in features:
-                        vocabulary.add(feature)
                         state.bump((feature, label), -config.learning_rate)
         if mistakes == 0:
             break  # weights are now fixed points; further epochs cannot change them
 
     return LinearSegmenterModel(
         weights=state.averaged(),
-        feature_vocabulary=frozenset(vocabulary),
         meta=TrainingMeta(
             epochs=config.epochs,
             learning_rate=config.learning_rate,
@@ -504,9 +469,8 @@ def segment_learned(
     sentence: str | AnnotatedSentence,
     profile: ConstraintProfile = DEFAULT_PROFILE,
     mode: str = "full",
-    beam_width: int = DEFAULT_BEAM_WIDTH,
 ) -> AnnotatedSentence:
-    """Segment ``sentence`` with a constrained left-to-right beam decode.
+    """Segment ``sentence`` with an exact constrained left-to-right decode.
 
     Breaks already present in the input are frozen and never moved.  In
     ``full`` mode every other gap may take NONE/EOL/EOB and the final gap is
@@ -545,7 +509,7 @@ def segment_learned(
     else:
         open_labels = _ALL_LABELS
 
-    labels, _ = _decode(words, model.weights, profile, frozen, open_labels, beam_width)
+    labels, _ = _decode(words, model.weights, profile, frozen, open_labels)
     return _labels_to_sentence(words, labels)
 
 
@@ -608,8 +572,7 @@ def parse_model(text: str) -> LinearSegmenterModel:
         except (KeyError, ValueError):
             raise ModelFormatError(f"bad weight record {line!r}") from None
         weights[(feature, label)] = value
-    vocabulary = frozenset(feature for feature, _ in weights)
-    return LinearSegmenterModel(weights=weights, feature_vocabulary=vocabulary, meta=meta)
+    return LinearSegmenterModel(weights=weights, meta=meta)
 
 
 def save_model(model: LinearSegmenterModel, path) -> None:

@@ -216,6 +216,17 @@ class TestTrainingCommands:
         ) == 0
         assert out_a.read_bytes() == out_b.read_bytes()
 
+    def test_config_file_rejects_unknown_keys(self, tmp_path, capsys):
+        corpus_file = write(tmp_path / "corpus.txt", "a b <eob>\n")
+        config = write(tmp_path / "config.txt", "epochs = 2\nbeam_width = 4\n")
+        status = main(
+            ["train", "--corpus", str(corpus_file), "--out", str(tmp_path / "m.tsv"),
+             "--config", str(config)]
+        )
+        assert status == 1
+        assert "config.txt:2: unknown key 'beam_width'" in capsys.readouterr().err
+        assert not (tmp_path / "m.tsv").exists()
+
 
 class TestReannotateCommand:
     def test_end_to_end(self, tmp_path, capsys):
@@ -238,3 +249,18 @@ class TestReannotateCommand:
         assert "iteration 1" in capsys.readouterr().out
         lines = out_file.read_text(encoding="utf-8").splitlines()
         assert len(lines) == len(corpus)
+
+    def test_config_learning_rate_reaches_fine_tuning(self, tmp_path):
+        corpus, _ = synth.partially_collapsed_corpus(60, seed=33, keep_eol_fraction=0.3)
+        corpus_file = write(tmp_path / "corpus.txt", "".join(s.to_text() + "\n" for s in corpus))
+        model_file = tmp_path / "model.tsv"
+        save_model(train(corpus, TrainingConfig(epochs=2, seed=2)), model_file)
+        config = write(tmp_path / "config.txt", "learning_rate = 0.5\n")
+        model_out = tmp_path / "tuned.tsv"
+        status = main(
+            ["reannotate", "--corpus", str(corpus_file), "--model", str(model_file),
+             "--out", str(tmp_path / "out.txt"), "--model-out", str(model_out),
+             "--epochs", "1", "--config", str(config)]
+        )
+        assert status == 0
+        assert "learning_rate\t0.5\n" in model_out.read_text(encoding="utf-8")

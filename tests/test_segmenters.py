@@ -1,4 +1,6 @@
+import functools
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -23,7 +25,6 @@ from subseg.segmenters import (
     TrainingMeta,
     WordTooLong,
     _AveragedWeights,
-    _decode,
     dump_model,
     extract_features,
     fine_tune,
@@ -134,6 +135,30 @@ class TestExtractFeatures:
     def test_gap_out_of_range(self):
         with pytest.raises(ValueError):
             extract_features(("a",), 2, 0, GapLabel.EOB)
+
+    # Feature strings are the keys of persisted weights: these sets, one per
+    # (gap, line characters, previous break), must never change.
+    PERSISTED_WORDS = ("Well,", "design", "matters", "today.")
+    PERSISTED_FEATURES = {
+        (1, 5, "EOB"): "since=1 to_end=5 w=Well, wlen=5 n=design nlen=6 punct=1 tail=, prev=EOB pos=2 over=0 over&punct=0&1 since&prev=1&EOB punct&tail&since=1&,&1",
+        (1, 38, "EOL"): "since=9 to_end=5 w=Well, wlen=5 n=design nlen=6 punct=1 tail=, prev=EOL pos=2 over=1 over&punct=1&1 since&prev=9&EOL punct&tail&since=1&,&9",
+        (1, 64, "EOB"): "since=15 to_end=5 w=Well, wlen=5 n=design nlen=6 punct=1 tail=, prev=EOB pos=2 over=1 over&punct=1&1 since&prev=15&EOB punct&tail&since=1&,&15",
+        (2, 5, "EOB"): "since=1 to_end=3 w=design wlen=6 n=matters nlen=7 punct=0 tail= prev=EOB pos=5 over=0 over&punct=0&0 since&prev=1&EOB punct&tail&since=0&&1",
+        (2, 38, "EOL"): "since=9 to_end=3 w=design wlen=6 n=matters nlen=7 punct=0 tail= prev=EOL pos=5 over=1 over&punct=1&0 since&prev=9&EOL punct&tail&since=0&&9",
+        (2, 64, "EOB"): "since=15 to_end=3 w=design wlen=6 n=matters nlen=7 punct=0 tail= prev=EOB pos=5 over=1 over&punct=1&0 since&prev=15&EOB punct&tail&since=0&&15",
+        (3, 5, "EOB"): "since=1 to_end=1 w=matters wlen=7 n=today. nlen=6 punct=0 tail= prev=EOB pos=7 over=0 over&punct=0&0 since&prev=1&EOB punct&tail&since=0&&1",
+        (3, 38, "EOL"): "since=9 to_end=1 w=matters wlen=7 n=today. nlen=6 punct=0 tail= prev=EOL pos=7 over=1 over&punct=1&0 since&prev=9&EOL punct&tail&since=0&&9",
+        (3, 64, "EOB"): "since=15 to_end=1 w=matters wlen=7 n=today. nlen=6 punct=0 tail= prev=EOB pos=7 over=1 over&punct=1&0 since&prev=15&EOB punct&tail&since=0&&15",
+        (4, 5, "EOB"): "since=1 to_end=0 w=today. wlen=6 n=</s> nlen=0 punct=1 tail=. prev=EOB pos=10 over=0 over&punct=0&1 since&prev=1&EOB punct&tail&since=1&.&1 end_of_sentence",
+        (4, 38, "EOL"): "since=9 to_end=0 w=today. wlen=6 n=</s> nlen=0 punct=1 tail=. prev=EOL pos=10 over=0 over&punct=0&1 since&prev=9&EOL punct&tail&since=1&.&9 end_of_sentence",
+        (4, 64, "EOB"): "since=15 to_end=0 w=today. wlen=6 n=</s> nlen=0 punct=1 tail=. prev=EOB pos=10 over=0 over&punct=0&1 since&prev=15&EOB punct&tail&since=1&.&15 end_of_sentence",
+    }
+
+    @pytest.mark.parametrize("gap, chars, prev", sorted(PERSISTED_FEATURES))
+    def test_feature_strings_match_persisted_models(self, gap, chars, prev):
+        features = extract_features(self.PERSISTED_WORDS, gap, chars, GapLabel[prev], PROFILE)
+        assert len(features) == len(set(features))
+        assert set(features) == set(self.PERSISTED_FEATURES[gap, chars, prev].split())
 
 
 class TestAveragedWeights:
@@ -302,6 +327,18 @@ class TestSegmentLearned:
         with pytest.raises(GrammarViolation):
             segment_learned(gold_model[0], "a <eol> b <eol> c <eob>")
 
+    def test_frozen_line_break_counts_toward_the_block(self):
+        # an added <eol> before the frozen one would make a three-line block
+        model = LinearSegmenterModel(
+            weights={("w=alpha", GapLabel.EOL): 5.0}, meta=TrainingMeta(1, 1.0, 0, False)
+        )
+        source = "alpha bravo <eol> charlie <eob>"
+        assert segment_learned(model, source, mode="eol_only").to_text() == source
+        assert segment_learned(model, "alpha bravo <eol> charlie").to_text() == source
+        assert segment_learned(model, "alpha bravo charlie").to_text() == (
+            "alpha <eol> bravo charlie <eob>"
+        )
+
     def test_unknown_mode(self, gold_model):
         with pytest.raises(ValueError):
             segment_learned(gold_model[0], "a b", mode="both")
@@ -340,7 +377,7 @@ def _legal_label_paths(n_gaps, frozen, open_labels, max_lines=2):
         else:
             options = open_labels
         for label in options:
-            if label is GapLabel.EOL and gap not in frozen and eols_in_block + 2 > max_lines:
+            if label is GapLabel.EOL and eols_in_block + 2 > max_lines:
                 continue
             if label is GapLabel.EOL:
                 walk(prefix + [label], eols_in_block + 1)
@@ -353,47 +390,52 @@ def _legal_label_paths(n_gaps, frozen, open_labels, max_lines=2):
     return paths
 
 
-def _path_score(words, labels, weights, profile=PROFILE):
-    """Independent scorer: walks the state machine explicitly."""
+@functools.lru_cache(maxsize=None)
+def _oracle_features(words, gap, chars, prev, profile):
+    return tuple(extract_features(words, gap, chars, prev, profile))
+
+
+def _path_features(words, labels, profile):
+    """Independent walk of the state machine: the features of every gap."""
     chars = len(words[0])
     prev = GapLabel.EOB
-    score = 0.0
     for gap in range(1, len(words) + 1):
         label = labels[gap - 1]
-        for feature in extract_features(words, gap, chars, prev, profile):
-            score += weights.get((feature, label), 0.0)
+        yield _oracle_features(words, gap, chars, prev, profile), label
         if gap < len(words):
             if label is GapLabel.NONE:
                 chars += 1 + len(words[gap])
             else:
                 chars, prev = len(words[gap]), label
+
+
+def _path_score(words, labels, weights, profile=PROFILE):
+    """Independent scorer: sums the weights along the walked path."""
+    score = 0.0
+    for features, label in _path_features(words, labels, profile):
+        for feature in features:
+            score += weights.get((feature, label), 0.0)
     return score
 
 
-def _random_model(words_sets, seed):
+def _random_model(words_sets, seed, profile=PROFILE, integer=False):
+    """Weights for every feature reachable on a legal path; ``integer``
+    weights in -1..1 make many paths tie exactly."""
     rng = random.Random(seed)
     features = set()
     for words in words_sets:
-        paths = _legal_label_paths(len(words), {}, (GapLabel.NONE, GapLabel.EOL, GapLabel.EOB))
+        paths = _legal_label_paths(
+            len(words), {}, (GapLabel.NONE, GapLabel.EOL, GapLabel.EOB), profile.max_lines_per_block
+        )
         for labels in paths:
-            chars, prev = len(words[0]), GapLabel.EOB
-            for gap in range(1, len(words) + 1):
-                features.update(extract_features(words, gap, chars, prev, PROFILE))
-                if gap < len(words):
-                    if labels[gap - 1] is GapLabel.NONE:
-                        chars += 1 + len(words[gap])
-                    else:
-                        chars, prev = len(words[gap]), labels[gap - 1]
+            for gap_features, _ in _path_features(words, labels, profile):
+                features.update(gap_features)
     weights = {
-        (feature, label): rng.uniform(-1, 1)
+        (feature, label): rng.randint(-1, 1) if integer else rng.uniform(-1, 1)
         for feature in sorted(features)
         for label in GapLabel
     }
-    return LinearSegmenterModel(
-        weights=weights,
-        feature_vocabulary=frozenset(features),
-        meta=TrainingMeta(1, 1.0, seed, False),
-    )
+    return LinearSegmenterModel(weights=weights, meta=TrainingMeta(1, 1.0, seed, False))
 
 
 class TestDecodeAgainstEnumeration:
@@ -411,8 +453,8 @@ class TestDecodeAgainstEnumeration:
             best = min(
                 paths, key=lambda labels: (-_path_score(words, labels, model.weights), labels)
             )
-            decoded = segment_learned(model, " ".join(words), beam_width=64)
-            assert segment_learned(model, " ".join(words), beam_width=64) == decoded
+            decoded = segment_learned(model, " ".join(words))
+            assert segment_learned(model, " ".join(words)) == decoded
             got = tuple(_sentence_labels(decoded))
             assert got == best
 
@@ -426,7 +468,7 @@ class TestDecodeAgainstEnumeration:
         source = AnnotatedSentence(
             ("aaa", "bb", "cc", BreakToken.EOB, "dd", "ee", "ff", BreakToken.EOB)
         )
-        decoded = segment_learned(model, source, mode="eol_only", beam_width=64)
+        decoded = segment_learned(model, source, mode="eol_only")
         assert tuple(_sentence_labels(decoded)) == best
 
 
@@ -439,58 +481,71 @@ def _sentence_labels(sentence):
     return labels
 
 
-class TestBeamProperties:
-    def test_beam_one_equals_greedy(self):
-        words = tuple("alpha bravo charlie delta echo foxtrot".split())
-        model = _random_model([words], seed=11)
-        labels, score = _decode(
-            words, model.weights, PROFILE, {}, (GapLabel.NONE, GapLabel.EOL, GapLabel.EOB), 1
-        )
-        # greedy oracle: extend one state, always taking the locally best label
-        chars, prev, eols = len(words[0]), GapLabel.EOB, 0
-        greedy = []
-        for gap in range(1, len(words) + 1):
-            features = extract_features(words, gap, chars, prev, PROFILE)
-            if gap == len(words):
-                options = [GapLabel.EOB]
-            elif eols + 2 > PROFILE.max_lines_per_block:
-                options = [GapLabel.NONE, GapLabel.EOB]
-            else:
-                options = [GapLabel.NONE, GapLabel.EOL, GapLabel.EOB]
-            pick = min(
-                options,
-                key=lambda lab: (
-                    -sum(model.weights.get((f, lab), 0.0) for f in features),
-                    lab,
-                ),
-            )
-            greedy.append(pick)
-            if gap < len(words):
-                if pick is GapLabel.NONE:
-                    chars += 1 + len(words[gap])
-                elif pick is GapLabel.EOL:
-                    chars, prev, eols = len(words[gap]), pick, eols + 1
-                else:
-                    chars, prev, eols = len(words[gap]), pick, 0
-        assert list(labels) == greedy
+class TestExactDecode:
+    """The decoder returns the exhaustive-search argmax, ties going to the
+    lexicographically smallest label sequence, on random models and short
+    sentences with random frozen breaks."""
 
-    @pytest.mark.parametrize("seed", range(6))
-    def test_wider_beams_never_score_worse(self, seed):
-        rng = random.Random(seed)
+    # (profile, fewest words, shortest word, longest word); eight words of
+    # 8-12 characters make lines longer than the 60-character feature clamp
+    # and than a 70-character line limit
+    PROFILES = {
+        "default": (PROFILE, 1, 1, 9),
+        "narrow": (ConstraintProfile(cpl_limit=12), 8, 8, 12),
+        "wide": (ConstraintProfile(cpl_limit=70, max_lines_per_block=3), 8, 8, 12),
+    }
+
+    @staticmethod
+    def _case(rng, profile, min_words, min_len, max_len, mode):
+        n = rng.randint(min_words, 8)
         words = tuple(
-            "".join(rng.choice("abcdef") for _ in range(rng.randint(2, 8)))
-            for _ in range(rng.randint(4, 10))
+            "".join(rng.choice("abcdef") for _ in range(rng.randint(min_len, max_len)))
+            + ("" if rng.random() < 0.7 else rng.choice(",."))
+            for _ in range(n)
         )
-        model = _random_model([words], seed=seed + 100)
-        previous = None
-        for width in (1, 2, 3, 4, 6, 10):
-            _, score = _decode(
-                words, model.weights, PROFILE, {},
-                (GapLabel.NONE, GapLabel.EOL, GapLabel.EOB), width,
+        frozen, eols = {}, 0
+        for gap in range(1, n):
+            roll = rng.random()
+            if roll < 0.15:
+                frozen[gap], eols = GapLabel.EOB, 0
+            elif roll < 0.3 and eols + 2 <= profile.max_lines_per_block:
+                frozen[gap], eols = GapLabel.EOL, eols + 1
+        if mode == "eol_only" or rng.random() < 0.5:
+            frozen[n] = GapLabel.EOB
+        items = []
+        for gap, word in enumerate(words, start=1):
+            items.append(word)
+            if gap in frozen:
+                items.append(frozen[gap].break_token)
+        return words, frozen, AnnotatedSentence(tuple(items))
+
+    @pytest.mark.parametrize("integer", [False, True], ids=["uniform", "integer"])
+    @pytest.mark.parametrize("mode", ["full", "eol_only"])
+    @pytest.mark.parametrize("profile_name", sorted(PROFILES))
+    def test_matches_exhaustive_argmax(self, profile_name, mode, integer):
+        profile, min_words, min_len, max_len = self.PROFILES[profile_name]
+        open_labels = (
+            (GapLabel.NONE, GapLabel.EOL, GapLabel.EOB) if mode == "full"
+            else (GapLabel.NONE, GapLabel.EOL)
+        )
+        rng = random.Random(f"{profile_name}-{mode}-{integer}")
+        for seed in range(6):
+            words, frozen, source = self._case(rng, profile, min_words, min_len, max_len, mode)
+            model = _random_model([words], seed, profile, integer)
+            paths = _legal_label_paths(len(words), frozen, open_labels, profile.max_lines_per_block)
+            best = min(
+                paths,
+                key=lambda labels: (-_path_score(words, labels, model.weights, profile), labels),
             )
-            if previous is not None:
-                assert score >= previous - 1e-12
-            previous = score
+            decoded = segment_learned(model, source, profile, mode=mode)
+            assert tuple(_sentence_labels(decoded)) == best
+            assert segment_learned(model, source, profile, mode=mode) == decoded
+            assert check_lines(decoded, profile)
+
+    def test_zero_model_takes_smallest_labels(self):
+        empty = LinearSegmenterModel(weights={}, meta=TrainingMeta(1, 1.0, 0, False))
+        out = segment_learned(empty, "one two <eol> three four five")
+        assert out.to_text() == "one two <eol> three four five <eob>"
 
 
 class TestModelPersistence:
@@ -520,6 +575,19 @@ class TestModelPersistence:
     def test_truncated_file_fails(self):
         with pytest.raises(ModelFormatError):
             parse_model("version\t1\nepochs\t3\n")
+
+    V1_MODEL = Path(__file__).parent / "data" / "model_v1.tsv"
+
+    def test_version_1_file_still_loads_and_decodes(self):
+        text = self.V1_MODEL.read_text(encoding="utf-8")
+        model = parse_model(text)
+        assert model.meta == TrainingMeta(epochs=2, learning_rate=1.0, seed=1, fine_tuned=False)
+        assert len(model.weights) == 230
+        assert dump_model(model) == text
+        for reference in synth.make_corpus(3, seed=2):
+            decoded = segment_learned(model, strip_breaks(reference))
+            assert decoded == reference
+            assert segment_learned(model, strip_breaks(reference)) == decoded
 
     def test_bad_record_fails(self, gold_model):
         dumped = dump_model(gold_model[0]) + "broken record line\n"
