@@ -35,13 +35,11 @@ from .constraints import (
     check_cps,
     check_lines,
     conformity_stats,
-    line_balance,
 )
 from .evaluation import EvalReport, PrfScores, bleu, break_prf, corpus_bleu, corpus_prf, evaluate
 from .pipeline import (
     CorpusStats,
     IterationReport,
-    PipelineConfig,
     build_corpus,
     reannotate,
     stats,

@@ -224,7 +224,6 @@ def apply_breaks(
 
 @dataclass(frozen=True)
 class _IndexedCue:
-    subtitle: Subtitle
     line_words: tuple[tuple[str, ...], ...]
     words: tuple[str, ...]
 
@@ -233,8 +232,8 @@ class InvertedIndex:
     """Per-talk cue lookup used to rebuild sentences from subtitle text.
 
     Build once with :func:`build_index`; afterwards it is read-only and safe
-    to query concurrently.  Matching keys are whitespace-normalized copies;
-    the stored cues keep their original text.
+    to query concurrently.  Cues are stored as whitespace-split words, per
+    line and flattened.
     """
 
     def __init__(self) -> None:
@@ -262,7 +261,7 @@ def build_index(docs: Iterable[SubtitleDocument]) -> InvertedIndex:
                 words for words in (tuple(line.split()) for line in sub.lines) if words
             )
             flat = tuple(word for line in line_words for word in line)
-            cues.append(_IndexedCue(sub, line_words, flat))
+            cues.append(_IndexedCue(line_words, flat))
         index._talks[doc.talk_id] = tuple(cues)
     return index
 

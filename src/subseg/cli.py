@@ -9,6 +9,7 @@ operational error, 2 on a usage error.
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -16,8 +17,10 @@ from typing import Iterable, Sequence
 from .annotate import AnnotatedSentence, GrammarViolation, InvalidGap, NoAlignment
 from .constraints import ConstraintProfile
 from .evaluation import TextMismatch, evaluate
-from .pipeline import PipelineConfig, build_corpus, reannotate, stats
+from .pipeline import build_corpus, reannotate, stats
 from .segmenters import (
+    DEFAULT_EPOCHS,
+    DEFAULT_FINE_TUNE_EPOCHS,
     EmptyCorpus,
     ModelFormatError,
     SubsetViolation,
@@ -96,19 +99,28 @@ def _load_profile(path: str | None) -> ConstraintProfile:
     return ConstraintProfile(**_read_settings(path, _PROFILE_KEYS)) if path else ConstraintProfile()
 
 
-def _pick(args_value, settings: dict[str, object], key: str, default):
-    if args_value is not None:
-        return args_value
-    return settings.get(key, default)
+def _flag_or_config(flag_value, args: argparse.Namespace, key: str):
+    """A flag's value if it was given, else ``key`` from ``--config``; None if neither."""
+    return args.settings.get(key) if flag_value is None else flag_value
 
 
-def _training_config(args: argparse.Namespace, default_epochs: int) -> TrainingConfig:
-    settings = args.settings
+def _given(**values) -> dict[str, object]:
+    """The keyword arguments that are set; the others keep the callee's defaults."""
+    return {name: value for name, value in values.items() if value is not None}
+
+
+def _training_config(
+    args: argparse.Namespace, epochs_key: str, default_epochs: int, learning_rate: float | None
+) -> TrainingConfig:
+    """Training settings from the flags and ``--config``, which gives the
+    epochs under ``epochs_key``."""
+    epochs = _flag_or_config(args.epochs, args, epochs_key)
     return TrainingConfig(
-        epochs=_pick(getattr(args, "epochs", None), settings, "epochs", default_epochs),
-        learning_rate=_pick(getattr(args, "learning_rate", None), settings, "learning_rate", 1.0),
-        seed=_pick(args.seed, settings, "seed", 0),
-        shuffle=not getattr(args, "no_shuffle", False),
+        epochs=default_epochs if epochs is None else epochs,
+        **_given(
+            learning_rate=_flag_or_config(learning_rate, args, "learning_rate"),
+            seed=_flag_or_config(args.seed, args, "seed"),
+        ),
     )
 
 
@@ -157,7 +169,7 @@ def _cmd_build_corpus(args: argparse.Namespace) -> int:
 
 
 def _cmd_train(args: argparse.Namespace) -> int:
-    config = _training_config(args, default_epochs=12)
+    config = _training_config(args, "epochs", DEFAULT_EPOCHS, args.learning_rate)
     model = train(_read_corpus(args.corpus), config, _load_profile(args.profile))
     save_model(model, args.out)
     print(f"trained on {args.corpus}, wrote {args.out}")
@@ -165,7 +177,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
 
 
 def _cmd_fine_tune(args: argparse.Namespace) -> int:
-    config = _training_config(args, default_epochs=6)
+    config = _training_config(args, "fine_tune_epochs", DEFAULT_FINE_TUNE_EPOCHS, args.learning_rate)
     corpus = _read_corpus(args.corpus)
     subset = [sentence for sentence in corpus if sentence.has_eol]
     if len(subset) < len(corpus):
@@ -178,7 +190,7 @@ def _cmd_fine_tune(args: argparse.Namespace) -> int:
 
 def _cmd_segment(args: argparse.Namespace) -> int:
     profile = _load_profile(args.profile)
-    seed = _pick(args.seed, args.settings, "seed", 0)
+    seed = _flag_or_config(args.seed, args, "seed") or 0
     lines = [
         raw for raw in Path(args.infile).read_text(encoding="utf-8").splitlines() if raw.strip()
     ]
@@ -224,13 +236,14 @@ def _cmd_stats(args: argparse.Namespace) -> int:
 
 def _cmd_reannotate(args: argparse.Namespace) -> int:
     profile = _load_profile(args.profile)
-    config = PipelineConfig(
-        training=_training_config(args, default_epochs=6),
-        fine_tune_epochs=_pick(args.epochs, args.settings, "fine_tune_epochs", 6),
-        iterations=_pick(args.iterations, args.settings, "iterations", 1),
-    )
+    # reannotate has no --learning-rate flag; --config may still set it
+    config = _training_config(args, "fine_tune_epochs", DEFAULT_FINE_TUNE_EPOCHS, None)
     corpus, model, reports = reannotate(
-        _read_corpus(args.corpus), load_model(args.model), profile, config
+        _read_corpus(args.corpus),
+        load_model(args.model),
+        profile,
+        config,
+        **_given(iterations=_flag_or_config(args.iterations, args, "iterations")),
     )
     _write_lines(args.out, (sentence.to_text() for sentence in corpus))
     if args.model_out:
@@ -242,8 +255,6 @@ def _cmd_reannotate(args: argparse.Namespace) -> int:
             f"{report.conformity_before:.4f} -> {report.conformity_after:.4f}"
         )
     if args.report:
-        import json
-
         Path(args.report).write_text(
             json.dumps([r.to_json_dict() for r in reports], sort_keys=True) + "\n",
             encoding="utf-8",
@@ -276,7 +287,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="model file to write")
     p.add_argument("--epochs", type=int, default=None)
     p.add_argument("--learning-rate", dest="learning_rate", type=float, default=None)
-    p.add_argument("--no-shuffle", action="store_true")
     p.set_defaults(func=_cmd_train)
 
     p = commands.add_parser("fine-tune", parents=[common], help="fine-tune on <eol> sentences")
@@ -285,7 +295,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="model file to write")
     p.add_argument("--epochs", type=int, default=None)
     p.add_argument("--learning-rate", dest="learning_rate", type=float, default=None)
-    p.add_argument("--no-shuffle", action="store_true")
     p.set_defaults(func=_cmd_fine_tune)
 
     p = commands.add_parser("segment", parents=[common], help="insert break symbols")

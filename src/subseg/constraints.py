@@ -83,48 +83,35 @@ def check_lines(sentence: AnnotatedSentence, profile: ConstraintProfile = DEFAUL
     return all(len(block) <= profile.max_lines_per_block for block in sentence.blocks())
 
 
-def line_balance(sentence: AnnotatedSentence) -> list[float]:
-    """Per-block min/max line-length ratio; single-line blocks score 1.0.
-
-    Informational only: there is no pass/fail threshold for balance.
-    """
-    ratios = []
-    for block in sentence.blocks():
-        lengths = [len(" ".join(line)) for line in block]
-        ratios.append(1.0 if len(lengths) < 2 else min(lengths) / max(lengths))
-    return ratios
-
-
 @dataclass(frozen=True)
 class ConformityReport:
     """Corpus-level conformity counts at the line and block length limits.
 
     A sentence is line-conforming only if every one of its lines is within
     the line limit, and block-conforming only if every block fits in twice
-    the line limit.
+    the line limit.  ``cpl_limit`` is the line limit the counts were taken at.
     """
 
+    cpl_limit: int
     total_sentences: int
     conforming_sentences: int
     block_conforming_sentences: int
     total_lines: int
     conforming_lines: int
     sentences_with_eol: int
-    worst_line_lengths: tuple[int, ...]
 
     def line_conformity(self) -> float:
         """Fraction of lines within the line limit (1.0 for an empty corpus)."""
         return 1.0 if self.total_lines == 0 else self.conforming_lines / self.total_lines
 
     def to_json_dict(self) -> dict:
-        # key names reflect the default Latin limits (42 per line, 84 per block)
         return {
             "totals": {"sentences": self.total_sentences, "lines": self.total_lines},
-            "conforming_42": {
+            f"conforming_{self.cpl_limit}": {
                 "sentences": self.conforming_sentences,
                 "lines": self.conforming_lines,
             },
-            "conforming_84": {"sentences": self.block_conforming_sentences},
+            f"conforming_{2 * self.cpl_limit}": {"sentences": self.block_conforming_sentences},
             "with_eol": self.sentences_with_eol,
         }
 
@@ -151,7 +138,6 @@ def conformity_stats(
     (block level), and carrying at least one ``<eol>``."""
     total = conforming = block_conforming = 0
     total_lines = conforming_lines = with_eol = 0
-    worst: list[int] = []
     for sentence in corpus:
         total += 1
         lengths, ok = check_cpl(sentence, profile)
@@ -163,13 +149,12 @@ def conformity_stats(
         conforming_lines += sum(1 for n in lengths if n <= profile.cpl_limit)
         if sentence.has_eol:
             with_eol += 1
-        worst.append(max(lengths, default=0))
     return ConformityReport(
+        cpl_limit=profile.cpl_limit,
         total_sentences=total,
         conforming_sentences=conforming,
         block_conforming_sentences=block_conforming,
         total_lines=total_lines,
         conforming_lines=conforming_lines,
         sentences_with_eol=with_eol,
-        worst_line_lengths=tuple(worst),
     )

@@ -5,7 +5,7 @@ corpus statistics, and the iterative line-break re-annotation loop.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, replace
 from typing import Iterable, Sequence
 
 from .annotate import (
@@ -25,27 +25,8 @@ from .constraints import (
     check_lines,
     conformity_stats,
 )
-from .segmenters import (
-    DEFAULT_FINE_TUNE_EPOCHS,
-    LinearSegmenterModel,
-    TrainingConfig,
-    fine_tune,
-    segment_learned,
-)
+from .segmenters import LinearSegmenterModel, TrainingConfig, fine_tune, segment_learned
 from .srt_io import SegmentDuration, SubtitleDocument
-
-
-@dataclass(frozen=True)
-class PipelineConfig:
-    """Knobs shared by the pipeline commands."""
-
-    training: TrainingConfig = field(default_factory=TrainingConfig)
-    fine_tune_epochs: int = DEFAULT_FINE_TUNE_EPOCHS
-    iterations: int = 1
-
-    def __post_init__(self):
-        if self.iterations < 0:
-            raise ValueError(f"iterations must be >= 0, got {self.iterations}")
 
 
 @dataclass(frozen=True)
@@ -110,14 +91,7 @@ class IterationReport:
     pool_size: int
 
     def to_json_dict(self) -> dict:
-        return {
-            "iteration": self.iteration,
-            "selected": self.selected,
-            "accepted": self.accepted,
-            "conformity_before": self.conformity_before,
-            "conformity_after": self.conformity_after,
-            "pool_size": self.pool_size,
-        }
+        return asdict(self)
 
 
 def _line_conformity(sentences: Sequence[AnnotatedSentence], profile: ConstraintProfile) -> float:
@@ -128,7 +102,8 @@ def reannotate(
     corpus: Iterable[AnnotatedSentence],
     model: LinearSegmenterModel,
     profile: ConstraintProfile = DEFAULT_PROFILE,
-    config: PipelineConfig | None = None,
+    config: TrainingConfig | None = None,
+    iterations: int = 1,
 ) -> tuple[list[AnnotatedSentence], LinearSegmenterModel, list[IterationReport]]:
     """Iteratively re-annotate over-long sentences with missing line breaks.
 
@@ -138,17 +113,17 @@ def reannotate(
     structure frozen, keeps only outputs accepted by
     :func:`reannotation_filter`, and folds them back into both the corpus
     and the pool.  The loop stops early once nothing is selected or
-    accepted, and corpus line conformity never decreases.
+    accepted, and corpus line conformity never decreases.  ``config`` is
+    passed to :func:`fine_tune` as it is (None keeps its default).
     """
-    if config is None:
-        config = PipelineConfig()
+    if iterations < 0:
+        raise ValueError(f"iterations must be >= 0, got {iterations}")
     sentences = list(corpus)
     pool = [s for s in sentences if s.has_eol]
     reports: list[IterationReport] = []
     current_model = model
-    ft_config = replace(config.training, epochs=config.fine_tune_epochs)
 
-    for iteration in range(1, config.iterations + 1):
+    for iteration in range(1, iterations + 1):
         before = _line_conformity(sentences, profile)
         selected = [i for i, s in enumerate(sentences) if not check_cpl(s, profile).conforming]
         if not selected or not pool:
@@ -156,7 +131,7 @@ def reannotate(
                 IterationReport(iteration, len(selected), 0, before, before, len(pool))
             )
             break
-        current_model = fine_tune(model, pool, ft_config, profile)
+        current_model = fine_tune(model, pool, config, profile)
         accepted = 0
         fresh: list[AnnotatedSentence] = []
         for i in selected:

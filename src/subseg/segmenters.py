@@ -81,7 +81,6 @@ class TrainingConfig:
     epochs: int = DEFAULT_EPOCHS
     learning_rate: float = 1.0
     seed: int = 0
-    shuffle: bool = True
 
     def __post_init__(self):
         if self.epochs < 1:
@@ -91,23 +90,17 @@ class TrainingConfig:
 
 
 @dataclass(frozen=True)
-class TrainingMeta:
-    epochs: int
-    learning_rate: float
-    seed: int
-    fine_tuned: bool
-
-
-@dataclass(frozen=True)
 class LinearSegmenterModel:
-    """Sparse multiclass weights over (feature, gap label) pairs.
+    """Sparse multiclass weights over (feature, gap label) pairs, with the
+    settings of the run that trained them.
 
     Features without a weight score zero.  Models are immutable once trained
     and safe to decode with concurrently.
     """
 
     weights: dict[tuple[str, GapLabel], float]
-    meta: TrainingMeta
+    config: TrainingConfig
+    fine_tuned: bool
 
 
 _PUNCTUATION = set(".,;:!?…\"')»]}")
@@ -396,8 +389,7 @@ def _run_perceptron(
     gold_cache = [(s.words, _gold_labels(s)) for s in sentences]
 
     for _ in range(config.epochs):
-        if config.shuffle:
-            rng.shuffle(order)
+        rng.shuffle(order)
         mistakes = 0
         for i in order:
             state.step += 1
@@ -415,15 +407,7 @@ def _run_perceptron(
         if mistakes == 0:
             break  # weights are now fixed points; further epochs cannot change them
 
-    return LinearSegmenterModel(
-        weights=state.averaged(),
-        meta=TrainingMeta(
-            epochs=config.epochs,
-            learning_rate=config.learning_rate,
-            seed=config.seed,
-            fine_tuned=fine_tuned,
-        ),
-    )
+    return LinearSegmenterModel(state.averaged(), config, fine_tuned)
 
 
 def train(
@@ -517,10 +501,10 @@ def dump_model(model: LinearSegmenterModel) -> str:
     """Serialize a model to the versioned line-oriented text format."""
     lines = [
         f"version\t{MODEL_FORMAT_VERSION}",
-        f"epochs\t{model.meta.epochs}",
-        f"learning_rate\t{model.meta.learning_rate!r}",
-        f"seed\t{model.meta.seed}",
-        f"fine_tuned\t{'true' if model.meta.fine_tuned else 'false'}",
+        f"epochs\t{model.config.epochs}",
+        f"learning_rate\t{model.config.learning_rate!r}",
+        f"seed\t{model.config.seed}",
+        f"fine_tuned\t{'true' if model.fine_tuned else 'false'}",
         "weights",
     ]
     records = sorted(
@@ -549,12 +533,12 @@ def parse_model(text: str) -> LinearSegmenterModel:
     if header.get("version") != str(MODEL_FORMAT_VERSION):
         raise ModelFormatError(f"unknown model version {header.get('version')!r}")
     try:
-        meta = TrainingMeta(
+        config = TrainingConfig(
             epochs=int(header["epochs"]),
             learning_rate=float(header["learning_rate"]),
             seed=int(header["seed"]),
-            fine_tuned=header["fine_tuned"] == "true",
         )
+        fine_tuned = header["fine_tuned"] == "true"
     except (KeyError, ValueError) as exc:
         raise ModelFormatError(f"bad header: {exc}") from None
 
@@ -572,7 +556,7 @@ def parse_model(text: str) -> LinearSegmenterModel:
         except (KeyError, ValueError):
             raise ModelFormatError(f"bad weight record {line!r}") from None
         weights[(feature, label)] = value
-    return LinearSegmenterModel(weights=weights, meta=meta)
+    return LinearSegmenterModel(weights, config, fine_tuned)
 
 
 def save_model(model: LinearSegmenterModel, path) -> None:

@@ -25,7 +25,7 @@ from subseg.annotate import (
 )
 from subseg.constraints import ConstraintProfile, check_cpl, check_cps, conformity_stats
 from subseg.evaluation import break_prf, corpus_prf
-from subseg.pipeline import PipelineConfig, reannotate
+from subseg.pipeline import reannotate
 from subseg.segmenters import (
     TrainingConfig,
     fine_tune,
@@ -201,10 +201,8 @@ def test_criterion_7_iterative_reannotation():
         print(f"[acceptance]   starting line conformity {start:.3f}")
         assert start <= 0.5
         base = train(corpus, TrainingConfig(epochs=12, seed=5), PROFILE)
-        config = PipelineConfig(
-            training=TrainingConfig(seed=6), fine_tune_epochs=6, iterations=3
-        )
-        out, _, reports = reannotate(corpus, base, PROFILE, config)
+        config = TrainingConfig(epochs=6, seed=6)
+        out, _, reports = reannotate(corpus, base, PROFILE, config, iterations=3)
         assert reports[0].conformity_after >= 0.80
         for report in reports:
             assert report.conformity_after >= report.conformity_before

@@ -216,6 +216,16 @@ class TestTrainingCommands:
         ) == 0
         assert out_a.read_bytes() == out_b.read_bytes()
 
+    def test_fine_tune_reads_fine_tune_epochs_from_config(self, tmp_path, tiny_model_file):
+        corpus = synth.make_corpus(30, seed=10)
+        corpus_file = write(tmp_path / "corpus.txt", "".join(s.to_text() + "\n" for s in corpus))
+        config = write(tmp_path / "config.txt", "fine_tune_epochs = 1\n")
+        out_a, out_b = tmp_path / "a.tsv", tmp_path / "b.tsv"
+        common = ["fine-tune", "--model", str(tiny_model_file), "--corpus", str(corpus_file)]
+        assert main(common + ["--out", str(out_a), "--config", str(config)]) == 0
+        assert main(common + ["--out", str(out_b), "--epochs", "1"]) == 0
+        assert out_a.read_bytes() == out_b.read_bytes()
+
     def test_config_file_rejects_unknown_keys(self, tmp_path, capsys):
         corpus_file = write(tmp_path / "corpus.txt", "a b <eob>\n")
         config = write(tmp_path / "config.txt", "epochs = 2\nbeam_width = 4\n")

@@ -11,7 +11,6 @@ from subseg.constraints import (
     check_cps,
     check_lines,
     conformity_stats,
-    line_balance,
     sentence_lines,
 )
 from subseg.srt_io import SegmentDuration
@@ -114,17 +113,6 @@ class TestCheckLinesAndBalance:
     def test_three_line_block_fails(self):
         assert not check_lines(sent("a <eol> b <eol> c <eob>"))
 
-    def test_balance_of_figure_block(self):
-        ratios = line_balance(sent("that design is but a tool <eol> to create function and beauty. <eob>"))
-        assert ratios == [pytest.approx(25 / 30)]
-
-    def test_balance_single_line(self):
-        assert line_balance(sent("hello world <eob>")) == [1.0]
-
-    def test_balance_uneven(self):
-        ratios = line_balance(sent("x" * 10 + " <eol> " + "y" * 40 + " <eob>"))
-        assert ratios == [0.25]
-
 
 class TestConformityStats:
     def test_figure_corpus(self, figure_annotated):
@@ -133,11 +121,10 @@ class TestConformityStats:
         assert report.conforming_sentences == 1
         assert report.block_conforming_sentences == 1
         assert report.sentences_with_eol == 1
-        assert report.worst_line_lengths == (30,)
 
     def test_empty_corpus(self):
         report = conformity_stats([])
-        assert report == ConformityReport(0, 0, 0, 0, 0, 0, ())
+        assert report == ConformityReport(42, 0, 0, 0, 0, 0, 0)
         assert report.line_conformity() == 1.0
 
     def test_mixed_corpus(self):
@@ -148,11 +135,14 @@ class TestConformityStats:
         assert report.conforming_sentences == 7
         assert report.total_lines == 10
         assert report.conforming_lines == 7
-        assert report.worst_line_lengths == (10,) * 7 + (87,) * 3
 
     def test_json_keys(self):
         data = conformity_stats([sent("a <eob>")]).to_json_dict()
         assert set(data) == {"totals", "conforming_42", "conforming_84", "with_eol"}
+
+    def test_json_keys_follow_the_profile(self):
+        data = conformity_stats([sent("a <eob>")], ConstraintProfile(cpl_limit=37)).to_json_dict()
+        assert set(data) == {"totals", "conforming_37", "conforming_74", "with_eol"}
 
     @given(strict_sentences(), st.integers(min_value=1, max_value=60))
     @settings(max_examples=150)

@@ -9,7 +9,6 @@ from subseg.annotate import (
 )
 from subseg.constraints import ConstraintProfile, conformity_stats
 from subseg.pipeline import (
-    PipelineConfig,
     build_corpus,
     preprocess_document,
     reannotate,
@@ -124,8 +123,7 @@ def collapsed_setup():
 class TestReannotate:
     def test_fully_conforming_corpus_is_untouched(self, collapsed_setup):
         _, gold, base = collapsed_setup
-        config = PipelineConfig(iterations=3)
-        out, model, reports = reannotate(gold, base, PROFILE, config)
+        out, model, reports = reannotate(gold, base, PROFILE, iterations=3)
         assert out == list(gold)
         assert reports[0].selected == 0
         assert reports[0].accepted == 0
@@ -134,21 +132,19 @@ class TestReannotate:
     def test_conformity_rises_and_never_falls(self, collapsed_setup):
         corpus, _, base = collapsed_setup
         before = conformity_stats(corpus, PROFILE).line_conformity()
-        config = PipelineConfig(
-            training=TrainingConfig(seed=3), fine_tune_epochs=4, iterations=3
-        )
-        out, model, reports = reannotate(corpus, base, PROFILE, config)
+        config = TrainingConfig(epochs=4, seed=3)
+        out, model, reports = reannotate(corpus, base, PROFILE, config, iterations=3)
         after = conformity_stats(out, PROFILE).line_conformity()
         assert after > before
         for report in reports:
             assert report.conformity_after >= report.conformity_before
         for left, right in zip(reports, reports[1:]):
             assert right.conformity_before == left.conformity_after
-        assert model.meta.fine_tuned
+        assert model.fine_tuned
 
     def test_rejected_sentences_unchanged_and_eobs_preserved(self, collapsed_setup):
         corpus, _, base = collapsed_setup
-        config = PipelineConfig(training=TrainingConfig(seed=3), fine_tune_epochs=4)
+        config = TrainingConfig(epochs=4, seed=3)
         out, _, reports = reannotate(corpus, base, PROFILE, config)
         changed = 0
         for original, result in zip(corpus, out):
@@ -165,20 +161,25 @@ class TestReannotate:
     def test_pool_grows_cumulatively(self, collapsed_setup):
         corpus, _, base = collapsed_setup
         initial_pool = sum(1 for s in corpus if s.has_eol)
-        config = PipelineConfig(
-            training=TrainingConfig(seed=3), fine_tune_epochs=4, iterations=2
-        )
-        _, _, reports = reannotate(corpus, base, PROFILE, config)
+        config = TrainingConfig(epochs=4, seed=3)
+        _, _, reports = reannotate(corpus, base, PROFILE, config, iterations=2)
         assert reports[0].pool_size == initial_pool + reports[0].accepted
         if len(reports) > 1:
             assert reports[1].pool_size >= reports[0].pool_size
 
     def test_zero_iterations(self, collapsed_setup):
         corpus, _, base = collapsed_setup
-        out, model, reports = reannotate(corpus, base, PROFILE, PipelineConfig(iterations=0))
+        out, model, reports = reannotate(corpus, base, PROFILE, iterations=0)
         assert out == list(corpus)
         assert reports == []
         assert model is base
+
+    def test_config_reaches_fine_tuning_unchanged(self, collapsed_setup):
+        corpus, _, base = collapsed_setup
+        config = TrainingConfig(epochs=1, seed=3)
+        _, model, _ = reannotate(corpus, base, PROFILE, config)
+        assert model.config == config
+        assert model.fine_tuned
 
 
 class TestStats:

@@ -22,7 +22,6 @@ from subseg.segmenters import (
     ModelFormatError,
     SubsetViolation,
     TrainingConfig,
-    TrainingMeta,
     WordTooLong,
     _AveragedWeights,
     dump_model,
@@ -255,7 +254,8 @@ class TestTrain:
 
     def test_meta_recorded(self, gold_model):
         model, _ = gold_model
-        assert model.meta == TrainingMeta(epochs=8, learning_rate=1.0, seed=2, fine_tuned=False)
+        assert model.config == TrainingConfig(epochs=8, learning_rate=1.0, seed=2)
+        assert not model.fine_tuned
 
 
 class TestFineTune:
@@ -274,7 +274,7 @@ class TestFineTune:
         assert set(tuned.weights) == set(model.weights)
         for key, value in model.weights.items():
             assert tuned.weights[key] == pytest.approx(value)
-        assert tuned.meta.fine_tuned
+        assert tuned.fine_tuned
 
     def test_fine_tuning_raises_eol_recall(self, collapsed_models):
         base, tuned = collapsed_models
@@ -330,7 +330,7 @@ class TestSegmentLearned:
     def test_frozen_line_break_counts_toward_the_block(self):
         # an added <eol> before the frozen one would make a three-line block
         model = LinearSegmenterModel(
-            weights={("w=alpha", GapLabel.EOL): 5.0}, meta=TrainingMeta(1, 1.0, 0, False)
+            weights={("w=alpha", GapLabel.EOL): 5.0}, config=TrainingConfig(1), fine_tuned=False
         )
         source = "alpha bravo <eol> charlie <eob>"
         assert segment_learned(model, source, mode="eol_only").to_text() == source
@@ -435,7 +435,7 @@ def _random_model(words_sets, seed, profile=PROFILE, integer=False):
         for feature in sorted(features)
         for label in GapLabel
     }
-    return LinearSegmenterModel(weights=weights, meta=TrainingMeta(1, 1.0, seed, False))
+    return LinearSegmenterModel(weights, TrainingConfig(1, 1.0, seed), fine_tuned=False)
 
 
 class TestDecodeAgainstEnumeration:
@@ -543,7 +543,7 @@ class TestExactDecode:
             assert check_lines(decoded, profile)
 
     def test_zero_model_takes_smallest_labels(self):
-        empty = LinearSegmenterModel(weights={}, meta=TrainingMeta(1, 1.0, 0, False))
+        empty = LinearSegmenterModel(weights={}, config=TrainingConfig(1), fine_tuned=False)
         out = segment_learned(empty, "one two <eol> three four five")
         assert out.to_text() == "one two <eol> three four five <eob>"
 
@@ -553,7 +553,8 @@ class TestModelPersistence:
         model, _ = gold_model
         loaded = parse_model(dump_model(model))
         assert loaded.weights == model.weights
-        assert loaded.meta == model.meta
+        assert loaded.config == model.config
+        assert loaded.fine_tuned == model.fine_tuned
 
     def test_file_round_trip(self, tmp_path, gold_model):
         model, corpus = gold_model
@@ -576,12 +577,18 @@ class TestModelPersistence:
         with pytest.raises(ModelFormatError):
             parse_model("version\t1\nepochs\t3\n")
 
+    def test_header_is_checked_like_a_training_config(self, gold_model):
+        dumped = dump_model(gold_model[0]).replace("epochs\t8\n", "epochs\t0\n", 1)
+        with pytest.raises(ModelFormatError, match="epochs must be >= 1"):
+            parse_model(dumped)
+
     V1_MODEL = Path(__file__).parent / "data" / "model_v1.tsv"
 
     def test_version_1_file_still_loads_and_decodes(self):
         text = self.V1_MODEL.read_text(encoding="utf-8")
         model = parse_model(text)
-        assert model.meta == TrainingMeta(epochs=2, learning_rate=1.0, seed=1, fine_tuned=False)
+        assert model.config == TrainingConfig(epochs=2, learning_rate=1.0, seed=1)
+        assert not model.fine_tuned
         assert len(model.weights) == 230
         assert dump_model(model) == text
         for reference in synth.make_corpus(3, seed=2):
