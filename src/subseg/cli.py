@@ -25,7 +25,6 @@ from .segmenters import (
     ModelFormatError,
     SubsetViolation,
     TrainingConfig,
-    WordTooLong,
     load_model,
     save_model,
     segment_count_char,
@@ -49,7 +48,6 @@ _OPERATIONAL_ERRORS = (
     GrammarViolation,
     InvalidGap,
     NoAlignment,
-    WordTooLong,
     EmptyCorpus,
     SubsetViolation,
     ModelFormatError,
@@ -126,9 +124,12 @@ def _training_config(
 
 def _read_corpus(path: str) -> list[AnnotatedSentence]:
     sentences = []
-    for raw in Path(path).read_text(encoding="utf-8").splitlines():
+    for line_number, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
         if raw.strip():
-            sentences.append(AnnotatedSentence.from_text(raw))
+            try:
+                sentences.append(AnnotatedSentence.from_text(raw))
+            except GrammarViolation as exc:
+                raise GrammarViolation(f"{path}:{line_number}: {exc}") from None
     return sentences
 
 

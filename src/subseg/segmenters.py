@@ -13,6 +13,7 @@ touch the words, so the output text always equals the normalized input.
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass
 from enum import IntEnum
@@ -32,14 +33,6 @@ DEFAULT_EPOCHS = 12
 DEFAULT_FINE_TUNE_EPOCHS = 6
 
 MODEL_FORMAT_VERSION = 1
-
-
-class WordTooLong(ValueError):
-    """A single word exceeds the line limit, so no line can contain it."""
-
-    def __init__(self, word: str):
-        super().__init__(f"word longer than the line limit: {word!r}")
-        self.word = word
 
 
 class EmptyCorpus(ValueError):
@@ -89,16 +82,20 @@ class TrainingConfig:
             raise ValueError(f"learning rate must be non-negative, got {self.learning_rate}")
 
 
+# one weight per gap label, indexed by ``GapLabel``: (NONE, EOL, EOB)
+_Row = Sequence[float]
+
+
 @dataclass(frozen=True)
 class LinearSegmenterModel:
-    """Sparse multiclass weights over (feature, gap label) pairs, with the
-    settings of the run that trained them.
+    """Sparse multiclass weights, one row of three per feature (indexed by
+    ``GapLabel``), with the settings of the run that trained them.
 
-    Features without a weight score zero.  Models are immutable once trained
+    Features without a row score zero.  Models are immutable once trained
     and safe to decode with concurrently.
     """
 
-    weights: dict[tuple[str, GapLabel], float]
+    weights: dict[str, tuple[float, float, float]]
     config: TrainingConfig
     fine_tuned: bool
 
@@ -157,18 +154,19 @@ def _state_key(
     return tail, _length_bucket(chars), prev, overflow
 
 
-def _state_features(tail: str, since_bucket: int, prev: GapLabel, overflow: bool) -> list[str]:
+@functools.lru_cache(maxsize=None)  # finite: tails x buckets x labels x 2
+def _state_features(tail: str, since_bucket: int, prev: GapLabel, overflow: bool) -> tuple[str, ...]:
     """The features that depend on the decoder state; the word enters only
     through its punctuation tail."""
     punct = int(bool(tail))
-    return [
+    return (
         f"since={since_bucket}",
         f"prev={prev.name}",
         f"over={int(overflow)}",
         f"over&punct={int(overflow)}&{punct}",
         f"since&prev={since_bucket}&{prev.name}",
         f"punct&tail&since={punct}&{tail}&{since_bucket}",
-    ]
+    )
 
 
 def extract_features(
@@ -189,7 +187,7 @@ def extract_features(
         raise ValueError(f"gap must be in 1..{len(words)}, got {gap}")
     features, tail, next_len = _gap_features(words, gap, len(" ".join(words[gap:])))
     key = _state_key(chars_since_break, prev_break, tail, next_len, profile.cpl_limit)
-    return features + _state_features(*key)
+    return [*features, *_state_features(*key)]
 
 
 def _labels_to_sentence(words: Sequence[str], labels: Sequence[GapLabel]) -> AnnotatedSentence:
@@ -219,14 +217,12 @@ def segment_count_char(
     an ``<eob>`` the break kind is drawn at random between ``<eob>`` and
     ``<eol>`` (a sentence starts a fresh screen, so the first draw is
     random too); after an ``<eol>`` it is forced to ``<eob>``, which keeps
-    blocks at two lines.  The final break is always ``<eob>``.
+    blocks at two lines.  The final break is always ``<eob>``.  A word
+    longer than the line limit gets a line of its own.
     """
     words = normalize_text(sentence).split()
     if not words:
         raise ValueError("sentence must be non-empty")
-    for word in words:
-        if len(word) > profile.cpl_limit:
-            raise WordTooLong(word)
 
     rng = random.Random(seed)
     labels = [GapLabel.NONE] * len(words)
@@ -263,28 +259,38 @@ def segment_count_char(
 _State = tuple[int, GapLabel, int]
 
 
-def _advance(state: _State, label: GapLabel, next_len: int, clamp: int) -> _State:
-    """The state after labelling a gap, when the next word has ``next_len`` characters."""
+def _successors(state: _State, next_len: int, clamp: int) -> tuple[_State, _State, _State]:
+    """The states after labelling a gap NONE, EOL and EOB (indexed by
+    ``GapLabel``), when the next word has ``next_len`` characters."""
     chars, prev, eols = state
-    if label is GapLabel.NONE:
-        return min(chars + 1 + next_len, clamp), prev, eols
-    if label is GapLabel.EOL:
-        return min(next_len, clamp), GapLabel.EOL, eols + 1
-    return min(next_len, clamp), GapLabel.EOB, 0
+    fresh = min(next_len, clamp)
+    return (
+        (min(chars + 1 + next_len, clamp), prev, eols),
+        (fresh, GapLabel.EOL, eols + 1),
+        (fresh, GapLabel.EOB, 0),
+    )
 
 
 def _start(words: Sequence[str], clamp: int) -> _State:
     """A sentence starts on a fresh screen, as if after an ``<eob>``."""
-    return _advance((0, GapLabel.EOB, 0), GapLabel.EOB, len(words[0]), clamp)
+    return _successors((0, GapLabel.EOB, 0), len(words[0]), clamp)[GapLabel.EOB]
 
 
-def _score(features: Sequence[str], weights: Mapping[tuple[str, GapLabel], float]) -> list[float]:
-    return [sum(weights.get((feature, label), 0.0) for feature in features) for label in _ALL_LABELS]
+def _score(features: Iterable[str], weights: Mapping[str, _Row]) -> tuple[float, float, float]:
+    """Per-label sums of the feature rows, added in feature order."""
+    none = eol = eob = 0.0
+    for feature in features:
+        row = weights.get(feature)
+        if row is not None:
+            none += row[0]
+            eol += row[1]
+            eob += row[2]
+    return none, eol, eob
 
 
 def _decode(
     words: Sequence[str],
-    weights: Mapping[tuple[str, GapLabel], float],
+    weights: Mapping[str, _Row],
     profile: ConstraintProfile,
     frozen: Mapping[int, GapLabel],
     open_labels: tuple[GapLabel, ...],
@@ -298,7 +304,7 @@ def _decode(
     clamp = _char_clamp(profile)
     max_eols = profile.max_lines_per_block - 1
     last = len(words)
-    state_rows: dict[tuple[str, int, GapLabel, bool], list[float]] = {}
+    state_rows: dict[tuple[str, int, GapLabel, bool], tuple[float, float, float]] = {}
     # each entry holds (-score, labels), so the smallest entry is the one to keep
     frontier: dict[_State, tuple[float, tuple[GapLabel, ...]]] = {_start(words, clamp): (0.0, ())}
     to_end = len(" ".join(words))
@@ -316,9 +322,10 @@ def _decode(
             state_row = state_rows.get(key)
             if state_row is None:
                 state_row = state_rows[key] = _score(_state_features(*key), weights)
+            successors = _successors(state, next_len, clamp)
             for label in closed if eols >= max_eols else options:
                 candidate = (cost - gap_row[label] - state_row[label], labels + (label,))
-                after = _advance(state, label, next_len, clamp)
+                after = successors[label]
                 held = expanded.get(after)
                 if held is None or candidate < held:
                     expanded[after] = candidate
@@ -338,46 +345,61 @@ def _path_steps(
     for gap, label in enumerate(labels, start=1):
         chars, prev, _ = state
         yield extract_features(words, gap, chars, prev, profile), label
-        state = _advance(state, label, len(words[gap]) if gap < len(words) else 0, clamp)
+        state = _successors(state, len(words[gap]) if gap < len(words) else 0, clamp)[label]
 
 
 class _AveragedWeights:
-    """Sparse weight vector with lazily accumulated per-step averages.
+    """Sparse weight rows with lazily accumulated per-step averages.
 
     A snapshot of every weight is (conceptually) taken after each step; the
-    stamp of a key is the first snapshot its current value covers, so sums
-    only need touching when a key actually changes.
+    stamp of a weight is the first snapshot its current value covers, so sums
+    only need touching when a weight actually changes.  Weights, sums and
+    stamps are rows of three per feature, indexed by ``GapLabel``.
     """
 
-    def __init__(self, initial: Mapping[tuple[str, GapLabel], float] = ()):
-        self.weights: dict[tuple[str, GapLabel], float] = dict(initial)
-        self._sums: dict[tuple[str, GapLabel], float] = {}
-        self._stamp: dict[tuple[str, GapLabel], int] = {}
+    def __init__(self, initial: Mapping[str, _Row]):
+        self.weights: dict[str, list[float]] = {feature: list(row) for feature, row in initial.items()}
+        self._sums: dict[str, list[float]] = {}
+        self._stamps: dict[str, list[int]] = {}
         self.step = 0
 
-    def bump(self, key: tuple[str, GapLabel], delta: float) -> None:
-        current = self.weights.get(key, 0.0)
-        covered = self.step - self._stamp.get(key, 1)
-        self._sums[key] = self._sums.get(key, 0.0) + covered * current
-        self._stamp[key] = self.step
-        self.weights[key] = current + delta
+    def bump(self, features: Iterable[str], label: GapLabel, delta: float) -> None:
+        """Add ``delta`` to the ``label`` weight of each feature, in order."""
+        step = self.step
+        for feature in features:
+            row = self.weights.get(feature)
+            if row is None:
+                row = self.weights[feature] = [0.0, 0.0, 0.0]
+            sums = self._sums.get(feature)
+            if sums is None:
+                sums = self._sums[feature] = [0.0, 0.0, 0.0]
+                self._stamps[feature] = [1, 1, 1]
+            stamps = self._stamps[feature]
+            current = row[label]
+            sums[label] += (step - stamps[label]) * current
+            stamps[label] = step
+            row[label] = current + delta
 
-    def averaged(self) -> dict[tuple[str, GapLabel], float]:
-        """Mean weight vector over the snapshots taken after every step."""
+    def averaged(self) -> dict[str, tuple[float, float, float]]:
+        """Mean weight rows over the snapshots taken after every step; rows
+        that average to zero are dropped."""
         if self.step == 0:
-            return {k: v for k, v in self.weights.items() if v != 0.0}
-        averages: dict[tuple[str, GapLabel], float] = {}
-        for key, current in self.weights.items():
-            total = self._sums.get(key, 0.0)
-            total += (self.step - self._stamp.get(key, 1) + 1) * current
-            value = total / self.step
-            if value != 0.0:
-                averages[key] = value
+            return {f: tuple(row) for f, row in self.weights.items() if any(row)}
+        averages: dict[str, tuple[float, float, float]] = {}
+        for feature, row in self.weights.items():
+            sums = self._sums.get(feature, (0.0, 0.0, 0.0))
+            stamps = self._stamps.get(feature, (1, 1, 1))
+            mean = tuple(
+                (sums[label] + (self.step - stamps[label] + 1) * row[label]) / self.step
+                for label in _ALL_LABELS
+            )
+            if any(mean):
+                averages[feature] = mean
         return averages
 
 
 def _run_perceptron(
-    initial: Mapping[tuple[str, GapLabel], float],
+    initial: Mapping[str, _Row],
     sentences: Sequence[AnnotatedSentence],
     config: TrainingConfig,
     profile: ConstraintProfile,
@@ -399,11 +421,9 @@ def _run_perceptron(
             if predicted != gold:
                 mistakes += 1
                 for features, label in _path_steps(words, gold, profile):
-                    for feature in features:
-                        state.bump((feature, label), config.learning_rate)
+                    state.bump(features, label, config.learning_rate)
                 for features, label in _path_steps(words, predicted, profile):
-                    for feature in features:
-                        state.bump((feature, label), -config.learning_rate)
+                    state.bump(features, label, -config.learning_rate)
         if mistakes == 0:
             break  # weights are now fixed points; further epochs cannot change them
 
@@ -498,7 +518,8 @@ def segment_learned(
 
 
 def dump_model(model: LinearSegmenterModel) -> str:
-    """Serialize a model to the versioned line-oriented text format."""
+    """Serialize a model to the versioned line-oriented text format: one
+    ``feature<TAB>label<TAB>weight`` record per non-zero weight."""
     lines = [
         f"version\t{MODEL_FORMAT_VERSION}",
         f"epochs\t{model.config.epochs}",
@@ -508,15 +529,22 @@ def dump_model(model: LinearSegmenterModel) -> str:
         "weights",
     ]
     records = sorted(
-        ((feature, label, value) for (feature, label), value in model.weights.items() if value != 0.0),
-        key=lambda record: (record[0], record[1].name),
+        (feature, label.name, value)
+        for feature, row in model.weights.items()
+        for label, value in zip(_ALL_LABELS, row)
+        if value != 0.0
     )
-    lines.extend(f"{feature}\t{label.name}\t{value!r}" for feature, label, value in records)
+    lines.extend(f"{feature}\t{label}\t{value!r}" for feature, label, value in records)
     return "\n".join(lines) + "\n"
 
 
+_HEADER_KEYS = ("version", "epochs", "learning_rate", "seed", "fine_tuned")
+_FLAGS = {"true": True, "false": False}
+
+
 def parse_model(text: str) -> LinearSegmenterModel:
-    """Load a model from the text format; unknown versions fail loudly."""
+    """Load a model from the text format; unknown versions, unknown or
+    repeated header keys and broken records fail loudly, naming the line."""
     lines = text.splitlines()
     header: dict[str, str] = {}
     body_start = None
@@ -526,7 +554,13 @@ def parse_model(text: str) -> LinearSegmenterModel:
             break
         key, sep, value = line.partition("\t")
         if not sep:
-            raise ModelFormatError(f"bad header line {line!r}")
+            raise ModelFormatError(f"model line {i + 1}: bad header line {line!r}")
+        if key not in _HEADER_KEYS:
+            raise ModelFormatError(f"model line {i + 1}: unknown header key {line!r}")
+        if key in header:
+            raise ModelFormatError(f"model line {i + 1}: repeated header key {line!r}")
+        if key == "fine_tuned" and value not in _FLAGS:
+            raise ModelFormatError(f"model line {i + 1}: fine_tuned must be true or false, got {line!r}")
         header[key] = value
     if body_start is None:
         raise ModelFormatError("missing weights section")
@@ -538,25 +572,22 @@ def parse_model(text: str) -> LinearSegmenterModel:
             learning_rate=float(header["learning_rate"]),
             seed=int(header["seed"]),
         )
-        fine_tuned = header["fine_tuned"] == "true"
+        fine_tuned = _FLAGS[header["fine_tuned"]]
     except (KeyError, ValueError) as exc:
         raise ModelFormatError(f"bad header: {exc}") from None
 
-    weights: dict[tuple[str, GapLabel], float] = {}
-    for line in lines[body_start:]:
+    rows: dict[str, list[float]] = {}
+    for number, line in enumerate(lines[body_start:], start=body_start + 1):
         if not line:
             continue
-        parts = line.split("\t")
-        if len(parts) != 3:
-            raise ModelFormatError(f"bad weight record {line!r}")
-        feature, label_name, value_text = parts
         try:
+            feature, label_name, value_text = line.split("\t")
             label = GapLabel[label_name]
             value = float(value_text)
         except (KeyError, ValueError):
-            raise ModelFormatError(f"bad weight record {line!r}") from None
-        weights[(feature, label)] = value
-    return LinearSegmenterModel(weights, config, fine_tuned)
+            raise ModelFormatError(f"model line {number}: bad weight record {line!r}") from None
+        rows.setdefault(feature, [0.0, 0.0, 0.0])[label] = value
+    return LinearSegmenterModel({f: tuple(row) for f, row in rows.items()}, config, fine_tuned)
 
 
 def save_model(model: LinearSegmenterModel, path) -> None:

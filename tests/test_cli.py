@@ -68,6 +68,15 @@ class TestSegment:
         assert main(["segment", "--count-char", "--in", str(infile), "--out", str(out)]) == 0
         assert out.read_text(encoding="utf-8") == "C'est donc toujours plus difficile. <eob>\n"
 
+    def test_count_char_puts_an_over_long_word_on_its_own_line(self, tmp_path):
+        long_word = "x" * 43
+        infile = write(tmp_path / "in.txt", f"{long_word}\nok {long_word}\n")
+        out = tmp_path / "out.txt"
+        assert main(["segment", "--count-char", "--in", str(infile), "--out", str(out)]) == 0
+        first, second = out.read_text(encoding="utf-8").splitlines()
+        assert first == f"{long_word} <eob>"
+        assert second in (f"ok <eob> {long_word} <eob>", f"ok <eol> {long_word} <eob>")
+
     def test_learned_segmenter_preserves_text(self, tmp_path, tiny_model_file):
         sentences = synth.make_plain_sentences(5, seed=3)
         infile = write(tmp_path / "in.txt", "".join(f"{s}\n" for s in sentences))
@@ -201,6 +210,12 @@ class TestTrainingCommands:
         )
         assert status == 0
         assert "containing <eol>" in capsys.readouterr().err
+
+    def test_malformed_corpus_line_is_named(self, tmp_path, capsys):
+        corpus_file = write(tmp_path / "corpus.txt", "a b <eob>\n\nc <eol> <eob>\n")
+        status = main(["train", "--corpus", str(corpus_file), "--out", str(tmp_path / "m.tsv")])
+        assert status == 1
+        assert f"{corpus_file}:3: " in capsys.readouterr().err
 
     def test_config_file_supplies_defaults(self, tmp_path):
         corpus = synth.make_corpus(20, seed=12)

@@ -22,7 +22,6 @@ from subseg.segmenters import (
     ModelFormatError,
     SubsetViolation,
     TrainingConfig,
-    WordTooLong,
     _AveragedWeights,
     dump_model,
     extract_features,
@@ -81,9 +80,16 @@ class TestCountCharBaseline:
         outputs = {segment_count_char(text, seed=s).to_text() for s in range(12)}
         assert len(outputs) > 1
 
-    def test_word_too_long(self):
-        with pytest.raises(WordTooLong):
-            segment_count_char("ok " + "x" * 43, seed=0)
+    def test_word_longer_than_the_limit_gets_its_own_line(self):
+        long_word = "x" * 43
+        text = f"ok then {long_word} and more"
+        for seed in range(6):
+            out = segment_count_char(text, seed=seed)
+            assert strip_breaks(out) == text
+            assert out.is_strict
+            lines = [line for block in out.blocks() for line in block]
+            assert (long_word,) in lines
+        assert segment_count_char(long_word, seed=0).to_text() == f"{long_word} <eob>"
 
     def test_empty_sentence_rejected(self):
         with pytest.raises(ValueError):
@@ -160,6 +166,16 @@ class TestExtractFeatures:
         assert set(features) == set(self.PERSISTED_FEATURES[gap, chars, prev].split())
 
 
+def _pairs(rows):
+    """A feature -> row mapping as non-zero (feature, label) -> weight pairs."""
+    return {
+        (feature, label): value
+        for feature, row in rows.items()
+        for label, value in zip(GapLabel, row)
+        if value != 0.0
+    }
+
+
 class TestAveragedWeights:
     def test_matches_naive_snapshot_average(self):
         # oracle: replay the same updates keeping explicit snapshots
@@ -172,14 +188,15 @@ class TestAveragedWeights:
         ]
         total_steps = 6
 
-        state = _AveragedWeights({("f0", GapLabel.NONE): 3.0})
+        state = _AveragedWeights({"f0": (3.0, 0.0, 0.0)})
         naive = {("f0", GapLabel.NONE): 3.0}
         snapshots = []
         for step in range(1, total_steps + 1):
             state.step = step
             for at, key, delta in script:
                 if at == step:
-                    state.bump(key, delta)
+                    feature, label = key
+                    state.bump([feature], label, delta)
                     naive[key] = naive.get(key, 0.0) + delta
             snapshots.append(dict(naive))
 
@@ -188,14 +205,14 @@ class TestAveragedWeights:
             key: sum(snap.get(key, 0.0) for snap in snapshots) / total_steps for key in keys
         }
         expected = {k: v for k, v in expected.items() if v != 0.0}
-        averaged = state.averaged()
+        averaged = _pairs(state.averaged())
         assert set(averaged) == set(expected)
         for key in expected:
             assert averaged[key] == pytest.approx(expected[key])
 
     def test_no_steps_returns_initial(self):
-        state = _AveragedWeights({("f", GapLabel.EOL): 1.5})
-        assert state.averaged() == {("f", GapLabel.EOL): 1.5}
+        state = _AveragedWeights({"f": (0.0, 1.5, 0.0)})
+        assert state.averaged() == {"f": (0.0, 1.5, 0.0)}
 
 
 @pytest.fixture(scope="module")
@@ -330,7 +347,7 @@ class TestSegmentLearned:
     def test_frozen_line_break_counts_toward_the_block(self):
         # an added <eol> before the frozen one would make a three-line block
         model = LinearSegmenterModel(
-            weights={("w=alpha", GapLabel.EOL): 5.0}, config=TrainingConfig(1), fine_tuned=False
+            weights={"w=alpha": (0.0, 5.0, 0.0)}, config=TrainingConfig(1), fine_tuned=False
         )
         source = "alpha bravo <eol> charlie <eob>"
         assert segment_learned(model, source, mode="eol_only").to_text() == source
@@ -414,7 +431,7 @@ def _path_score(words, labels, weights, profile=PROFILE):
     score = 0.0
     for features, label in _path_features(words, labels, profile):
         for feature in features:
-            score += weights.get((feature, label), 0.0)
+            score += weights.get(feature, (0.0, 0.0, 0.0))[label]
     return score
 
 
@@ -431,9 +448,8 @@ def _random_model(words_sets, seed, profile=PROFILE, integer=False):
             for gap_features, _ in _path_features(words, labels, profile):
                 features.update(gap_features)
     weights = {
-        (feature, label): rng.randint(-1, 1) if integer else rng.uniform(-1, 1)
+        feature: tuple(rng.randint(-1, 1) if integer else rng.uniform(-1, 1) for _ in GapLabel)
         for feature in sorted(features)
-        for label in GapLabel
     }
     return LinearSegmenterModel(weights, TrainingConfig(1, 1.0, seed), fine_tuned=False)
 
@@ -589,7 +605,8 @@ class TestModelPersistence:
         model = parse_model(text)
         assert model.config == TrainingConfig(epochs=2, learning_rate=1.0, seed=1)
         assert not model.fine_tuned
-        assert len(model.weights) == 230
+        assert len(model.weights) == 115  # features, holding 230 (feature, label) weights
+        assert len(_pairs(model.weights)) == 230
         assert dump_model(model) == text
         for reference in synth.make_corpus(3, seed=2):
             decoded = segment_learned(model, strip_breaks(reference))
@@ -600,3 +617,56 @@ class TestModelPersistence:
         dumped = dump_model(gold_model[0]) + "broken record line\n"
         with pytest.raises(ModelFormatError):
             parse_model(dumped)
+
+    HEADER = "version\t1\nepochs\t2\nlearning_rate\t1.0\nseed\t1\nfine_tuned\tfalse\n"
+
+    @pytest.mark.parametrize("value", ["yes", "True", "1", ""])
+    def test_fine_tuned_must_be_true_or_false(self, value):
+        text = self.HEADER.replace("fine_tuned\tfalse", f"fine_tuned\t{value}") + "weights\n"
+        with pytest.raises(ModelFormatError, match=rf"model line 5: .*'fine_tuned\\t{value}'"):
+            parse_model(text)
+
+    def test_unknown_header_key_fails(self):
+        with pytest.raises(ModelFormatError, match=r"model line 6: unknown header key 'bogus\\tx'"):
+            parse_model(self.HEADER + "bogus\tx\nweights\n")
+
+    def test_repeated_header_key_fails(self):
+        with pytest.raises(ModelFormatError, match=r"model line 6: repeated header key 'seed\\t2'"):
+            parse_model(self.HEADER + "seed\t2\nweights\n")
+
+    def test_bad_record_names_its_line(self):
+        with pytest.raises(ModelFormatError, match=r"model line 8: bad weight record 'w=a\\tMAYBE\\t1.0'"):
+            parse_model(self.HEADER + "weights\nw=a\tEOL\t1.0\nw=a\tMAYBE\t1.0\n")
+
+
+class TestGoldenTraining:
+    """Training and fine-tuning reproduce models committed from an earlier
+    implementation of the trainer byte for byte, and decode like it."""
+
+    DATA = Path(__file__).parent / "data"
+
+    @pytest.fixture(scope="class")
+    def models(self):
+        corpus = synth.make_corpus(40, seed=8)
+        base = train(corpus, TrainingConfig(epochs=3, seed=5))
+        tuned = fine_tune(base, [s for s in corpus if s.has_eol], TrainingConfig(epochs=2, seed=5))
+        return {"train": base, "fine_tune": tuned}
+
+    @pytest.mark.parametrize("name", ["train", "fine_tune"])
+    def test_dump_is_byte_identical(self, models, name):
+        golden = (self.DATA / f"golden_{name}.tsv").read_text(encoding="utf-8")
+        assert dump_model(models[name]) == golden
+        assert parse_model(golden).weights == models[name].weights
+
+    def test_decodes_held_out_sentences_as_before(self, models):
+        records = (self.DATA / "golden_decodes.tsv").read_text(encoding="utf-8").splitlines()
+        held_out = synth.make_corpus(20, seed=9)
+        assert len(records) == 3 * len(held_out)
+        for i, reference in enumerate(held_out):
+            inputs = {
+                "full": strip_breaks(reference),
+                "eol_only": synth.strip_eols(reference),
+            }
+            for record in records[3 * i : 3 * i + 3]:
+                name, mode, expected = record.split("\t")
+                assert segment_learned(models[name], inputs[mode], mode=mode).to_text() == expected
