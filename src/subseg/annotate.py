@@ -6,16 +6,19 @@ break tokens: ``<eol>`` ends a line inside a subtitle block and ``<eob>``
 ends the block itself.  A *strict* sentence is one a renderer can display
 directly: it ends with ``<eob>`` and no block holds more than two lines.
 
-Reconstruction works the other way around: the cues of a talk are indexed,
-and a plain sentence is rebuilt by tiling it left-to-right with cues whose
-text is fully contained in it, turning cue boundaries into ``<eob>`` and
-in-cue line boundaries into ``<eol>``.
+Reconstruction works the other way around: the cues of each talk are
+indexed by their first word, and a plain sentence is rebuilt by tiling it
+left-to-right with cues whose text is fully contained in it, turning cue
+boundaries into ``<eob>`` and in-cue line boundaries into ``<eol>``.  At
+each word of the sentence only the cues that start with that word are
+tried, so a sentence costs time in its own length, not the talk's.
 """
 
 from __future__ import annotations
 
 import re
 import warnings
+from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Sequence
@@ -92,7 +95,7 @@ class AnnotatedSentence:
                     raise GrammarViolation("a break token must follow a word")
                 previous_was_break = True
                 continue
-            if not isinstance(item, str) or not item or any(c.isspace() for c in item):
+            if not isinstance(item, str) or item.split() != [item]:
                 raise ValueError(f"bad word token {item!r}")
             if item in (EOL_SYMBOL, EOB_SYMBOL):
                 raise ValueError(f"word token {item!r} collides with a break symbol")
@@ -228,69 +231,89 @@ class _IndexedCue:
     words: tuple[str, ...]
 
 
+@dataclass(frozen=True)
+class _IndexedTalk:
+    cues: tuple[_IndexedCue, ...]
+    starts: dict[str, list[int]]  # first word -> ascending positions in ``cues``
+
+
 class InvertedIndex:
     """Per-talk cue lookup used to rebuild sentences from subtitle text.
 
     Build once with :func:`build_index`; afterwards it is read-only and safe
-    to query concurrently.  Cues are stored as whitespace-split words, per
-    line and flattened.
+    to query concurrently.  For each talk it holds the cues in document
+    order, as whitespace-split words per line and flattened, and a map from
+    a cue's first word to the ascending positions of the cues starting with
+    it.  Cues without words are kept in order but never enter the map, since
+    they can never match.
     """
 
     def __init__(self) -> None:
-        self._talks: dict[str, tuple[_IndexedCue, ...]] = {}
+        self._talks: dict[str, _IndexedTalk] = {}
 
     def __len__(self) -> int:
-        return sum(len(cues) for cues in self._talks.values())
+        return sum(len(talk.cues) for talk in self._talks.values())
 
     def talk_ids(self) -> tuple[str, ...]:
         return tuple(self._talks)
 
-    def cues(self, talk_id: str) -> tuple[_IndexedCue, ...]:
-        return self._talks.get(talk_id, ())
-
 
 def build_index(docs: Iterable[SubtitleDocument]) -> InvertedIndex:
-    """Index the cues of every document by talk id."""
+    """Index the cues of every document by talk id and by first word."""
     index = InvertedIndex()
     for doc in docs:
         if doc.talk_id in index._talks:
             raise DuplicateTalkId(doc.talk_id)
         cues = []
-        for sub in doc.subtitles:
+        starts: dict[str, list[int]] = {}
+        for position, sub in enumerate(doc.subtitles):
             line_words = tuple(
                 words for words in (tuple(line.split()) for line in sub.lines) if words
             )
             flat = tuple(word for line in line_words for word in line)
             cues.append(_IndexedCue(line_words, flat))
-        index._talks[doc.talk_id] = tuple(cues)
+            if flat:
+                starts.setdefault(flat[0], []).append(position)
+        index._talks[doc.talk_id] = _IndexedTalk(tuple(cues), starts)
     return index
 
 
-def _tile(words: tuple[str, ...], cues: Sequence[_IndexedCue]) -> list[_IndexedCue] | None:
+def _tile(words: tuple[str, ...], talk: _IndexedTalk) -> list[_IndexedCue] | None:
     """Leftmost-first tiling of ``words`` by cues taken in index order.
 
     Depth-first with memoized dead ends, so an existing tiling is always
     found, and when several exist the one preferring earlier cues wins.
+    A search state is (first usable cue, next word); from it only the cues
+    starting with that word are tried, in index order.  The search keeps
+    its own stack, so the number of cues in a tiling is not bounded by the
+    interpreter's recursion limit.
     """
+    cues, starts = talk.cues, talk.starts
     total = len(words)
     dead: set[tuple[int, int]] = set()
 
-    def solve(cue_from: int, pos: int) -> list[_IndexedCue] | None:
-        if pos == total:
-            return []
-        if (cue_from, pos) in dead:
-            return None
-        for j in range(cue_from, len(cues)):
-            cue = cues[j]
-            size = len(cue.words)
-            if size and words[pos : pos + size] == cue.words:
-                rest = solve(j + 1, pos + size)
-                if rest is not None:
-                    return [cue] + rest
-        dead.add((cue_from, pos))
-        return None
+    def matches(cue_from: int, pos: int):
+        found = starts.get(words[pos], ())
+        for k in range(bisect_left(found, cue_from), len(found)):
+            j = found[k]
+            end = pos + len(cues[j].words)
+            if words[pos:end] == cues[j].words:
+                yield j, end
 
-    return solve(0, 0)
+    # each open state's cue_from is one past the cue that led to it
+    stack = [(0, 0, matches(0, 0))]
+    while stack:
+        cue_from, pos, options = stack[-1]
+        for j, end in options:
+            if end == total:
+                return [cues[state[0] - 1] for state in stack[1:]] + [cues[j]]
+            if (j + 1, end) not in dead:
+                stack.append((j + 1, end, matches(j + 1, end)))
+                break
+        else:
+            dead.add((cue_from, pos))
+            stack.pop()
+    return None
 
 
 def align_sentence(sentence: str, talk_id: str, index: InvertedIndex) -> AnnotatedSentence:
@@ -304,10 +327,10 @@ def align_sentence(sentence: str, talk_id: str, index: InvertedIndex) -> Annotat
     words = tuple(sentence.split())
     if not words:
         raise ValueError("sentence must be non-empty")
-    cues = index.cues(talk_id)
-    if not cues:
+    talk = index._talks.get(talk_id)
+    if not talk or not talk.cues:
         raise NoAlignment(f"no subtitles indexed for talk {talk_id!r}")
-    chosen = _tile(words, cues)
+    chosen = _tile(words, talk)
     if chosen is None:
         raise NoAlignment(
             f"no in-order tiling of talk {talk_id!r} cues reconstructs the sentence"

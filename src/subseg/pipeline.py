@@ -57,12 +57,18 @@ def build_corpus(
     """Align each (talk_id, sentence) pair against the indexed documents.
 
     Returns the successfully aligned sentences in input order plus a log
-    entry per input sentence; alignment failures are logged, never fatal.
+    entry per input sentence; blank sentences and alignment failures are
+    logged, never fatal.
     """
     index = build_index(preprocess_document(doc) for doc in docs)
     corpus: list[AnnotatedSentence] = []
     log: list[AlignmentLogEntry] = []
     for line_number, (talk_id, text) in enumerate(sentences, start=1):
+        if not text.split():
+            log.append(
+                AlignmentLogEntry(line_number, talk_id, aligned=False, detail="empty sentence")
+            )
+            continue
         try:
             corpus.append(align_sentence(text, talk_id, index))
             log.append(AlignmentLogEntry(line_number, talk_id, aligned=True))

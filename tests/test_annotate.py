@@ -45,6 +45,14 @@ class TestAnnotatedSentence:
         with pytest.raises(ValueError):
             AnnotatedSentence(("a b",))
 
+    @given(st.text(alphabet=st.sampled_from("ab \t\n\u00a0\u2003\x1c\x85\u200b"), max_size=4))
+    def test_word_check_matches_per_character_whitespace_test(self, word):
+        if word and not any(c.isspace() for c in word):
+            AnnotatedSentence((word,))
+        else:
+            with pytest.raises(ValueError, match="bad word token"):
+                AnnotatedSentence((word,))
+
     def test_blocks_of_figure_sentence(self, figure_annotated):
         blocks = sent(figure_annotated).blocks()
         assert len(blocks) == 2
@@ -240,6 +248,77 @@ class TestIndexAndAlign:
         messy = figure_sentence.replace(" that", "   that")
         assert align_sentence(messy, "talk", index).to_text() == figure_annotated
         assert strip_breaks(align_sentence(messy, "talk", index)) == normalize_text(messy)
+
+    def test_tiling_longer_than_the_recursion_limit(self):
+        words = [f"w{i % 7}" for i in range(1200)]
+        doc = SubtitleDocument(
+            "t",
+            tuple(
+                Subtitle(i + 1, Timestamp(i * 10), Timestamp(i * 10 + 10), (word,))
+                for i, word in enumerate(words)
+            ),
+        )
+        aligned = align_sentence(" ".join(words), "t", build_index([doc]))
+        assert aligned.to_text() == " ".join(f"{word} <eob>" for word in words)
+
+    @given(st.data())
+    @settings(max_examples=400)
+    def test_index_agrees_with_full_scan(self, data):
+        vocabulary = "abcd"[: data.draw(st.integers(2, 4), label="vocabulary size")]
+        a_word = st.sampled_from(vocabulary)
+        cue_lines = data.draw(
+            st.lists(
+                st.lists(st.lists(a_word, min_size=1, max_size=3), min_size=1, max_size=2),
+                min_size=1,
+                max_size=25,
+            ),
+            label="cues",
+        )
+        doc = SubtitleDocument(
+            "t",
+            tuple(
+                Subtitle(i + 1, Timestamp(i * 10), Timestamp(i * 10 + 10), tuple(map(" ".join, ls)))
+                for i, ls in enumerate(cue_lines)
+            ),
+        )
+        cues = [[word for line in lines for word in line] for lines in cue_lines]
+        picked = data.draw(st.lists(st.integers(0, len(cues) - 1), min_size=1, max_size=6))
+        from_cues = [word for i in sorted(picked) for word in cues[i]]
+        query = data.draw(
+            st.one_of(st.just(from_cues), st.lists(a_word, min_size=1, max_size=10)), label="query"
+        )
+
+        chosen = _full_scan_tile(query, cues)
+        expected = None if chosen is None else " ".join(
+            " <eol> ".join(map(" ".join, cue_lines[j])) + " <eob>" for j in chosen
+        )
+        try:
+            got = align_sentence(" ".join(query), "t", build_index([doc])).to_text()
+        except NoAlignment:
+            got = None
+        assert got == expected
+
+
+def _full_scan_tile(words, cues):
+    """Reference tiling: every cue of the talk is tried at every state, from
+    the first usable one on; returns the chosen cue positions or None."""
+    dead = set()
+
+    def solve(cue_from, pos):
+        if pos == len(words):
+            return []
+        if (cue_from, pos) in dead:
+            return None
+        for j in range(cue_from, len(cues)):
+            size = len(cues[j])
+            if size and words[pos : pos + size] == cues[j]:
+                rest = solve(j + 1, pos + size)
+                if rest is not None:
+                    return [j] + rest
+        dead.add((cue_from, pos))
+        return None
+
+    return solve(0, 0)
 
 
 class TestRenderSrt:

@@ -177,6 +177,29 @@ class TestBuildCorpusCommand:
         assert "ok" in log.read_text(encoding="utf-8")
         assert "aligned 1/1" in capsys.readouterr().out
 
+    def test_blank_sentence_costs_only_its_line(self, tmp_path, capsys):
+        srt_dir = tmp_path / "srt"
+        srt_dir.mkdir()
+        write(srt_dir / "talk1.srt", FIGURE_SRT)
+        sentences = write(
+            tmp_path / "sentences.tsv",
+            f"talk1\t{FIGURE_SENTENCE}\ntalk1\t   \ntalk1\t{FIGURE_SENTENCE}\n",
+        )
+        out = tmp_path / "corpus.txt"
+        log = tmp_path / "log.tsv"
+        status = main(
+            ["build-corpus", "--srt-dir", str(srt_dir), "--sentences", str(sentences),
+             "--out", str(out), "--log", str(log)]
+        )
+        assert status == 0
+        assert out.read_text(encoding="utf-8") == f"{FIGURE_ANNOTATED}\n" * 2
+        assert log.read_text(encoding="utf-8").splitlines() == [
+            "1\ttalk1\tok\t",
+            "2\ttalk1\tfailed\tempty sentence",
+            "3\ttalk1\tok\t",
+        ]
+        assert "aligned 2/3" in capsys.readouterr().out
+
 
 class TestTrainingCommands:
     def test_train_segment_evaluate_loop(self, tmp_path, capsys):
