@@ -14,16 +14,13 @@ import sys
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .annotate import AnnotatedSentence, GrammarViolation, InvalidGap, NoAlignment
+from .annotate import AnnotatedSentence, GrammarViolation, NoAlignment
 from .constraints import ConstraintProfile
-from .evaluation import TextMismatch, evaluate
+from .evaluation import evaluate
 from .pipeline import build_corpus, reannotate, stats
 from .segmenters import (
     DEFAULT_EPOCHS,
     DEFAULT_FINE_TUNE_EPOCHS,
-    EmptyCorpus,
-    ModelFormatError,
-    SubsetViolation,
     TrainingConfig,
     load_model,
     save_model,
@@ -32,28 +29,11 @@ from .segmenters import (
     train,
     fine_tune,
 )
-from .srt_io import (
-    MalformedCue,
-    MalformedMetadata,
-    MalformedTimestamp,
-    load_segments_metadata,
-    parse_srt,
-)
+from .srt_io import load_segments_metadata, parse_srt
 
-_OPERATIONAL_ERRORS = (
-    OSError,
-    MalformedCue,
-    MalformedTimestamp,
-    MalformedMetadata,
-    GrammarViolation,
-    InvalidGap,
-    NoAlignment,
-    EmptyCorpus,
-    SubsetViolation,
-    ModelFormatError,
-    TextMismatch,
-    ValueError,
-)
+# every other error the commands raise on bad input (malformed files, grammar
+# violations, bad settings, empty corpora) subclasses ValueError
+_OPERATIONAL_ERRORS = (OSError, ValueError, NoAlignment)
 
 
 _PROFILE_KEYS = {
@@ -140,10 +120,14 @@ def _write_lines(path: str, lines: Iterable[str]) -> None:
 def _cmd_build_corpus(args: argparse.Namespace) -> int:
     if args.profile:
         _load_profile(args.profile)  # validated; alignment itself is profile-independent
-    docs = []
+    docs, broken_talks = [], {}
     for srt_path in sorted(Path(args.srt_dir).glob("*.srt")):
-        docs.append(parse_srt(srt_path.read_text(encoding="utf-8"), talk_id=srt_path.stem))
-    sentences = []
+        try:  # a file that does not decode or parse costs only its own talk
+            docs.append(parse_srt(srt_path.read_text(encoding="utf-8"), talk_id=srt_path.stem))
+        except ValueError as exc:
+            broken_talks[srt_path.stem] = f"{srt_path}: {exc}"
+            print(f"warning: skipped {srt_path}: {exc}", file=sys.stderr)
+    sentences, line_numbers = [], []
     for line_number, raw in enumerate(
         Path(args.sentences).read_text(encoding="utf-8").splitlines(), start=1
     ):
@@ -153,7 +137,8 @@ def _cmd_build_corpus(args: argparse.Namespace) -> int:
             raise ValueError(f"{args.sentences}:{line_number}: expected 'talk_id<TAB>sentence'")
         talk_id, text = raw.split("\t", 1)
         sentences.append((talk_id, text))
-    corpus, log = build_corpus(docs, sentences)
+        line_numbers.append(line_number)
+    corpus, log = build_corpus(docs, sentences, line_numbers, broken_talks)
     _write_lines(args.out, (sentence.to_text() for sentence in corpus))
     if args.log:
         _write_lines(

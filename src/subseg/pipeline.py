@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass, replace
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .annotate import (
     AnnotatedSentence,
@@ -53,21 +53,27 @@ def preprocess_document(doc: SubtitleDocument) -> SubtitleDocument:
 def build_corpus(
     docs: Iterable[SubtitleDocument],
     sentences: Iterable[tuple[str, str]],
+    line_numbers: Iterable[int] | None = None,
+    broken_talks: Mapping[str, str] | None = None,
 ) -> tuple[list[AnnotatedSentence], list[AlignmentLogEntry]]:
     """Align each (talk_id, sentence) pair against the indexed documents.
 
     Returns the successfully aligned sentences in input order plus a log
-    entry per input sentence; blank sentences and alignment failures are
+    entry per input sentence, numbered by ``line_numbers`` (1, 2, ... when
+    None); blank sentences, sentences of a talk in ``broken_talks`` (talk
+    id -> why its subtitles could not be read) and alignment failures are
     logged, never fatal.
     """
     index = build_index(preprocess_document(doc) for doc in docs)
+    sentences = list(sentences)
+    numbers = range(1, len(sentences) + 1) if line_numbers is None else line_numbers
+    broken_talks = broken_talks or {}
     corpus: list[AnnotatedSentence] = []
     log: list[AlignmentLogEntry] = []
-    for line_number, (talk_id, text) in enumerate(sentences, start=1):
-        if not text.split():
-            log.append(
-                AlignmentLogEntry(line_number, talk_id, aligned=False, detail="empty sentence")
-            )
+    for line_number, (talk_id, text) in zip(numbers, sentences, strict=True):
+        detail = "empty sentence" if not text.split() else broken_talks.get(talk_id)
+        if detail is not None:
+            log.append(AlignmentLogEntry(line_number, talk_id, aligned=False, detail=detail))
             continue
         try:
             corpus.append(align_sentence(text, talk_id, index))

@@ -92,12 +92,19 @@ class LinearSegmenterModel:
     ``GapLabel``), with the settings of the run that trained them.
 
     Features without a row score zero.  Models are immutable once trained
-    and safe to decode with concurrently.
+    and safe to decode with concurrently.  Decoding caches the summed rows
+    of the decoder-state features on the model (``_state_rows``, not a
+    field, so equality and the model file ignore it); a row depends only on
+    the state and the weights, so concurrent fills write identical rows.
     """
 
     weights: dict[str, tuple[float, float, float]]
     config: TrainingConfig
     fine_tuned: bool
+
+    @functools.cached_property
+    def _state_rows(self) -> dict[str, dict[_StateKey, tuple[float, float, float]]]:
+        return {}
 
 
 _PUNCTUATION = set(".,;:!?…\"')»]}")
@@ -147,13 +154,6 @@ def _gap_features(words: Sequence[str], gap: int, to_end: int) -> tuple[list[str
     return features, tail, next_len
 
 
-def _state_key(
-    chars: int, prev: GapLabel, tail: str, next_len: int, cpl_limit: int
-) -> tuple[str, int, GapLabel, bool]:
-    overflow = next_len > 0 and chars + 1 + next_len > cpl_limit
-    return tail, _length_bucket(chars), prev, overflow
-
-
 @functools.lru_cache(maxsize=None)  # finite: tails x buckets x labels x 2
 def _state_features(tail: str, since_bucket: int, prev: GapLabel, overflow: bool) -> tuple[str, ...]:
     """The features that depend on the decoder state; the word enters only
@@ -186,8 +186,10 @@ def extract_features(
     if not 1 <= gap <= len(words):
         raise ValueError(f"gap must be in 1..{len(words)}, got {gap}")
     features, tail, next_len = _gap_features(words, gap, len(" ".join(words[gap:])))
-    key = _state_key(chars_since_break, prev_break, tail, next_len, profile.cpl_limit)
-    return [*features, *_state_features(*key)]
+    clamp = _char_clamp(profile)
+    state = (min(chars_since_break, clamp), prev_break, 0)
+    key, _ = _step(state, min(next_len, clamp), clamp, profile.cpl_limit)
+    return [*features, *_state_features(tail, *key)]
 
 
 def _labels_to_sentence(words: Sequence[str], labels: Sequence[GapLabel]) -> AnnotatedSentence:
@@ -257,23 +259,34 @@ def segment_count_char(
 
 # decoder state: (characters on the current line, previous break, line breaks in the block)
 _State = tuple[int, GapLabel, int]
+# what the state features see of a state, besides the word's punctuation
+# tail: (length bucket, previous break, whether the next word overflows)
+_StateKey = tuple[int, GapLabel, bool]
 
 
-def _successors(state: _State, next_len: int, clamp: int) -> tuple[_State, _State, _State]:
-    """The states after labelling a gap NONE, EOL and EOB (indexed by
-    ``GapLabel``), when the next word has ``next_len`` characters."""
+@functools.lru_cache(maxsize=None)  # finite per profile: states x next lengths, both clamped
+def _step(
+    state: _State, next_len: int, clamp: int, cpl_limit: int
+) -> tuple[_StateKey, tuple[_State, _State, _State]]:
+    """The state's feature key, and the states after labelling its gap NONE,
+    EOL and EOB (indexed by ``GapLabel``) when the next word has
+    ``next_len`` characters.
+
+    Callers clamp ``next_len`` at ``clamp``: every longer word overflows
+    the line and starts a clamped one, so the result is the same.
+    """
     chars, prev, eols = state
-    fresh = min(next_len, clamp)
-    return (
+    overflow = next_len > 0 and chars + 1 + next_len > cpl_limit
+    return (_length_bucket(chars), prev, overflow), (
         (min(chars + 1 + next_len, clamp), prev, eols),
-        (fresh, GapLabel.EOL, eols + 1),
-        (fresh, GapLabel.EOB, 0),
+        (next_len, GapLabel.EOL, eols + 1),
+        (next_len, GapLabel.EOB, 0),
     )
 
 
-def _start(words: Sequence[str], clamp: int) -> _State:
+def _start(words: Sequence[str], clamp: int, cpl_limit: int) -> _State:
     """A sentence starts on a fresh screen, as if after an ``<eob>``."""
-    return _successors((0, GapLabel.EOB, 0), len(words[0]), clamp)[GapLabel.EOB]
+    return _step((0, GapLabel.EOB, 0), min(len(words[0]), clamp), clamp, cpl_limit)[1][GapLabel.EOB]
 
 
 def _score(features: Iterable[str], weights: Mapping[str, _Row]) -> tuple[float, float, float]:
@@ -294,41 +307,54 @@ def _decode(
     profile: ConstraintProfile,
     frozen: Mapping[int, GapLabel],
     open_labels: tuple[GapLabel, ...],
+    state_rows: dict[str, dict[_StateKey, tuple[float, float, float]]],
 ) -> tuple[tuple[GapLabel, ...], float]:
     """Exact constrained decode: the best-scoring grammatical label path.
 
     A left-to-right dynamic program over decoder states.  Ties go to the
     lexicographically smallest label sequence.  A line break is never taken,
     frozen or not, once the block has the allowed number of lines.
+
+    ``state_rows`` caches the summed state-feature rows per punctuation tail
+    and state key; it is filled here and is valid only for ``weights``.
     """
     clamp = _char_clamp(profile)
+    cpl_limit = profile.cpl_limit
     max_eols = profile.max_lines_per_block - 1
     last = len(words)
-    state_rows: dict[tuple[str, int, GapLabel, bool], tuple[float, float, float]] = {}
     # each entry holds (-score, labels), so the smallest entry is the one to keep
-    frontier: dict[_State, tuple[float, tuple[GapLabel, ...]]] = {_start(words, clamp): (0.0, ())}
+    frontier: dict[_State, tuple[float, tuple[GapLabel, ...]]] = {
+        _start(words, clamp, cpl_limit): (0.0, ())
+    }
     to_end = len(" ".join(words))
     for gap, word in enumerate(words, start=1):
         to_end = max(to_end - len(word) - 1, 0)  # length of words[gap:] joined
         features, tail, next_len = _gap_features(words, gap, to_end)
+        next_len = min(next_len, clamp)
         gap_row = _score(features, weights)
+        rows = state_rows.get(tail)
+        if rows is None:
+            rows = state_rows[tail] = {}
         forced = frozen.get(gap, GapLabel.EOB if gap == last else None)
         options = open_labels if forced is None else (forced,)
         closed = tuple(label for label in options if label is not GapLabel.EOL)
         expanded: dict[_State, tuple[float, tuple[GapLabel, ...]]] = {}
         for state, (cost, labels) in frontier.items():
-            chars, prev, eols = state
-            key = _state_key(chars, prev, tail, next_len, profile.cpl_limit)
-            state_row = state_rows.get(key)
+            key, successors = _step(state, next_len, clamp, cpl_limit)
+            state_row = rows.get(key)
             if state_row is None:
-                state_row = state_rows[key] = _score(_state_features(*key), weights)
-            successors = _successors(state, next_len, clamp)
-            for label in closed if eols >= max_eols else options:
-                candidate = (cost - gap_row[label] - state_row[label], labels + (label,))
+                state_row = rows[key] = _score(_state_features(tail, *key), weights)
+            for label in closed if state[2] >= max_eols else options:
+                new_cost = cost - gap_row[label] - state_row[label]
                 after = successors[label]
                 held = expanded.get(after)
-                if held is None or candidate < held:
-                    expanded[after] = candidate
+                # the (cost, labels) order, building the labels only for a winner
+                if (
+                    held is None
+                    or new_cost < held[0]
+                    or (new_cost == held[0] and labels + (label,) < held[1])
+                ):
+                    expanded[after] = (new_cost, labels + (label,))
         frontier = expanded
     cost, labels = min(frontier.values())
     return labels, -cost
@@ -341,11 +367,12 @@ def _path_steps(
 ) -> Iterable[tuple[list[str], GapLabel]]:
     """Feature/label pairs along a fixed label path (teacher forcing)."""
     clamp = _char_clamp(profile)
-    state = _start(words, clamp)
+    state = _start(words, clamp, profile.cpl_limit)
     for gap, label in enumerate(labels, start=1):
         chars, prev, _ = state
         yield extract_features(words, gap, chars, prev, profile), label
-        state = _successors(state, len(words[gap]) if gap < len(words) else 0, clamp)[label]
+        next_len = min(len(words[gap]), clamp) if gap < len(words) else 0
+        state = _step(state, next_len, clamp, profile.cpl_limit)[1][label]
 
 
 class _AveragedWeights:
@@ -353,44 +380,40 @@ class _AveragedWeights:
 
     A snapshot of every weight is (conceptually) taken after each step; the
     stamp of a weight is the first snapshot its current value covers, so sums
-    only need touching when a weight actually changes.  Weights, sums and
-    stamps are rows of three per feature, indexed by ``GapLabel``.
+    only need touching when a weight actually changes.  Each feature has one
+    row of nine: its weights, sums and stamps, three of each and indexed by
+    ``GapLabel`` from 0, 3 and 6.  The first three score like a model row.
     """
 
     def __init__(self, initial: Mapping[str, _Row]):
-        self.weights: dict[str, list[float]] = {feature: list(row) for feature, row in initial.items()}
-        self._sums: dict[str, list[float]] = {}
-        self._stamps: dict[str, list[int]] = {}
+        self.rows: dict[str, list[float]] = {
+            feature: [*row, 0.0, 0.0, 0.0, 1, 1, 1] for feature, row in initial.items()
+        }
         self.step = 0
 
     def bump(self, features: Iterable[str], label: GapLabel, delta: float) -> None:
         """Add ``delta`` to the ``label`` weight of each feature, in order."""
         step = self.step
+        weight, total, stamp = int(label), label + 3, label + 6
+        rows = self.rows
         for feature in features:
-            row = self.weights.get(feature)
+            row = rows.get(feature)
             if row is None:
-                row = self.weights[feature] = [0.0, 0.0, 0.0]
-            sums = self._sums.get(feature)
-            if sums is None:
-                sums = self._sums[feature] = [0.0, 0.0, 0.0]
-                self._stamps[feature] = [1, 1, 1]
-            stamps = self._stamps[feature]
-            current = row[label]
-            sums[label] += (step - stamps[label]) * current
-            stamps[label] = step
-            row[label] = current + delta
+                row = rows[feature] = [0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1, 1, 1]
+            current = row[weight]
+            row[total] += (step - row[stamp]) * current
+            row[stamp] = step
+            row[weight] = current + delta
 
     def averaged(self) -> dict[str, tuple[float, float, float]]:
         """Mean weight rows over the snapshots taken after every step; rows
         that average to zero are dropped."""
         if self.step == 0:
-            return {f: tuple(row) for f, row in self.weights.items() if any(row)}
+            return {f: tuple(row[:3]) for f, row in self.rows.items() if any(row[:3])}
         averages: dict[str, tuple[float, float, float]] = {}
-        for feature, row in self.weights.items():
-            sums = self._sums.get(feature, (0.0, 0.0, 0.0))
-            stamps = self._stamps.get(feature, (1, 1, 1))
+        for feature, row in self.rows.items():
             mean = tuple(
-                (sums[label] + (self.step - stamps[label] + 1) * row[label]) / self.step
+                (row[label + 3] + (self.step - row[label + 6] + 1) * row[label]) / self.step
                 for label in _ALL_LABELS
             )
             if any(mean):
@@ -417,7 +440,7 @@ def _run_perceptron(
             state.step += 1
             words, gold = gold_cache[i]
             # update against the same exact decode used at inference time
-            predicted, _ = _decode(words, state.weights, profile, {}, _ALL_LABELS)
+            predicted, _ = _decode(words, state.rows, profile, {}, _ALL_LABELS, {})
             if predicted != gold:
                 mistakes += 1
                 for features, label in _path_steps(words, gold, profile):
@@ -513,7 +536,7 @@ def segment_learned(
     else:
         open_labels = _ALL_LABELS
 
-    labels, _ = _decode(words, model.weights, profile, frozen, open_labels)
+    labels, _ = _decode(words, model.weights, profile, frozen, open_labels, model._state_rows)
     return _labels_to_sentence(words, labels)
 
 

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from subseg import annotate, cli, constraints, evaluation, pipeline, segmenters, srt_io
 from subseg.cli import main
 from subseg.annotate import AnnotatedSentence, strip_breaks
 from subseg.segmenters import TrainingConfig, save_model, train
@@ -59,6 +60,26 @@ class TestOperationalErrors:
              "--out", str(tmp_path / "out.txt")]
         )
         assert status == 1
+
+    @pytest.mark.parametrize(
+        "error",
+        sorted(
+            (
+                cls
+                for module in (annotate, constraints, evaluation, pipeline, segmenters, srt_io)
+                for cls in vars(module).values()
+                if isinstance(cls, type)
+                and issubclass(cls, Exception)
+                and not issubclass(cls, Warning)
+                and cls.__module__ == module.__name__
+            ),
+            key=lambda cls: cls.__qualname__,
+        ),
+        ids=lambda cls: cls.__qualname__,
+    )
+    def test_every_package_error_is_operational(self, error):
+        # the commands report these as "error: ..." and exit 1, not with a traceback
+        assert issubclass(error, cli._OPERATIONAL_ERRORS)
 
 
 class TestSegment:
@@ -199,6 +220,52 @@ class TestBuildCorpusCommand:
             "3\ttalk1\tok\t",
         ]
         assert "aligned 2/3" in capsys.readouterr().out
+
+    def test_log_numbers_lines_of_the_sentences_file(self, tmp_path, capsys):
+        srt_dir = tmp_path / "srt"
+        srt_dir.mkdir()
+        write(srt_dir / "talk1.srt", FIGURE_SRT)
+        sentences = write(
+            tmp_path / "sentences.tsv",
+            f"talk1\t{FIGURE_SENTENCE}\n\ntalk1\ttotally unrelated words\n",
+        )
+        log = tmp_path / "log.tsv"
+        status = main(
+            ["build-corpus", "--srt-dir", str(srt_dir), "--sentences", str(sentences),
+             "--out", str(tmp_path / "corpus.txt"), "--log", str(log)]
+        )
+        assert status == 0
+        entries = [line.split("\t") for line in log.read_text(encoding="utf-8").splitlines()]
+        assert [entry[:3] for entry in entries] == [["1", "talk1", "ok"], ["3", "talk1", "failed"]]
+        assert "aligned 1/2" in capsys.readouterr().out
+
+    def test_malformed_srt_costs_only_its_talk(self, tmp_path, capsys):
+        srt_dir = tmp_path / "srt"
+        srt_dir.mkdir()
+        write(srt_dir / "talk1.srt", FIGURE_SRT)
+        bad = write(srt_dir / "talk2.srt", "1\n00:00:05,000 --> 00:00:01,000\nbackwards cue\n\n")
+        sentences = write(
+            tmp_path / "sentences.tsv",
+            f"talk2\tbackwards cue\ntalk1\t{FIGURE_SENTENCE}\ntalk2\tbackwards\n",
+        )
+        out = tmp_path / "corpus.txt"
+        log = tmp_path / "log.tsv"
+        status = main(
+            ["build-corpus", "--srt-dir", str(srt_dir), "--sentences", str(sentences),
+             "--out", str(out), "--log", str(log)]
+        )
+        assert status == 0
+        assert out.read_text(encoding="utf-8") == FIGURE_ANNOTATED + "\n"
+        entries = [line.split("\t") for line in log.read_text(encoding="utf-8").splitlines()]
+        assert [entry[:3] for entry in entries] == [
+            ["1", "talk2", "failed"], ["2", "talk1", "ok"], ["3", "talk2", "failed"]
+        ]
+        for entry in (entries[0], entries[2]):
+            assert entry[3].startswith(f"{bad}: ")
+            assert "cue ends before it starts" in entry[3]
+        captured = capsys.readouterr()
+        assert "aligned 1/3" in captured.out
+        assert str(bad) in captured.err
 
 
 class TestTrainingCommands:

@@ -9,6 +9,7 @@ from subseg.annotate import (
 )
 from subseg.constraints import ConstraintProfile, conformity_stats
 from subseg.pipeline import (
+    AlignmentLogEntry,
     build_corpus,
     preprocess_document,
     reannotate,
@@ -84,6 +85,21 @@ class TestBuildCorpus:
         assert len(corpus) == 1
         assert [entry.aligned for entry in log] == [True, False, False]
         assert log[1].detail
+
+    def test_given_line_numbers_and_broken_talks(self, figure_srt, figure_sentence):
+        docs = [parse_srt(figure_srt, talk_id="talk1")]
+        corpus, log = build_corpus(
+            docs,
+            [("talk1", figure_sentence), ("talk2", figure_sentence), ("talk1", " ")],
+            line_numbers=[2, 5, 9],
+            broken_talks={"talk2": "talk2.srt: bad cue"},
+        )
+        assert len(corpus) == 1
+        assert log == [
+            AlignmentLogEntry(2, "talk1", aligned=True),
+            AlignmentLogEntry(5, "talk2", aligned=False, detail="talk2.srt: bad cue"),
+            AlignmentLogEntry(9, "talk1", aligned=False, detail="empty sentence"),
+        ]
 
     def test_realigns_rendered_corpus(self):
         sentences = synth.make_corpus(50, seed=40)

@@ -22,7 +22,12 @@ from subseg.segmenters import (
     ModelFormatError,
     SubsetViolation,
     TrainingConfig,
+    _ALL_LABELS,
     _AveragedWeights,
+    _EOL_ONLY_LABELS,
+    _char_clamp,
+    _decode,
+    _step,
     dump_model,
     extract_features,
     fine_tune,
@@ -562,6 +567,54 @@ class TestExactDecode:
         empty = LinearSegmenterModel(weights={}, config=TrainingConfig(1), fine_tuned=False)
         out = segment_learned(empty, "one two <eol> three four five")
         assert out.to_text() == "one two <eol> three four five <eob>"
+
+
+class TestDecoderCaches:
+    """The decoder's caches change no result: state rows kept on a model
+    score like fresh ones, and the transition cache stays bounded."""
+
+    WORDS = st.text("ab,.", min_size=1, max_size=13)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        sentences=st.lists(
+            st.lists(WORDS, min_size=1, max_size=6).map(tuple), min_size=2, max_size=3
+        ),
+        seed=st.integers(0, 2**16),
+        profile_name=st.sampled_from(sorted(TestExactDecode.PROFILES)),
+        open_labels=st.sampled_from([_ALL_LABELS, _EOL_ONLY_LABELS]),
+    )
+    def test_warm_state_rows_decode_like_cold_ones(self, sentences, seed, profile_name, open_labels):
+        profile = TestExactDecode.PROFILES[profile_name][0]
+        model = _random_model(sentences, seed, profile)
+        # the second round reads every state row from the model's cache,
+        # filled by sentences with other punctuation tails
+        for words in sentences + sentences:
+            warm = _decode(words, model.weights, profile, {}, open_labels, model._state_rows)
+            cold = _decode(words, model.weights, profile, {}, open_labels, {})
+            assert warm == cold
+
+    def test_cached_rows_are_not_part_of_the_model(self, gold_model):
+        model, corpus = gold_model
+        segment_learned(model, strip_breaks(corpus[0]))
+        assert model._state_rows
+        assert parse_model(dump_model(model)) == model
+
+    def test_transition_cache_is_bounded_by_the_profile(self):
+        def run(long_word):
+            words = ["a", "bb,", long_word, "cc", "d.", "e", long_word, "f"]
+            model = LinearSegmenterModel({}, TrainingConfig(1), fine_tuned=False)
+            segment_learned(model, " ".join(words), PROFILE)
+            train([sent(" ".join(words[:3]) + " <eob> " + " ".join(words[3:]) + " <eob>")],
+                  TrainingConfig(epochs=1), PROFILE)
+            return _step.cache_info().currsize
+
+        _step.cache_clear()
+        size = run("x" * 500)
+        clamp = _char_clamp(PROFILE)
+        assert 0 < size <= (clamp + 1) ** 2 * 3 * PROFILE.max_lines_per_block
+        # a longer word is clamped to the same line length: no new entries
+        assert run("y" * 700) == size
 
 
 class TestModelPersistence:
