@@ -11,13 +11,14 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields
 from pathlib import Path
 from typing import Iterable, Sequence
 
 from .annotate import AnnotatedSentence, GrammarViolation, NoAlignment
 from .constraints import ConstraintProfile
 from .evaluation import evaluate
-from .pipeline import build_corpus, reannotate, stats
+from .pipeline import AlignmentLogEntry, build_corpus, reannotate, stats
 from .segmenters import (
     DEFAULT_EPOCHS,
     DEFAULT_FINE_TUNE_EPOCHS,
@@ -36,12 +37,8 @@ from .srt_io import load_segments_metadata, parse_srt
 _OPERATIONAL_ERRORS = (OSError, ValueError, NoAlignment)
 
 
-_PROFILE_KEYS = {
-    "cpl_limit": int,
-    "cps_limit": float,
-    "max_lines_per_block": int,
-    "orphan_threshold": int,
-}
+# each limit is read as the type of its default
+_PROFILE_KEYS = {field.name: type(field.default) for field in fields(ConstraintProfile)}
 _CONFIG_KEYS = {
     "epochs": int,
     "fine_tune_epochs": int,
@@ -127,18 +124,22 @@ def _cmd_build_corpus(args: argparse.Namespace) -> int:
         except ValueError as exc:
             broken_talks[srt_path.stem] = f"{srt_path}: {exc}"
             print(f"warning: skipped {srt_path}: {exc}", file=sys.stderr)
-    sentences, line_numbers = [], []
+    sentences, line_numbers, malformed = [], [], []
     for line_number, raw in enumerate(
         Path(args.sentences).read_text(encoding="utf-8").splitlines(), start=1
     ):
         if not raw.strip():
             continue
-        if "\t" not in raw:
-            raise ValueError(f"{args.sentences}:{line_number}: expected 'talk_id<TAB>sentence'")
+        if "\t" not in raw:  # costs only this line
+            malformed.append(
+                AlignmentLogEntry(line_number, "", False, "expected 'talk_id<TAB>sentence'")
+            )
+            continue
         talk_id, text = raw.split("\t", 1)
         sentences.append((talk_id, text))
         line_numbers.append(line_number)
     corpus, log = build_corpus(docs, sentences, line_numbers, broken_talks)
+    log = sorted(log + malformed, key=lambda entry: entry.line_number)
     _write_lines(args.out, (sentence.to_text() for sentence in corpus))
     if args.log:
         _write_lines(
@@ -177,19 +178,18 @@ def _cmd_fine_tune(args: argparse.Namespace) -> int:
 def _cmd_segment(args: argparse.Namespace) -> int:
     profile = _load_profile(args.profile)
     seed = _flag_or_config(args.seed, args, "seed") or 0
-    lines = [
-        raw for raw in Path(args.infile).read_text(encoding="utf-8").splitlines() if raw.strip()
-    ]
-    if args.count_char:
-        out = [
-            segment_count_char(line, profile, seed=seed + i).to_text()
-            for i, line in enumerate(lines)
-        ]
-    else:
-        model = load_model(args.model)
-        out = [
-            segment_learned(model, line, profile, mode=args.mode).to_text() for line in lines
-        ]
+    lines = Path(args.infile).read_text(encoding="utf-8").splitlines()
+    model = None if args.count_char else load_model(args.model)
+    # output line i holds input line i, blank or not; count-char seeds each
+    # line with the base seed plus the line's index in the file
+    out = []
+    for i, line in enumerate(lines):
+        if not line.strip():
+            out.append("")
+        elif model is None:
+            out.append(segment_count_char(line, profile, seed=seed + i).to_text())
+        else:
+            out.append(segment_learned(model, line, profile, mode=args.mode).to_text())
     _write_lines(args.out, out)
     return 0
 

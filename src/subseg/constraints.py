@@ -7,7 +7,7 @@ Character counts are over Unicode code points of the rendered line text
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Iterable, NamedTuple
 
 from .annotate import AnnotatedSentence, strip_breaks
@@ -28,9 +28,9 @@ class ConstraintProfile:
     orphan_threshold: int = 5
 
     def __post_init__(self):
-        for name in ("cpl_limit", "cps_limit", "max_lines_per_block", "orphan_threshold"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+        for field in fields(self):
+            if getattr(self, field.name) <= 0:
+                raise ValueError(f"{field.name} must be positive")
 
 
 DEFAULT_PROFILE = ConstraintProfile()

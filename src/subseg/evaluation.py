@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence
 
 from .annotate import AnnotatedSentence, extract_breaks, strip_breaks
-from .constraints import ConstraintProfile, DEFAULT_PROFILE, check_cpl
+from .constraints import ConstraintProfile, DEFAULT_PROFILE, conformity_stats
 
 
 class TextMismatch(ValueError):
@@ -186,12 +186,11 @@ def evaluate(
     no_breaks = corpus_bleu(
         (strip_breaks(hyp).split(), strip_breaks(ref).split()) for hyp, ref in pairs
     )
-    total_lines = conforming_lines = 0
-    for hyp, _ in pairs:
-        lengths, _ = check_cpl(hyp, profile)
-        total_lines += len(lengths)
-        conforming_lines += sum(1 for n in lengths if n <= profile.cpl_limit)
-    conformity = 100.0 if total_lines == 0 else 100.0 * conforming_lines / total_lines
+    lines = conformity_stats((hyp for hyp, _ in pairs), profile)
+    # from the counts: 100.0 * lines.line_conformity() may differ in the last bit
+    conformity = (
+        100.0 if lines.total_lines == 0 else 100.0 * lines.conforming_lines / lines.total_lines
+    )
     return EvalReport(
         precision=prf.precision,
         recall=prf.recall,

@@ -106,10 +106,6 @@ class IterationReport:
         return asdict(self)
 
 
-def _line_conformity(sentences: Sequence[AnnotatedSentence], profile: ConstraintProfile) -> float:
-    return conformity_stats(sentences, profile).line_conformity()
-
-
 def reannotate(
     corpus: Iterable[AnnotatedSentence],
     model: LinearSegmenterModel,
@@ -136,7 +132,7 @@ def reannotate(
     current_model = model
 
     for iteration in range(1, iterations + 1):
-        before = _line_conformity(sentences, profile)
+        before = conformity_stats(sentences, profile).line_conformity()
         selected = [i for i, s in enumerate(sentences) if not check_cpl(s, profile).conforming]
         if not selected or not pool:
             reports.append(
@@ -156,7 +152,7 @@ def reannotate(
                 fresh.append(candidate)
                 accepted += 1
         pool.extend(fresh)
-        after = _line_conformity(sentences, profile)
+        after = conformity_stats(sentences, profile).line_conformity()
         reports.append(
             IterationReport(iteration, len(selected), accepted, before, after, len(pool))
         )

@@ -27,7 +27,7 @@ from .annotate import (
     extract_breaks,
     normalize_text,
 )
-from .constraints import ConstraintProfile, DEFAULT_PROFILE
+from .constraints import ConstraintProfile, DEFAULT_PROFILE, check_lines
 
 DEFAULT_EPOCHS = 12
 DEFAULT_FINE_TUNE_EPOCHS = 6
@@ -214,46 +214,35 @@ def segment_count_char(
 ) -> AnnotatedSentence:
     """Greedy character-count segmentation.
 
-    Consume words until adding the next one would push the current line past
-    the line limit, then insert a break after the last word that fit.  After
-    an ``<eob>`` the break kind is drawn at random between ``<eob>`` and
-    ``<eol>`` (a sentence starts a fresh screen, so the first draw is
-    random too); after an ``<eol>`` it is forced to ``<eob>``, which keeps
-    blocks at two lines.  The final break is always ``<eob>``.  A word
-    longer than the line limit gets a line of its own.
+    Walk the decoder's states, consuming words until adding the next one
+    would push the current line past the line limit, then insert a break
+    after the last word that fit.  After an ``<eob>`` the break kind is
+    drawn at random between ``<eob>`` and ``<eol>`` if the block has room
+    for another line (a sentence starts a fresh screen, so the first draw is
+    random too); otherwise, and always after an ``<eol>``, it is forced to
+    ``<eob>``, so a block has at most two lines and never more than the
+    profile allows.  The final break is always ``<eob>``.  A word longer
+    than the line limit gets a line of its own.
     """
     words = normalize_text(sentence).split()
     if not words:
         raise ValueError("sentence must be non-empty")
 
     rng = random.Random(seed)
-    labels = [GapLabel.NONE] * len(words)
-    prev = GapLabel.EOB
-    line_chars = len(words[0])
-    for j in range(1, len(words)):
-        if line_chars + 1 + len(words[j]) > profile.cpl_limit:
-            if prev is GapLabel.EOB:
-                kind = rng.choice((GapLabel.EOB, GapLabel.EOL))
-            else:
-                kind = GapLabel.EOB
-            labels[j - 1] = kind
-            prev = kind
-            line_chars = len(words[j])
-        else:
-            line_chars += 1 + len(words[j])
-    labels[-1] = GapLabel.EOB
-
-    # safety pass: promote any line break that would yield a >2-line block
-    eols_in_block = 0
-    for i, label in enumerate(labels):
-        if label is GapLabel.EOL:
-            if eols_in_block + 2 > profile.max_lines_per_block:
-                labels[i] = GapLabel.EOB
-                eols_in_block = 0
-            else:
-                eols_in_block += 1
-        elif label is GapLabel.EOB:
-            eols_in_block = 0
+    clamp = _char_clamp(profile)
+    state = _start(words, clamp, profile.cpl_limit)
+    labels = []
+    for word in words[1:]:
+        (_, prev, overflow), successors = _step(
+            state, min(len(word), clamp), clamp, profile.cpl_limit
+        )
+        label = GapLabel.NONE
+        if overflow:
+            roomy = prev is GapLabel.EOB and state[2] + 1 < profile.max_lines_per_block
+            label = rng.choice((GapLabel.EOB, GapLabel.EOL)) if roomy else GapLabel.EOB
+        labels.append(label)
+        state = successors[label]
+    labels.append(GapLabel.EOB)
     return _labels_to_sentence(words, labels)
 
 
@@ -520,11 +509,10 @@ def segment_learned(
     breaks = extract_breaks(annotated)
     if breaks:
         # frozen breaks must not already violate the grammar we guarantee
-        for block in annotated.blocks():
-            if len(block) > profile.max_lines_per_block:
-                raise GrammarViolation(
-                    f"input block has {len(block)} lines (max {profile.max_lines_per_block})"
-                )
+        if not check_lines(annotated, profile):
+            raise GrammarViolation(
+                f"an input block has more than {profile.max_lines_per_block} lines"
+            )
         if breaks[-1].gap == len(words) and breaks[-1].kind is BreakToken.EOL:
             raise GrammarViolation(f"input must not end with {EOL_SYMBOL}")
     frozen = {position.gap: _LABEL_FOR_BREAK[position.kind] for position in breaks}

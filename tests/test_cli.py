@@ -98,6 +98,30 @@ class TestSegment:
         assert first == f"{long_word} <eob>"
         assert second in (f"ok <eob> {long_word} <eob>", f"ok <eol> {long_word} <eob>")
 
+    def test_blank_input_line_gives_a_blank_output_line(self, tmp_path, tiny_model_file):
+        infile = write(tmp_path / "in.txt", "one two three\n\nfour five six\n")
+        out = tmp_path / "out.txt"
+        assert main(["segment", "--count-char", "--in", str(infile), "--out", str(out)]) == 0
+        assert out.read_text(encoding="utf-8") == "one two three <eob>\n\nfour five six <eob>\n"
+        assert main(
+            ["segment", "--model", str(tiny_model_file), "--in", str(infile), "--out", str(out)]
+        ) == 0
+        first, blank, second = out.read_text(encoding="utf-8").splitlines()
+        assert (first.split()[0], blank, second.split()[0]) == ("one", "", "four")
+
+    def test_count_char_seeds_each_line_by_its_index_in_the_file(self, tmp_path):
+        sentence = " ".join(["abcde"] * 40)
+        infile = write(tmp_path / "in.txt", f"{sentence}\n   \n{sentence}\n")
+        out = tmp_path / "out.txt"
+        assert main(
+            ["segment", "--count-char", "--seed", "3", "--in", str(infile), "--out", str(out)]
+        ) == 0
+        assert out.read_text(encoding="utf-8").splitlines() == [
+            segmenters.segment_count_char(sentence, seed=3).to_text(),
+            "",
+            segmenters.segment_count_char(sentence, seed=5).to_text(),
+        ]
+
     def test_learned_segmenter_preserves_text(self, tmp_path, tiny_model_file):
         sentences = synth.make_plain_sentences(5, seed=3)
         infile = write(tmp_path / "in.txt", "".join(f"{s}\n" for s in sentences))
@@ -118,6 +142,14 @@ class TestSegment:
                 ["segment", "--count-char", "--seed", "7", "--in", str(infile), "--out", str(out)]
             ) == 0
         assert out_a.read_bytes() == out_b.read_bytes()
+
+    def test_profile_keys_are_the_profile_fields_read_as_their_types(self):
+        assert cli._PROFILE_KEYS == {
+            "cpl_limit": int,
+            "cps_limit": float,
+            "max_lines_per_block": int,
+            "orphan_threshold": int,
+        }
 
     def test_profile_file_changes_limit(self, tmp_path):
         profile = write(tmp_path / "profile.txt", "cpl_limit = 20\n")
@@ -238,6 +270,29 @@ class TestBuildCorpusCommand:
         entries = [line.split("\t") for line in log.read_text(encoding="utf-8").splitlines()]
         assert [entry[:3] for entry in entries] == [["1", "talk1", "ok"], ["3", "talk1", "failed"]]
         assert "aligned 1/2" in capsys.readouterr().out
+
+    def test_line_without_a_tab_costs_only_its_line(self, tmp_path, capsys):
+        srt_dir = tmp_path / "srt"
+        srt_dir.mkdir()
+        write(srt_dir / "talk1.srt", FIGURE_SRT)
+        sentences = write(
+            tmp_path / "sentences.tsv",
+            f"talk1\t{FIGURE_SENTENCE}\nno tab here\ntalk1\t{FIGURE_SENTENCE}\n",
+        )
+        out = tmp_path / "corpus.txt"
+        log = tmp_path / "log.tsv"
+        status = main(
+            ["build-corpus", "--srt-dir", str(srt_dir), "--sentences", str(sentences),
+             "--out", str(out), "--log", str(log)]
+        )
+        assert status == 0
+        assert out.read_text(encoding="utf-8") == f"{FIGURE_ANNOTATED}\n" * 2
+        assert log.read_text(encoding="utf-8").splitlines() == [
+            "1\ttalk1\tok\t",
+            "2\t\tfailed\texpected 'talk_id<TAB>sentence'",
+            "3\ttalk1\tok\t",
+        ]
+        assert "aligned 2/3" in capsys.readouterr().out
 
     def test_malformed_srt_costs_only_its_talk(self, tmp_path, capsys):
         srt_dir = tmp_path / "srt"

@@ -34,6 +34,10 @@ class TestProfile:
         with pytest.raises(ValueError):
             ConstraintProfile(**kwargs)
 
+    def test_the_first_non_positive_limit_is_named(self):
+        with pytest.raises(ValueError, match="^max_lines_per_block must be positive$"):
+            ConstraintProfile(max_lines_per_block=0, orphan_threshold=0)
+
 
 class TestCheckCpl:
     def test_figure_cue_lines(self):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from subseg.annotate import AnnotatedSentence, BreakPosition, BreakToken, apply_breaks
+from subseg.constraints import ConstraintProfile
 from subseg.evaluation import (
     BreakCounts,
     TextMismatch,
@@ -218,6 +219,17 @@ class TestEvaluate:
             (with_breaks("a b", [(2, EOB)]), with_breaks("a b", [(1, EOL), (2, EOB)])),
         ]
         assert evaluate(pairs) == evaluate(list(reversed(pairs)))
+
+    def test_conformity_percentage_of_hand_counted_lines(self):
+        # lines "aa bb" (5) and "d" (1) are within 5 characters, "cccccc" (6) is not
+        pairs = [
+            (AnnotatedSentence.from_text(text), AnnotatedSentence.from_text(text))
+            for text in ("aa bb <eol> cccccc <eob>", "d <eob>")
+        ]
+        report = evaluate(pairs, ConstraintProfile(cpl_limit=5))
+        assert report.cpl_conformity_pct == 66.66666666666667  # 100.0 * 2 / 3, not 100.0 * (2 / 3)
+        assert '"cpl_conformity": 66.66666666666667' in report.to_json()
+        assert "cpl_conformity  66.67" in report.to_table()
 
     def test_json_keys(self):
         sentence = with_breaks("a b", [(2, EOB)])

@@ -113,6 +113,69 @@ class TestCountCharBaseline:
         assert out.is_strict
         assert strip_breaks(out) == " ".join(words)
 
+    @staticmethod
+    def _greedy_reference(sentence, profile, seed):
+        """The baseline as a private line counter plus a pass that promotes
+        every ``<eol>`` that would overfill a block, kept as an oracle."""
+        words = normalize_text(sentence).split()
+        rng = random.Random(seed)
+        labels = [GapLabel.NONE] * len(words)
+        prev = GapLabel.EOB
+        line_chars = len(words[0])
+        for j in range(1, len(words)):
+            if line_chars + 1 + len(words[j]) > profile.cpl_limit:
+                if prev is GapLabel.EOB:
+                    kind = rng.choice((GapLabel.EOB, GapLabel.EOL))
+                else:
+                    kind = GapLabel.EOB
+                labels[j - 1] = kind
+                prev = kind
+                line_chars = len(words[j])
+            else:
+                line_chars += 1 + len(words[j])
+        labels[-1] = GapLabel.EOB
+        eols_in_block = 0
+        for i, label in enumerate(labels):
+            if label is GapLabel.EOL:
+                if eols_in_block + 2 > profile.max_lines_per_block:
+                    labels[i] = GapLabel.EOB
+                    eols_in_block = 0
+                else:
+                    eols_in_block += 1
+            elif label is GapLabel.EOB:
+                eols_in_block = 0
+        items = []
+        for word, label in zip(words, labels):
+            items.append(word)
+            if label is not GapLabel.NONE:
+                items.append("<eol>" if label is GapLabel.EOL else "<eob>")
+        return " ".join(items)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        words=st.lists(st.text("abc,.", min_size=1, max_size=80), min_size=1, max_size=40),
+        seed=st.integers(0, 2**32),
+        cpl_limit=st.integers(3, 70),
+        max_lines=st.integers(1, 3),
+    )
+    def test_matches_the_greedy_reference(self, words, seed, cpl_limit, max_lines):
+        profile = ConstraintProfile(cpl_limit=cpl_limit, max_lines_per_block=max_lines)
+        sentence = " ".join(words)
+        out = segment_count_char(sentence, profile, seed=seed)
+        assert out.to_text() == self._greedy_reference(sentence, profile, seed)
+
+    def test_one_line_blocks_promote_every_drawn_line_break(self):
+        # 30 five-char words at the default limit break every 7 words; seed 1
+        # draws <eol> for some of them, which one-line blocks turn into <eob>
+        text = " ".join(["abcde"] * 30)
+        one_line = ConstraintProfile(max_lines_per_block=1)
+        two = segment_count_char(text, PROFILE, seed=1)
+        one = segment_count_char(text, one_line, seed=1)
+        assert BreakToken.EOL in two.items
+        assert [b.gap for b in extract_breaks(one)] == [b.gap for b in extract_breaks(two)]
+        assert all(b.kind is BreakToken.EOB for b in extract_breaks(one))
+        assert one.to_text() == self._greedy_reference(text, one_line, 1)
+
 
 class TestExtractFeatures:
     FIGURE_WORDS = (
@@ -346,7 +409,7 @@ class TestSegmentLearned:
             segment_learned(gold_model[0], "a b c", mode="eol_only")
 
     def test_rejects_overfull_input_block(self, gold_model):
-        with pytest.raises(GrammarViolation):
+        with pytest.raises(GrammarViolation, match="more than 2 lines"):
             segment_learned(gold_model[0], "a <eol> b <eol> c <eob>")
 
     def test_frozen_line_break_counts_toward_the_block(self):
