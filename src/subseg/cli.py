@@ -13,7 +13,7 @@ import json
 import sys
 from dataclasses import fields
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .annotate import AnnotatedSentence, GrammarViolation, NoAlignment
 from .constraints import ConstraintProfile
@@ -99,15 +99,35 @@ def _training_config(
     )
 
 
-def _read_corpus(path: str) -> list[AnnotatedSentence]:
+def _read_corpus(
+    path: str, check: Callable[[AnnotatedSentence], None] | None = None
+) -> list[AnnotatedSentence]:
+    """The sentences of the non-blank lines; a grammar error, in the line or
+    raised by ``check`` on its sentence, names the line."""
     sentences = []
     for line_number, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
         if raw.strip():
             try:
-                sentences.append(AnnotatedSentence.from_text(raw))
+                sentence = AnnotatedSentence.from_text(raw)
+                if check is not None:
+                    check(sentence)
             except GrammarViolation as exc:
                 raise GrammarViolation(f"{path}:{line_number}: {exc}") from None
+            sentences.append(sentence)
     return sentences
+
+
+def _trainer_check(
+    profile: ConstraintProfile, eol_only: bool = False
+) -> Callable[[AnnotatedSentence], None]:
+    """The trainer's check of the sentences it trains on (with ``eol_only``,
+    those containing ``<eol>``), made while reading so a failure names its line."""
+
+    def check(sentence: AnnotatedSentence) -> None:
+        if sentence.has_eol or not eol_only:
+            sentence.validate_strict(profile.max_lines_per_block)
+
+    return check
 
 
 def _write_lines(path: str, lines: Iterable[str]) -> None:
@@ -157,7 +177,8 @@ def _cmd_build_corpus(args: argparse.Namespace) -> int:
 
 def _cmd_train(args: argparse.Namespace) -> int:
     config = _training_config(args, "epochs", DEFAULT_EPOCHS, args.learning_rate)
-    model = train(_read_corpus(args.corpus), config, _load_profile(args.profile))
+    profile = _load_profile(args.profile)
+    model = train(_read_corpus(args.corpus, _trainer_check(profile)), config, profile)
     save_model(model, args.out)
     print(f"trained on {args.corpus}, wrote {args.out}")
     return 0
@@ -165,11 +186,12 @@ def _cmd_train(args: argparse.Namespace) -> int:
 
 def _cmd_fine_tune(args: argparse.Namespace) -> int:
     config = _training_config(args, "fine_tune_epochs", DEFAULT_FINE_TUNE_EPOCHS, args.learning_rate)
-    corpus = _read_corpus(args.corpus)
+    profile = _load_profile(args.profile)
+    corpus = _read_corpus(args.corpus, _trainer_check(profile, eol_only=True))
     subset = [sentence for sentence in corpus if sentence.has_eol]
     if len(subset) < len(corpus):
         print(f"using the {len(subset)}/{len(corpus)} sentences containing <eol>", file=sys.stderr)
-    model = fine_tune(load_model(args.model), subset, config, _load_profile(args.profile))
+    model = fine_tune(load_model(args.model), subset, config, profile)
     save_model(model, args.out)
     print(f"fine-tuned {args.model}, wrote {args.out}")
     return 0

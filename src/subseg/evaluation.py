@@ -107,8 +107,8 @@ def corpus_bleu(pairs: Iterable[tuple[Sequence[str], Sequence[str]]]) -> float:
         hyp_len += len(hyp)
         ref_len += len(ref)
         for n in range(1, 5):
-            hyp_ngrams = Counter(tuple(hyp[i : i + n]) for i in range(len(hyp) - n + 1))
-            ref_ngrams = Counter(tuple(ref[i : i + n]) for i in range(len(ref) - n + 1))
+            hyp_ngrams = Counter(zip(*(hyp[i:] for i in range(n))))
+            ref_ngrams = Counter(zip(*(ref[i:] for i in range(n))))
             matches[n - 1] += sum(min(count, ref_ngrams[gram]) for gram, count in hyp_ngrams.items())
             totals[n - 1] += sum(hyp_ngrams.values())
     if hyp_len == 0:
@@ -183,9 +183,10 @@ def evaluate(
     pairs = list(pairs)
     prf = corpus_prf(pairs)
     with_breaks = corpus_bleu((hyp.to_text().split(), ref.to_text().split()) for hyp, ref in pairs)
-    no_breaks = corpus_bleu(
-        (strip_breaks(hyp).split(), strip_breaks(ref).split()) for hyp, ref in pairs
-    )
+    # corpus_prf has checked that every pair has the same words, and the BLEU
+    # of identical token lists is exactly 100.0 (every n-gram precision is
+    # 1, the brevity penalty 1, and an empty corpus scores 100.0)
+    no_breaks = 100.0
     lines = conformity_stats((hyp for hyp, _ in pairs), profile)
     # from the counts: 100.0 * lines.line_conformity() may differ in the last bit
     conformity = (

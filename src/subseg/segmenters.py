@@ -14,7 +14,9 @@ touch the words, so the output text always equals the normalized input.
 from __future__ import annotations
 
 import functools
+import itertools
 import random
+import threading
 from dataclasses import dataclass
 from enum import IntEnum
 from typing import Iterable, Mapping, Sequence
@@ -103,7 +105,7 @@ class LinearSegmenterModel:
     fine_tuned: bool
 
     @functools.cached_property
-    def _state_rows(self) -> dict[str, dict[_StateKey, tuple[float, float, float]]]:
+    def _state_rows(self) -> _StateRows:
         return {}
 
 
@@ -251,6 +253,8 @@ _State = tuple[int, GapLabel, int]
 # what the state features see of a state, besides the word's punctuation
 # tail: (length bucket, previous break, whether the next word overflows)
 _StateKey = tuple[int, GapLabel, bool]
+# the summed state-feature rows per punctuation tail, indexed by key id
+_StateRows = dict[str, list[tuple[float, float, float] | None]]
 
 
 @functools.lru_cache(maxsize=None)  # finite per profile: states x next lengths, both clamped
@@ -290,52 +294,95 @@ def _score(features: Iterable[str], weights: Mapping[str, _Row]) -> tuple[float,
     return none, eol, eob
 
 
+# the state keys numbered as the tables first meet them; ids are shared by
+# every profile, so a model's state rows serve any profile
+_KEYS: list[_StateKey] = []
+_KEY_IDS: dict[_StateKey, int] = {}
+_KEYS_LOCK = threading.Lock()
+
+
+@functools.lru_cache(maxsize=None)  # one per profile
+def _state_ids(clamp: int, max_lines: int) -> dict[_State, int]:
+    """Packed ids of the decoder states, numbered in (chars, prev, eols) order."""
+    states = itertools.product(range(clamp + 1), GapLabel, range(max_lines))
+    return {state: i for i, state in enumerate(states)}
+
+
+@functools.lru_cache(maxsize=None)  # finite per profile: one per clamped next length
+def _table(next_len: int, clamp: int, cpl_limit: int, max_lines: int) -> tuple[list[int], ...]:
+    """``_step`` for every state: four lists indexed by packed state id, giving
+    the state's key id and its NONE, EOL and EOB successor ids; -1 stands for
+    an ``<eol>`` past the block's line cap, a state the profile does not have.
+
+    Built from ``_step``'s uncached body, so building them adds no entries to
+    ``_step``'s cache.
+    """
+    ids = _state_ids(clamp, max_lines)
+    table: tuple[list[int], ...] = ([], [], [], [])
+    with _KEYS_LOCK:
+        for state in ids:
+            key, successors = _step.__wrapped__(state, next_len, clamp, cpl_limit)
+            if key not in _KEY_IDS:
+                _KEY_IDS[key] = len(_KEYS)
+                _KEYS.append(key)
+            table[0].append(_KEY_IDS[key])
+            for column, after in zip(table[1:], successors):
+                column.append(ids.get(after, -1))
+    return table
+
+
 def _decode(
     words: Sequence[str],
     weights: Mapping[str, _Row],
     profile: ConstraintProfile,
     frozen: Mapping[int, GapLabel],
     open_labels: tuple[GapLabel, ...],
-    state_rows: dict[str, dict[_StateKey, tuple[float, float, float]]],
+    state_rows: _StateRows,
 ) -> tuple[tuple[GapLabel, ...], float]:
     """Exact constrained decode: the best-scoring grammatical label path.
 
-    A left-to-right dynamic program over decoder states.  Ties go to the
+    A left-to-right dynamic program over packed decoder states, stepped
+    through the transition tables with labels as plain ints.  Ties go to the
     lexicographically smallest label sequence.  A line break is never taken,
     frozen or not, once the block has the allowed number of lines.
 
-    ``state_rows`` caches the summed state-feature rows per punctuation tail
-    and state key; it is filled here and is valid only for ``weights``.
+    ``state_rows`` caches the summed state-feature rows per punctuation tail,
+    indexed by key id; it is filled here and is valid only for ``weights``.
     """
     clamp = _char_clamp(profile)
     cpl_limit = profile.cpl_limit
-    max_eols = profile.max_lines_per_block - 1
+    max_lines = profile.max_lines_per_block
+    open_ints = tuple(map(int, open_labels))
     last = len(words)
     # each entry holds (-score, labels), so the smallest entry is the one to keep
-    frontier: dict[_State, tuple[float, tuple[GapLabel, ...]]] = {
-        _start(words, clamp, cpl_limit): (0.0, ())
+    frontier: dict[int, tuple[float, tuple[int, ...]]] = {
+        _state_ids(clamp, max_lines)[_start(words, clamp, cpl_limit)]: (0.0, ())
     }
     to_end = len(" ".join(words))
     for gap, word in enumerate(words, start=1):
         to_end = max(to_end - len(word) - 1, 0)  # length of words[gap:] joined
         features, tail, next_len = _gap_features(words, gap, to_end)
-        next_len = min(next_len, clamp)
         gap_row = _score(features, weights)
+        key_ids, *successors = _table(min(next_len, clamp), clamp, cpl_limit, max_lines)
         rows = state_rows.get(tail)
         if rows is None:
-            rows = state_rows[tail] = {}
+            rows = state_rows[tail] = []
+        if len(rows) < len(_KEYS):
+            rows.extend([None] * (len(_KEYS) - len(rows)))
         forced = frozen.get(gap, GapLabel.EOB if gap == last else None)
-        options = open_labels if forced is None else (forced,)
-        closed = tuple(label for label in options if label is not GapLabel.EOL)
-        expanded: dict[_State, tuple[float, tuple[GapLabel, ...]]] = {}
+        options = open_ints if forced is None else (int(forced),)
+        moves = [(label, gap_row[label], successors[label]) for label in options]
+        expanded: dict[int, tuple[float, tuple[int, ...]]] = {}
         for state, (cost, labels) in frontier.items():
-            key, successors = _step(state, next_len, clamp, cpl_limit)
-            state_row = rows.get(key)
+            key = key_ids[state]
+            state_row = rows[key]
             if state_row is None:
-                state_row = rows[key] = _score(_state_features(tail, *key), weights)
-            for label in closed if state[2] >= max_eols else options:
-                new_cost = cost - gap_row[label] - state_row[label]
-                after = successors[label]
+                state_row = rows[key] = _score(_state_features(tail, *_KEYS[key]), weights)
+            for label, gap_cost, ids_after in moves:
+                after = ids_after[state]
+                if after < 0:
+                    continue
+                new_cost = cost - gap_cost - state_row[label]
                 held = expanded.get(after)
                 # the (cost, labels) order, building the labels only for a winner
                 if (
@@ -346,7 +393,7 @@ def _decode(
                     expanded[after] = (new_cost, labels + (label,))
         frontier = expanded
     cost, labels = min(frontier.values())
-    return labels, -cost
+    return tuple(_ALL_LABELS[label] for label in labels), -cost
 
 
 def _path_steps(
@@ -421,6 +468,7 @@ def _run_perceptron(
     rng = random.Random(config.seed)
     order = list(range(len(sentences)))
     gold_cache = [(s.words, _gold_labels(s)) for s in sentences]
+    state_rows: _StateRows = {}
 
     for _ in range(config.epochs):
         rng.shuffle(order)
@@ -429,13 +477,14 @@ def _run_perceptron(
             state.step += 1
             words, gold = gold_cache[i]
             # update against the same exact decode used at inference time
-            predicted, _ = _decode(words, state.rows, profile, {}, _ALL_LABELS, {})
+            predicted, _ = _decode(words, state.rows, profile, {}, _ALL_LABELS, state_rows)
             if predicted != gold:
                 mistakes += 1
                 for features, label in _path_steps(words, gold, profile):
                     state.bump(features, label, config.learning_rate)
                 for features, label in _path_steps(words, predicted, profile):
                     state.bump(features, label, -config.learning_rate)
+                state_rows = {}  # the rows hold until the weights change
         if mistakes == 0:
             break  # weights are now fixed points; further epochs cannot change them
 

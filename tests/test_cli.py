@@ -362,6 +362,35 @@ class TestTrainingCommands:
         assert status == 1
         assert f"{corpus_file}:3: " in capsys.readouterr().err
 
+    def test_train_names_a_sentence_without_a_final_eob(self, tmp_path, capsys):
+        corpus_file = write(tmp_path / "corpus.txt", "a b <eob>\nc d\ne f <eob>\n")
+        status = main(["train", "--corpus", str(corpus_file), "--out", str(tmp_path / "m.tsv")])
+        assert status == 1
+        assert f"error: {corpus_file}:2: sentence must end with <eob>" in capsys.readouterr().err
+        assert not (tmp_path / "m.tsv").exists()
+
+    @pytest.mark.parametrize("command", ["train", "fine-tune"])
+    def test_overfull_block_is_named(self, tmp_path, tiny_model_file, capsys, command):
+        corpus_file = write(
+            tmp_path / "corpus.txt", "a <eol> b <eob>\n\na b <eol> c <eol> d <eob>\n"
+        )
+        model = ["--model", str(tiny_model_file)] if command == "fine-tune" else []
+        status = main(
+            [command, *model, "--corpus", str(corpus_file), "--out", str(tmp_path / "m.tsv")]
+        )
+        assert status == 1
+        assert f"error: {corpus_file}:3: block has 3 lines (max 2)" in capsys.readouterr().err
+        assert not (tmp_path / "m.tsv").exists()
+
+    def test_fine_tune_checks_only_the_sentences_it_uses(self, tmp_path, tiny_model_file):
+        # a line without <eol> is not fine-tuned on, so it is not checked either
+        corpus_file = write(tmp_path / "corpus.txt", "a b\nc <eol> d <eob>\n")
+        status = main(
+            ["fine-tune", "--model", str(tiny_model_file), "--corpus", str(corpus_file),
+             "--out", str(tmp_path / "m.tsv"), "--epochs", "1"]
+        )
+        assert status == 0
+
     def test_config_file_supplies_defaults(self, tmp_path):
         corpus = synth.make_corpus(20, seed=12)
         corpus_file = write(tmp_path / "corpus.txt", "".join(s.to_text() + "\n" for s in corpus))

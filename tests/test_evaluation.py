@@ -193,6 +193,13 @@ class TestBleu:
     def test_self_bleu_always_100(self, tokens):
         assert bleu(tokens, tokens) == 100.0
 
+    @given(st.lists(st.lists(st.sampled_from(["a", "b", "cd", "<eol>"]), max_size=6), max_size=8))
+    @settings(max_examples=300)
+    def test_corpus_bleu_of_identical_pairs_is_exactly_100(self, sentences):
+        # evaluate relies on this for BLEU without breaks, whose pairs have
+        # the same words; empty and one- to three-token sentences included
+        assert corpus_bleu((tokens, list(tokens)) for tokens in sentences) == 100.0
+
 
 class TestEvaluate:
     def test_perfect_hypotheses(self, figure_annotated):
@@ -237,6 +244,16 @@ class TestEvaluate:
         assert set(data) == {
             "precision", "recall", "f1", "bleu_breaks", "bleu_text", "cpl_conformity", "counts",
         }
+
+    def test_bleu_without_breaks_is_the_bleu_of_the_words(self):
+        pairs = [
+            (with_breaks(TWELVE, [(6, EOB), (12, EOB)]), with_breaks(TWELVE, [(12, EOB)])),
+            (with_breaks("a b", [(2, EOB)]), with_breaks("a b", [(1, EOL), (2, EOB)])),
+        ]
+        report = evaluate(pairs)
+        words = [(hyp.words, ref.words) for hyp, ref in pairs]
+        assert report.bleu_no_breaks == corpus_bleu(words) == 100.0
+        assert report.bleu_with_breaks < 100.0
 
     @given(strict_sentences())
     @settings(max_examples=50)

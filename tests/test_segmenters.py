@@ -27,7 +27,12 @@ from subseg.segmenters import (
     _EOL_ONLY_LABELS,
     _char_clamp,
     _decode,
+    _gap_features,
+    _score,
+    _start,
+    _state_features,
     _step,
+    _table,
     dump_model,
     extract_features,
     fine_tune,
@@ -670,14 +675,133 @@ class TestDecoderCaches:
             segment_learned(model, " ".join(words), PROFILE)
             train([sent(" ".join(words[:3]) + " <eob> " + " ".join(words[3:]) + " <eob>")],
                   TrainingConfig(epochs=1), PROFILE)
-            return _step.cache_info().currsize
+            return _table.cache_info().currsize, _step.cache_info().currsize
 
+        _table.cache_clear()
         _step.cache_clear()
-        size = run("x" * 500)
+        tables, steps = run("x" * 500)
         clamp = _char_clamp(PROFILE)
-        assert 0 < size <= (clamp + 1) ** 2 * 3 * PROFILE.max_lines_per_block
+        # one decoder table per clamped next-word length; the path walks
+        # still step through the cached transition
+        assert 0 < tables <= clamp + 1
+        assert 0 < steps <= (clamp + 1) ** 2 * 3 * PROFILE.max_lines_per_block
         # a longer word is clamped to the same line length: no new entries
-        assert run("y" * 700) == size
+        assert run("y" * 700) == (tables, steps)
+
+
+def _dict_decode(words, weights, profile, frozen, open_labels, state_rows):
+    """Reference decode over state tuples, with state rows keyed by the state
+    key tuple: the decoder as it was before the transition tables."""
+    clamp = _char_clamp(profile)
+    cpl_limit = profile.cpl_limit
+    max_eols = profile.max_lines_per_block - 1
+    last = len(words)
+    frontier = {_start(words, clamp, cpl_limit): (0.0, ())}
+    to_end = len(" ".join(words))
+    for gap, word in enumerate(words, start=1):
+        to_end = max(to_end - len(word) - 1, 0)
+        features, tail, next_len = _gap_features(words, gap, to_end)
+        next_len = min(next_len, clamp)
+        gap_row = _score(features, weights)
+        rows = state_rows.setdefault(tail, {})
+        forced = frozen.get(gap, GapLabel.EOB if gap == last else None)
+        options = open_labels if forced is None else (forced,)
+        closed = tuple(label for label in options if label is not GapLabel.EOL)
+        expanded = {}
+        for state, (cost, labels) in frontier.items():
+            key, successors = _step(state, next_len, clamp, cpl_limit)
+            state_row = rows.get(key)
+            if state_row is None:
+                state_row = rows[key] = _score(_state_features(tail, *key), weights)
+            for label in closed if state[2] >= max_eols else options:
+                new_cost = cost - gap_row[label] - state_row[label]
+                after = successors[label]
+                held = expanded.get(after)
+                if (
+                    held is None
+                    or new_cost < held[0]
+                    or (new_cost == held[0] and labels + (label,) < held[1])
+                ):
+                    expanded[after] = (new_cost, labels + (label,))
+        frontier = expanded
+    cost, labels = min(frontier.values())
+    return labels, -cost
+
+
+class _SeededWeights:
+    """A weight row for any feature string, drawn from the string and a seed;
+    about one feature in five has none.  ``integer`` rows, half of them 0 and
+    the rest -1 or 1, make many paths tie exactly."""
+
+    def __init__(self, seed, integer):
+        self.seed, self.integer, self.rows = seed, integer, {}
+
+    def get(self, feature, default=None):
+        if feature not in self.rows:
+            rng = random.Random(f"{self.seed}:{feature}")
+            if rng.random() < 0.2:
+                self.rows[feature] = None
+            elif self.integer:
+                self.rows[feature] = tuple(float(rng.choice((-1, 0, 0, 1))) for _ in GapLabel)
+            else:
+                self.rows[feature] = tuple(rng.uniform(-1, 1) for _ in GapLabel)
+        row = self.rows[feature]
+        return default if row is None else row
+
+
+class TestTableDecode:
+    """The table-driven decoder gives the dict-based reference's labels and
+    score bit for bit, on sentences too long for the exhaustive oracle."""
+
+    PROFILES = {
+        "default": PROFILE,
+        "narrow": ConstraintProfile(cpl_limit=12),
+        "wide": ConstraintProfile(cpl_limit=70, max_lines_per_block=3),
+        "one-line": ConstraintProfile(max_lines_per_block=1),
+    }
+    # up to 70 characters: lines pass the clamp, and a next word of clamp
+    # length sends a line break and a NONE into the same state
+    WORDS = st.one_of(
+        st.text("ab,.", min_size=1, max_size=8),
+        st.text("ab,.", min_size=1, max_size=70),
+        st.sampled_from([59, 60, 61, 69, 70]).map(lambda n: "a" * n),
+    )
+
+    @staticmethod
+    def _frozen(n, rolls, max_lines, eol_only):
+        frozen, eols = {}, 0
+        for gap, roll in zip(range(1, n), rolls):
+            if roll == 1:
+                frozen[gap], eols = GapLabel.EOB, 0
+            elif roll == 2 and eols + 2 <= max_lines:
+                frozen[gap], eols = GapLabel.EOL, eols + 1
+        if eol_only:
+            frozen[n] = GapLabel.EOB
+        return frozen
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        sentences=st.lists(st.lists(WORDS, min_size=1, max_size=30), min_size=1, max_size=3),
+        rolls=st.lists(st.sampled_from([0, 0, 0, 0, 1, 2]), max_size=29),
+        profile_name=st.sampled_from(sorted(PROFILES)),
+        eol_only=st.booleans(),
+        integer=st.booleans(),
+        seed=st.integers(0, 2**16),
+    )
+    def test_matches_the_dict_decoder(self, sentences, rolls, profile_name, eol_only, integer, seed):
+        profile = self.PROFILES[profile_name]
+        open_labels = _EOL_ONLY_LABELS if eol_only else _ALL_LABELS
+        weights = _SeededWeights(seed, integer)
+        warm_rows = {}
+        # the second round reads the state rows the first one left
+        for words in sentences + sentences:
+            frozen = self._frozen(len(words), rolls, profile.max_lines_per_block, eol_only)
+            expected = _dict_decode(words, weights, profile, frozen, open_labels, {})
+            for rows in (warm_rows, {}):
+                labels, score = _decode(words, weights, profile, frozen, open_labels, rows)
+                assert (labels, score) == expected
+                assert all(type(label) is GapLabel for label in labels)
+                assert repr(score) == repr(expected[1])
 
 
 class TestModelPersistence:
