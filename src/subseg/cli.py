@@ -8,12 +8,12 @@ operational error, 2 on a usage error.
 
 from __future__ import annotations
 
-import argparse
 import json
 import sys
+from argparse import ArgumentParser, Namespace
 from dataclasses import fields
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .annotate import AnnotatedSentence, GrammarViolation, NoAlignment
 from .constraints import ConstraintProfile
@@ -46,12 +46,14 @@ _CONFIG_KEYS = {
     "seed": int,
     "iterations": int,
 }
+# the --config values with the given flags written over them
+_Settings = Mapping[str, object]
 
 
-def _read_settings(path: str, types: dict[str, type]) -> dict[str, object]:
-    """Typed ``key = value`` lines; an unknown key or a bad value names its line."""
+def _read_settings(path: str | None, types: dict[str, type]) -> dict[str, object]:
+    """Typed ``key = value`` lines, none without a path; a bad key or value names its line."""
     values: dict[str, object] = {}
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    lines = Path(path).read_text(encoding="utf-8").splitlines() if path else []
     for line_number, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -70,37 +72,21 @@ def _read_settings(path: str, types: dict[str, type]) -> dict[str, object]:
     return values
 
 
-def _load_profile(path: str | None) -> ConstraintProfile:
-    return ConstraintProfile(**_read_settings(path, _PROFILE_KEYS)) if path else ConstraintProfile()
+def _picked(values: Mapping[str, object], keys: Iterable[str]) -> dict[str, object]:
+    """The ``keys`` that ``values`` sets; the others keep the callee's defaults."""
+    return {key: values[key] for key in keys if values.get(key) is not None}
 
 
-def _flag_or_config(flag_value, args: argparse.Namespace, key: str):
-    """A flag's value if it was given, else ``key`` from ``--config``; None if neither."""
-    return args.settings.get(key) if flag_value is None else flag_value
-
-
-def _given(**values) -> dict[str, object]:
-    """The keyword arguments that are set; the others keep the callee's defaults."""
-    return {name: value for name, value in values.items() if value is not None}
-
-
-def _training_config(
-    args: argparse.Namespace, epochs_key: str, default_epochs: int, learning_rate: float | None
-) -> TrainingConfig:
-    """Training settings from the flags and ``--config``, which gives the
-    epochs under ``epochs_key``."""
-    epochs = _flag_or_config(args.epochs, args, epochs_key)
+def _training_config(settings: _Settings, epochs_key: str, default_epochs: int) -> TrainingConfig:
+    """The training settings, which give the epochs under ``epochs_key``."""
     return TrainingConfig(
-        epochs=default_epochs if epochs is None else epochs,
-        **_given(
-            learning_rate=_flag_or_config(learning_rate, args, "learning_rate"),
-            seed=_flag_or_config(args.seed, args, "seed"),
-        ),
+        epochs=settings.get(epochs_key, default_epochs),
+        **_picked(settings, ("learning_rate", "seed")),
     )
 
 
 def _read_corpus(
-    path: str, check: Callable[[AnnotatedSentence], None] | None = None
+    path: str, check: Callable[[AnnotatedSentence], object] | None = None
 ) -> list[AnnotatedSentence]:
     """The sentences of the non-blank lines; a grammar error, in the line or
     raised by ``check`` on its sentence, names the line."""
@@ -117,26 +103,11 @@ def _read_corpus(
     return sentences
 
 
-def _trainer_check(
-    profile: ConstraintProfile, eol_only: bool = False
-) -> Callable[[AnnotatedSentence], None]:
-    """The trainer's check of the sentences it trains on (with ``eol_only``,
-    those containing ``<eol>``), made while reading so a failure names its line."""
-
-    def check(sentence: AnnotatedSentence) -> None:
-        if sentence.has_eol or not eol_only:
-            sentence.validate_strict(profile.max_lines_per_block)
-
-    return check
-
-
 def _write_lines(path: str, lines: Iterable[str]) -> None:
     Path(path).write_text("".join(f"{line}\n" for line in lines), encoding="utf-8")
 
 
-def _cmd_build_corpus(args: argparse.Namespace) -> int:
-    if args.profile:
-        _load_profile(args.profile)  # validated; alignment itself is profile-independent
+def _cmd_build_corpus(args: Namespace, profile: ConstraintProfile, settings: _Settings) -> int:
     docs, broken_talks = [], {}
     for srt_path in sorted(Path(args.srt_dir).glob("*.srt")):
         try:  # a file that does not decode or parse costs only its own talk
@@ -175,19 +146,19 @@ def _cmd_build_corpus(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_train(args: argparse.Namespace) -> int:
-    config = _training_config(args, "epochs", DEFAULT_EPOCHS, args.learning_rate)
-    profile = _load_profile(args.profile)
-    model = train(_read_corpus(args.corpus, _trainer_check(profile)), config, profile)
+def _cmd_train(args: Namespace, profile: ConstraintProfile, settings: _Settings) -> int:
+    config = _training_config(settings, "epochs", DEFAULT_EPOCHS)
+    corpus = _read_corpus(args.corpus, lambda s: s.validate_strict(profile.max_lines_per_block))
+    model = train(corpus, config, profile)
     save_model(model, args.out)
     print(f"trained on {args.corpus}, wrote {args.out}")
     return 0
 
 
-def _cmd_fine_tune(args: argparse.Namespace) -> int:
-    config = _training_config(args, "fine_tune_epochs", DEFAULT_FINE_TUNE_EPOCHS, args.learning_rate)
-    profile = _load_profile(args.profile)
-    corpus = _read_corpus(args.corpus, _trainer_check(profile, eol_only=True))
+def _cmd_fine_tune(args: Namespace, profile: ConstraintProfile, settings: _Settings) -> int:
+    config = _training_config(settings, "fine_tune_epochs", DEFAULT_FINE_TUNE_EPOCHS)
+    max_lines = profile.max_lines_per_block
+    corpus = _read_corpus(args.corpus, lambda s: s.has_eol and s.validate_strict(max_lines))
     subset = [sentence for sentence in corpus if sentence.has_eol]
     if len(subset) < len(corpus):
         print(f"using the {len(subset)}/{len(corpus)} sentences containing <eol>", file=sys.stderr)
@@ -197,9 +168,8 @@ def _cmd_fine_tune(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_segment(args: argparse.Namespace) -> int:
-    profile = _load_profile(args.profile)
-    seed = _flag_or_config(args.seed, args, "seed") or 0
+def _cmd_segment(args: Namespace, profile: ConstraintProfile, settings: _Settings) -> int:
+    seed = settings.get("seed", 0)
     lines = Path(args.infile).read_text(encoding="utf-8").splitlines()
     model = None if args.count_char else load_model(args.model)
     # output line i holds input line i, blank or not; count-char seeds each
@@ -216,8 +186,7 @@ def _cmd_segment(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_evaluate(args: argparse.Namespace) -> int:
-    profile = _load_profile(args.profile)
+def _cmd_evaluate(args: Namespace, profile: ConstraintProfile, settings: _Settings) -> int:
     hyp = _read_corpus(args.hyp)
     ref = _read_corpus(args.ref)
     if len(hyp) != len(ref):
@@ -232,8 +201,7 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_stats(args: argparse.Namespace) -> int:
-    profile = _load_profile(args.profile)
+def _cmd_stats(args: Namespace, profile: ConstraintProfile, settings: _Settings) -> int:
     metadata = None
     if args.metadata:
         metadata = load_segments_metadata(Path(args.metadata).read_text(encoding="utf-8"))
@@ -242,16 +210,14 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_reannotate(args: argparse.Namespace) -> int:
-    profile = _load_profile(args.profile)
-    # reannotate has no --learning-rate flag; --config may still set it
-    config = _training_config(args, "fine_tune_epochs", DEFAULT_FINE_TUNE_EPOCHS, None)
+def _cmd_reannotate(args: Namespace, profile: ConstraintProfile, settings: _Settings) -> int:
+    config = _training_config(settings, "fine_tune_epochs", DEFAULT_FINE_TUNE_EPOCHS)
     corpus, model, reports = reannotate(
         _read_corpus(args.corpus),
         load_model(args.model),
         profile,
         config,
-        **_given(iterations=_flag_or_config(args.iterations, args, "iterations")),
+        **_picked(settings, ("iterations",)),
     )
     _write_lines(args.out, (sentence.to_text() for sentence in corpus))
     if args.model_out:
@@ -270,13 +236,13 @@ def _cmd_reannotate(args: argparse.Namespace) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+def build_parser() -> ArgumentParser:
+    parser = ArgumentParser(
         prog="subseg",
         description="Subtitle segmentation toolkit: corpus construction, "
         "training, segmentation, evaluation and re-annotation.",
     )
-    common = argparse.ArgumentParser(add_help=False)
+    common = ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=None, help="random seed (default 0)")
     common.add_argument("--profile", help="constraint profile file (key = value lines)")
     common.add_argument("--config", help="pipeline config file (key = value lines)")
@@ -301,7 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True, help="base model file")
     p.add_argument("--corpus", required=True, help="annotated corpus (only <eol> sentences used)")
     p.add_argument("--out", required=True, help="model file to write")
-    p.add_argument("--epochs", type=int, default=None)
+    p.add_argument("--epochs", dest="fine_tune_epochs", metavar="EPOCHS", type=int)
     p.add_argument("--learning-rate", dest="learning_rate", type=float, default=None)
     p.set_defaults(func=_cmd_fine_tune)
 
@@ -333,7 +299,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="re-annotated corpus output")
     p.add_argument("--model-out", dest="model_out", help="write the last fine-tuned model here")
     p.add_argument("--iterations", type=int, default=None)
-    p.add_argument("--epochs", type=int, default=None, help="fine-tune epochs per iteration")
+    p.add_argument(
+        "--epochs", dest="fine_tune_epochs", metavar="EPOCHS", type=int,
+        help="fine-tune epochs per iteration",
+    )
     p.add_argument("--report", help="write per-iteration JSON report here")
     p.set_defaults(func=_cmd_reannotate)
 
@@ -344,8 +313,11 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        args.settings = _read_settings(args.config, _CONFIG_KEYS) if args.config else {}
-        return args.func(args)
+        settings = _read_settings(args.config, _CONFIG_KEYS)
+        # a flag that mirrors a --config key is stored under that key and overrides it
+        settings.update(_picked(vars(args), _CONFIG_KEYS))
+        profile = ConstraintProfile(**_read_settings(args.profile, _PROFILE_KEYS))
+        return args.func(args, profile, settings)
     except _OPERATIONAL_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

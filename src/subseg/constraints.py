@@ -29,7 +29,7 @@ class ConstraintProfile:
 
     def __post_init__(self):
         for field in fields(self):
-            if getattr(self, field.name) <= 0:
+            if not getattr(self, field.name) > 0:  # NaN fails every comparison
                 raise ValueError(f"{field.name} must be positive")
 
 

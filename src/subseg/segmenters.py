@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 import random
 import threading
 from dataclasses import dataclass
@@ -80,8 +81,10 @@ class TrainingConfig:
     def __post_init__(self):
         if self.epochs < 1:
             raise ValueError(f"epochs must be >= 1, got {self.epochs}")
-        if self.learning_rate < 0:
-            raise ValueError(f"learning rate must be non-negative, got {self.learning_rate}")
+        if not 0 <= self.learning_rate < math.inf:  # NaN fails every comparison
+            raise ValueError(
+                f"learning rate must be finite and non-negative, got {self.learning_rate}"
+            )
 
 
 # one weight per gap label, indexed by ``GapLabel``: (NONE, EOL, EOB)
@@ -257,7 +260,6 @@ _StateKey = tuple[int, GapLabel, bool]
 _StateRows = dict[str, list[tuple[float, float, float] | None]]
 
 
-@functools.lru_cache(maxsize=None)  # finite per profile: states x next lengths, both clamped
 def _step(
     state: _State, next_len: int, clamp: int, cpl_limit: int
 ) -> tuple[_StateKey, tuple[_State, _State, _State]]:
@@ -313,15 +315,12 @@ def _table(next_len: int, clamp: int, cpl_limit: int, max_lines: int) -> tuple[l
     """``_step`` for every state: four lists indexed by packed state id, giving
     the state's key id and its NONE, EOL and EOB successor ids; -1 stands for
     an ``<eol>`` past the block's line cap, a state the profile does not have.
-
-    Built from ``_step``'s uncached body, so building them adds no entries to
-    ``_step``'s cache.
     """
     ids = _state_ids(clamp, max_lines)
     table: tuple[list[int], ...] = ([], [], [], [])
     with _KEYS_LOCK:
         for state in ids:
-            key, successors = _step.__wrapped__(state, next_len, clamp, cpl_limit)
+            key, successors = _step(state, next_len, clamp, cpl_limit)
             if key not in _KEY_IDS:
                 _KEY_IDS[key] = len(_KEYS)
                 _KEYS.append(key)

@@ -463,3 +463,130 @@ class TestReannotateCommand:
         )
         assert status == 0
         assert "learning_rate\t0.5\n" in model_out.read_text(encoding="utf-8")
+
+
+class TestSettings:
+    """A flag overrides the --config key it is named after, and each command
+    reads only its own keys (the README's config table, one row each)."""
+
+    @pytest.fixture(scope="class")
+    def inputs(self, tmp_path_factory, tiny_model_file):
+        root = tmp_path_factory.mktemp("settings")
+        corpus, _ = synth.partially_collapsed_corpus(40, seed=33, keep_eol_fraction=0.3)
+        plain = [" ".join(["abcde"] * 40), " ".join(["fghij"] * 30)]
+        return {
+            "corpus": str(write(root / "corpus.txt", "".join(s.to_text() + "\n" for s in corpus))),
+            "plain": str(write(root / "plain.txt", "".join(f"{s}\n" for s in plain))),
+            "model": str(tiny_model_file),
+        }
+
+    COMMANDS = {
+        "train": lambda inputs, out: ["train", "--corpus", inputs["corpus"], "--out", out],
+        "fine-tune": lambda inputs, out: [
+            "fine-tune", "--model", inputs["model"], "--corpus", inputs["corpus"], "--out", out
+        ],
+        "segment --count-char": lambda inputs, out: [
+            "segment", "--count-char", "--in", inputs["plain"], "--out", out
+        ],
+        "reannotate": lambda inputs, out: [
+            "reannotate", "--model", inputs["model"], "--corpus", inputs["corpus"],
+            "--out", out, "--model-out", f"{out}.model", "--report", f"{out}.json",
+        ],
+    }
+
+    def run(self, tmp_path, capsys, inputs, command, config, flags):
+        """Everything the command writes: its stdout and output files."""
+        out = tmp_path / "out"
+        argv = self.COMMANDS[command](inputs, str(out))
+        if config is not None:
+            argv += ["--config", str(write(tmp_path / "config.txt", config))]
+        assert main([*argv, *flags]) == 0
+        written = sorted(tmp_path.glob("out*"))
+        files = {path.name: path.read_bytes() for path in written}
+        for path in written:
+            path.unlink()
+        return capsys.readouterr().out, files
+
+    @pytest.mark.parametrize(
+        "command, config, flag, fast",
+        [
+            ("train", "epochs = 1", ["--epochs", "2"], []),
+            ("fine-tune", "fine_tune_epochs = 1", ["--epochs", "2"], []),
+            ("reannotate", "fine_tune_epochs = 1", ["--epochs", "2"], []),
+            ("train", "learning_rate = 0.5", ["--learning-rate", "2.0"], ["--epochs", "1"]),
+            ("fine-tune", "learning_rate = 0.5", ["--learning-rate", "2.0"], ["--epochs", "1"]),
+            ("segment --count-char", "seed = 1", ["--seed", "2"], []),
+            ("reannotate", "iterations = 1", ["--iterations", "2"], ["--epochs", "1"]),
+        ],
+        ids=[
+            "epochs-train", "fine_tune_epochs-fine-tune", "fine_tune_epochs-reannotate",
+            "learning_rate-train", "learning_rate-fine-tune", "seed-segment", "iterations-reannotate",
+        ],
+    )
+    def test_a_flag_overrides_its_config_key(
+        self, tmp_path, capsys, inputs, command, config, flag, fast
+    ):
+        # ``fast`` is in every run and only keeps training short
+        both = self.run(tmp_path, capsys, inputs, command, config, flag + fast)
+        assert both == self.run(tmp_path, capsys, inputs, command, None, flag + fast)
+        assert both != self.run(tmp_path, capsys, inputs, command, config, fast)
+
+    @pytest.mark.parametrize(
+        "command, other_key", [("train", "fine_tune_epochs"), ("fine-tune", "epochs")]
+    )
+    def test_each_trainer_ignores_the_other_epochs_key(
+        self, tmp_path, capsys, inputs, command, other_key
+    ):
+        ignored = self.run(tmp_path, capsys, inputs, command, f"{other_key} = 1\n", [])
+        assert ignored == self.run(tmp_path, capsys, inputs, command, None, [])
+
+
+class TestBadSettings:
+    @pytest.fixture
+    def argv(self, tmp_path, tiny_model_file):
+        srt_dir = tmp_path / "srt"
+        srt_dir.mkdir()
+        write(srt_dir / "talk1.srt", FIGURE_SRT)
+        sentences = write(tmp_path / "sentences.tsv", f"talk1\t{FIGURE_SENTENCE}\n")
+        corpus = str(write(tmp_path / "corpus.txt", "a b <eol> c <eob>\n"))
+        plain = str(write(tmp_path / "plain.txt", "a b c\n"))
+        model, out = str(tiny_model_file), str(tmp_path / "out" / "out.txt")
+        return {
+            "build-corpus": ["--srt-dir", str(srt_dir), "--sentences", str(sentences),
+                             "--out", out, "--log", f"{out}.log"],
+            "train": ["--corpus", corpus, "--out", out],
+            "fine-tune": ["--model", model, "--corpus", corpus, "--out", out],
+            "segment": ["--count-char", "--in", plain, "--out", out],
+            "evaluate": ["--hyp", corpus, "--ref", corpus, "--json", out],
+            "stats": ["--corpus", corpus],
+            "reannotate": ["--corpus", corpus, "--model", model, "--out", out,
+                           "--model-out", f"{out}.model", "--report", f"{out}.json"],
+        }
+
+    @pytest.mark.parametrize(
+        "command", ["build-corpus", "train", "fine-tune", "segment", "evaluate", "stats", "reannotate"]
+    )
+    @pytest.mark.parametrize(
+        "profile", ["beam_width = 4\n", "cps_limit = nan\n"], ids=["unknown-key", "nan-limit"]
+    )
+    def test_a_bad_profile_fails_every_command_before_it_writes(
+        self, tmp_path, capsys, argv, command, profile
+    ):
+        (tmp_path / "out").mkdir()
+        profile_file = write(tmp_path / "profile.txt", profile)
+        assert main([command, *argv[command], "--profile", str(profile_file)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert list((tmp_path / "out").iterdir()) == []
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_train_rejects_a_non_finite_learning_rate(self, tmp_path, capsys, value):
+        corpus_file = write(tmp_path / "corpus.txt", "a b <eob>\n")
+        status = main(
+            ["train", "--corpus", str(corpus_file), "--out", str(tmp_path / "m.tsv"),
+             "--learning-rate", value]
+        )
+        assert status == 1
+        assert "learning rate must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "m.tsv").exists()

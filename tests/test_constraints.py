@@ -29,7 +29,9 @@ class TestProfile:
         assert (PROFILE.cpl_limit, PROFILE.cps_limit) == (42, 21.0)
         assert (PROFILE.max_lines_per_block, PROFILE.orphan_threshold) == (2, 5)
 
-    @pytest.mark.parametrize("kwargs", [{"cpl_limit": 0}, {"cps_limit": -1.0}])
+    @pytest.mark.parametrize(
+        "kwargs", [{"cpl_limit": 0}, {"cps_limit": -1.0}, {"cps_limit": float("nan")}]
+    )
     def test_rejects_non_positive_limits(self, kwargs):
         with pytest.raises(ValueError):
             ConstraintProfile(**kwargs)

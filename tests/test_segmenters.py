@@ -675,18 +675,15 @@ class TestDecoderCaches:
             segment_learned(model, " ".join(words), PROFILE)
             train([sent(" ".join(words[:3]) + " <eob> " + " ".join(words[3:]) + " <eob>")],
                   TrainingConfig(epochs=1), PROFILE)
-            return _table.cache_info().currsize, _step.cache_info().currsize
+            return _table.cache_info().currsize
 
         _table.cache_clear()
-        _step.cache_clear()
-        tables, steps = run("x" * 500)
+        tables = run("x" * 500)
         clamp = _char_clamp(PROFILE)
-        # one decoder table per clamped next-word length; the path walks
-        # still step through the cached transition
+        # one decoder table per clamped next-word length
         assert 0 < tables <= clamp + 1
-        assert 0 < steps <= (clamp + 1) ** 2 * 3 * PROFILE.max_lines_per_block
         # a longer word is clamped to the same line length: no new entries
-        assert run("y" * 700) == (tables, steps)
+        assert run("y" * 700) == tables
 
 
 def _dict_decode(words, weights, profile, frozen, open_labels, state_rows):
@@ -836,6 +833,15 @@ class TestModelPersistence:
     def test_header_is_checked_like_a_training_config(self, gold_model):
         dumped = dump_model(gold_model[0]).replace("epochs\t8\n", "epochs\t0\n", 1)
         with pytest.raises(ModelFormatError, match="epochs must be >= 1"):
+            parse_model(dumped)
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_header_rejects_a_non_finite_learning_rate(self, gold_model, value):
+        dumped = dump_model(gold_model[0]).replace(
+            "learning_rate\t1.0\n", f"learning_rate\t{value}\n", 1
+        )
+        assert f"learning_rate\t{value}\n" in dumped
+        with pytest.raises(ModelFormatError, match="learning rate must be finite"):
             parse_model(dumped)
 
     V1_MODEL = Path(__file__).parent / "data" / "model_v1.tsv"
