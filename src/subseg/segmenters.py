@@ -136,7 +136,7 @@ def _tail(word: str) -> str:
     return word[-1] if word[-1] in _PUNCTUATION else ""
 
 
-def _gap_features(words: Sequence[str], gap: int, to_end: int) -> tuple[list[str], str, int]:
+def _gap_features(words: Sequence[str], gap: int, to_end: int) -> tuple[tuple[str, ...], str, int]:
     """The features of the gap after ``words[gap - 1]`` that no decoder state
     changes, with the word's punctuation tail and the next word's length (0
     after the last word).  ``to_end`` is the length of ``words[gap:]`` joined."""
@@ -144,7 +144,7 @@ def _gap_features(words: Sequence[str], gap: int, to_end: int) -> tuple[list[str
     nxt = words[gap] if gap < len(words) else None
     next_len = len(nxt) if nxt is not None else 0
     tail = _tail(word)
-    features = [
+    features = (
         f"to_end={_length_bucket(to_end)}",
         f"w={word}",
         f"wlen={len(word)}",
@@ -153,10 +153,23 @@ def _gap_features(words: Sequence[str], gap: int, to_end: int) -> tuple[list[str
         f"punct={int(bool(tail))}",
         f"tail={tail}",
         f"pos={(10 * gap) // len(words)}",
-    ]
+    )
     if nxt is None:
-        features.append("end_of_sentence")
+        features += ("end_of_sentence",)
     return features, tail, next_len
+
+
+@functools.lru_cache(maxsize=1)  # the latest sentence: one training step's decode and path walks
+def _sentence_pass(words: tuple[str, ...]) -> tuple[tuple[tuple[str, ...], str, int], ...]:
+    """``_gap_features`` for every gap of ``words``, in gap order.  The decoder
+    and ``extract_features`` both read it, so one training step builds each
+    gap's features once for its decode and both path walks."""
+    to_end = len(" ".join(words))
+    gaps = []
+    for gap, word in enumerate(words, start=1):
+        to_end = max(to_end - len(word) - 1, 0)  # length of words[gap:] joined
+        gaps.append(_gap_features(words, gap, to_end))
+    return tuple(gaps)
 
 
 @functools.lru_cache(maxsize=None)  # finite: tails x buckets x labels x 2
@@ -190,11 +203,14 @@ def extract_features(
     """
     if not 1 <= gap <= len(words):
         raise ValueError(f"gap must be in 1..{len(words)}, got {gap}")
-    features, tail, next_len = _gap_features(words, gap, len(" ".join(words[gap:])))
+    if chars_since_break < 0:
+        raise ValueError(f"chars_since_break must be non-negative, got {chars_since_break}")
+    features, tail, next_len = _sentence_pass(tuple(words))[gap - 1]
     clamp = _char_clamp(profile)
-    state = (min(chars_since_break, clamp), prev_break, 0)
-    key, _ = _step(state, min(next_len, clamp), clamp, profile.cpl_limit)
-    return [*features, *_state_features(tail, *key)]
+    max_lines = profile.max_lines_per_block
+    state = _state_ids(clamp, max_lines)[min(chars_since_break, clamp), prev_break, 0]
+    key = _table(min(next_len, clamp), clamp, profile.cpl_limit, max_lines)[0][state]
+    return [*features, *_state_features(tail, *_KEYS[key])]
 
 
 def _labels_to_sentence(words: Sequence[str], labels: Sequence[GapLabel]) -> AnnotatedSentence:
@@ -357,10 +373,7 @@ def _decode(
     frontier: dict[int, tuple[float, tuple[int, ...]]] = {
         _state_ids(clamp, max_lines)[_start(words, clamp, cpl_limit)]: (0.0, ())
     }
-    to_end = len(" ".join(words))
-    for gap, word in enumerate(words, start=1):
-        to_end = max(to_end - len(word) - 1, 0)  # length of words[gap:] joined
-        features, tail, next_len = _gap_features(words, gap, to_end)
+    for gap, (features, tail, next_len) in enumerate(_sentence_pass(tuple(words)), start=1):
         gap_row = _score(features, weights)
         key_ids, *successors = _table(min(next_len, clamp), clamp, cpl_limit, max_lines)
         rows = state_rows.get(tail)
@@ -400,14 +413,17 @@ def _path_steps(
     labels: Sequence[GapLabel],
     profile: ConstraintProfile,
 ) -> Iterable[tuple[list[str], GapLabel]]:
-    """Feature/label pairs along a fixed label path (teacher forcing)."""
+    """Feature/label pairs along a fixed grammatical label path (teacher forcing)."""
     clamp = _char_clamp(profile)
-    state = _start(words, clamp, profile.cpl_limit)
+    max_lines = profile.max_lines_per_block
+    state = _state_ids(clamp, max_lines)[_start(words, clamp, profile.cpl_limit)]
     for gap, label in enumerate(labels, start=1):
-        chars, prev, _ = state
-        yield extract_features(words, gap, chars, prev, profile), label
+        chars, rest = divmod(state, len(_ALL_LABELS) * max_lines)  # ids run in (chars, prev, eols) order
+        yield extract_features(words, gap, chars, _ALL_LABELS[rest // max_lines], profile), label
         next_len = min(len(words[gap]), clamp) if gap < len(words) else 0
-        state = _step(state, next_len, clamp, profile.cpl_limit)[1][label]
+        state = _table(next_len, clamp, profile.cpl_limit, max_lines)[1 + label][state]
+        if state < 0:
+            raise ValueError(f"gap {gap}: an {EOL_SYMBOL} past the block's line cap")
 
 
 class _AveragedWeights:

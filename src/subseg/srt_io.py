@@ -10,6 +10,7 @@ as a warning, never a hard failure).
 
 from __future__ import annotations
 
+import math
 import re
 import warnings
 from dataclasses import dataclass
@@ -127,10 +128,10 @@ class SegmentDuration:
     duration: float
 
     def __post_init__(self):
-        if self.offset < 0:
-            raise ValueError(f"offset must be non-negative, got {self.offset}")
-        if self.duration <= 0:
-            raise ValueError(f"duration must be positive, got {self.duration}")
+        if not 0 <= self.offset < math.inf:  # NaN fails every comparison
+            raise ValueError(f"offset must be finite and non-negative, got {self.offset}")
+        if not 0 < self.duration < math.inf:
+            raise ValueError(f"duration must be finite and positive, got {self.duration}")
 
 
 def _blocks(text: str) -> Iterable[tuple[int, list[str]]]:

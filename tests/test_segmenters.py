@@ -1,5 +1,7 @@
 import functools
 import random
+import sys
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import pytest
@@ -28,7 +30,9 @@ from subseg.segmenters import (
     _char_clamp,
     _decode,
     _gap_features,
+    _path_steps,
     _score,
+    _sentence_pass,
     _start,
     _state_features,
     _step,
@@ -213,6 +217,10 @@ class TestExtractFeatures:
     def test_gap_out_of_range(self):
         with pytest.raises(ValueError):
             extract_features(("a",), 2, 0, GapLabel.EOB)
+
+    def test_negative_line_characters(self):
+        with pytest.raises(ValueError, match="chars_since_break must be non-negative, got -1"):
+            extract_features(("a", "b"), 1, -1, GapLabel.EOB)
 
     # Feature strings are the keys of persisted weights: these sets, one per
     # (gap, line characters, previous break), must never change.
@@ -799,6 +807,102 @@ class TestTableDecode:
                 assert (labels, score) == expected
                 assert all(type(label) is GapLabel for label in labels)
                 assert repr(score) == repr(expected[1])
+
+
+def _reference_extract_features(words, gap, chars, prev, profile):
+    """Reference feature extraction: the gap features re-derived per call,
+    with ``words[gap:]`` joined for ``to_end``, and the state key from ``_step``."""
+    features, tail, next_len = _gap_features(words, gap, len(" ".join(words[gap:])))
+    clamp = _char_clamp(profile)
+    key, _ = _step((min(chars, clamp), prev, 0), min(next_len, clamp), clamp, profile.cpl_limit)
+    return [*features, *_state_features(tail, *key)]
+
+
+def _reference_path_steps(words, labels, profile):
+    """Reference path walk over state tuples stepped by ``_step``."""
+    clamp = _char_clamp(profile)
+    state = _start(words, clamp, profile.cpl_limit)
+    for gap, label in enumerate(labels, start=1):
+        chars, prev, _ = state
+        yield _reference_extract_features(words, gap, chars, prev, profile), label
+        next_len = min(len(words[gap]), clamp) if gap < len(words) else 0
+        state = _step(state, next_len, clamp, profile.cpl_limit)[1][label]
+
+
+class TestFeaturePass:
+    """``extract_features`` and the training path walk read the shared
+    sentence pass and the transition tables, and give the per-call
+    reference's feature lists."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        words=st.lists(TestTableDecode.WORDS, min_size=1, max_size=20),
+        profile_name=st.sampled_from(sorted(TestTableDecode.PROFILES)),
+        data=st.data(),
+    )
+    def test_extract_features_matches_the_reference(self, words, profile_name, data):
+        profile = TestTableDecode.PROFILES[profile_name]
+        gap = data.draw(st.integers(1, len(words)), label="gap")
+        # line characters run past the clamp
+        chars = data.draw(st.integers(0, 2 * _char_clamp(profile)), label="chars")
+        prev = data.draw(st.sampled_from(_ALL_LABELS), label="prev")
+        expected = _reference_extract_features(words, gap, chars, prev, profile)
+        assert extract_features(words, gap, chars, prev, profile) == expected
+        assert extract_features(tuple(words), gap, chars, prev, profile) == expected
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        words=st.lists(TestTableDecode.WORDS, min_size=1, max_size=30),
+        profile_name=st.sampled_from(sorted(TestTableDecode.PROFILES)),
+        data=st.data(),
+    )
+    def test_path_steps_match_the_reference(self, words, profile_name, data):
+        profile = TestTableDecode.PROFILES[profile_name]
+        drawn = data.draw(st.lists(st.sampled_from(_ALL_LABELS), min_size=len(words), max_size=len(words)))
+        # a grammatical path: an <eol> that would pass the line cap becomes an <eob>
+        labels, eols = [], 0
+        for label in drawn:
+            if label is GapLabel.EOL and eols + 2 > profile.max_lines_per_block:
+                label = GapLabel.EOB
+            eols = eols + 1 if label is GapLabel.EOL else 0 if label is GapLabel.EOB else eols
+            labels.append(label)
+        expected = list(_reference_path_steps(words, labels, profile))
+        assert list(_path_steps(words, labels, profile)) == expected
+
+    def test_path_past_the_line_cap_fails(self):
+        labels = (GapLabel.EOL, GapLabel.EOL, GapLabel.EOB)
+        with pytest.raises(ValueError, match="^gap 2: an <eol> past the block's line cap$"):
+            list(_path_steps(("a", "b", "c"), labels, PROFILE))
+
+    def test_holds_only_the_latest_sentence(self):
+        assert _sentence_pass.cache_info().maxsize == 1
+
+    def test_one_fill_serves_a_training_step(self):
+        gold = sent("alpha bravo <eol> charlie delta <eob>")
+        _sentence_pass.cache_clear()
+        # the zero model decodes no <eol>: a mistake, so both paths are walked
+        train([gold], TrainingConfig(epochs=1), PROFILE)
+        info = _sentence_pass.cache_info()
+        assert info.misses == 1
+        assert info.hits == 2 * len(gold.words)
+
+    def test_concurrent_decodes_match_serial(self, gold_model):
+        model, corpus = gold_model
+        sentences = [strip_breaks(sentence) for sentence in corpus[:40]]
+
+        def fresh():  # cold state rows, filled by the decodes themselves
+            return LinearSegmenterModel(model.weights, model.config, model.fine_tuned)
+
+        serial_model, shared = fresh(), fresh()
+        serial = [segment_learned(serial_model, sentence) for sentence in sentences]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads as often as possible
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                parallel = list(pool.map(lambda s: segment_learned(shared, s), sentences, timeout=60))
+        finally:
+            sys.setswitchinterval(interval)
+        assert parallel == serial
 
 
 class TestModelPersistence:

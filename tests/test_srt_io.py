@@ -225,6 +225,10 @@ class TestSegmentsMetadata:
             "- {wav: a.wav, duration: 2.0}",  # no offset
             "- {wav: a.wav, offset: nope, duration: 2.0}",  # non-numeric
             "- {wav: a.wav, offset: 1.0, duration: 0}",  # non-positive duration
+            "- {wav: a.wav, offset: 1.0, duration: nan}",
+            "- {wav: a.wav, offset: 1.0, duration: inf}",
+            "- {wav: a.wav, offset: nan, duration: 2.0}",
+            "- {wav: a.wav, offset: inf, duration: 2.0}",
             "not a list item",
         ],
     )
