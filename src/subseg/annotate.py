@@ -225,7 +225,7 @@ def apply_breaks(
     return sentence
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class _IndexedCue:
     line_words: tuple[tuple[str, ...], ...]
     words: tuple[str, ...]
@@ -245,7 +245,8 @@ class InvertedIndex:
     order, as whitespace-split words per line and flattened, and a map from
     a cue's first word to the ascending positions of the cues starting with
     it.  Cues without words are kept in order but never enter the map, since
-    they can never match.
+    they can never match.  Within a talk each distinct word is one string
+    object, however many cues repeat it.
     """
 
     def __init__(self) -> None:
@@ -266,10 +267,10 @@ def build_index(docs: Iterable[SubtitleDocument]) -> InvertedIndex:
             raise DuplicateTalkId(doc.talk_id)
         cues = []
         starts: dict[str, list[int]] = {}
+        shared: dict[str, str] = {}  # each word of the talk -> its one kept copy
         for position, sub in enumerate(doc.subtitles):
-            line_words = tuple(
-                words for words in (tuple(line.split()) for line in sub.lines) if words
-            )
+            split = (tuple(shared.setdefault(w, w) for w in line.split()) for line in sub.lines)
+            line_words = tuple(words for words in split if words)
             flat = tuple(word for line in line_words for word in line)
             cues.append(_IndexedCue(line_words, flat))
             if flat:

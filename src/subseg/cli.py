@@ -13,7 +13,7 @@ import sys
 from argparse import ArgumentParser, Namespace
 from dataclasses import fields
 from pathlib import Path
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .annotate import AnnotatedSentence, GrammarViolation, NoAlignment
 from .constraints import ConstraintProfile
@@ -30,7 +30,7 @@ from .segmenters import (
     train,
     fine_tune,
 )
-from .srt_io import load_segments_metadata, parse_srt
+from .srt_io import SubtitleDocument, load_segments_metadata, parse_srt
 
 # every other error the commands raise on bad input (malformed files, grammar
 # violations, bad settings, empty corpora) subclasses ValueError
@@ -107,14 +107,23 @@ def _write_lines(path: str, lines: Iterable[str]) -> None:
     Path(path).write_text("".join(f"{line}\n" for line in lines), encoding="utf-8")
 
 
-def _cmd_build_corpus(args: Namespace, profile: ConstraintProfile, settings: _Settings) -> int:
-    docs, broken_talks = [], {}
-    for srt_path in sorted(Path(args.srt_dir).glob("*.srt")):
-        try:  # a file that does not decode or parse costs only its own talk
-            docs.append(parse_srt(srt_path.read_text(encoding="utf-8"), talk_id=srt_path.stem))
+def _parsed_talks(
+    srt_paths: Iterable[Path], broken_talks: dict[str, str]
+) -> Iterator[SubtitleDocument]:
+    """Parse one file per step, so only the talk being indexed is held; a
+    file that does not decode or parse costs only its own talk."""
+    for srt_path in srt_paths:
+        try:
+            yield parse_srt(srt_path.read_text(encoding="utf-8"), talk_id=srt_path.stem)
         except ValueError as exc:
             broken_talks[srt_path.stem] = f"{srt_path}: {exc}"
             print(f"warning: skipped {srt_path}: {exc}", file=sys.stderr)
+
+
+def _cmd_build_corpus(args: Namespace, profile: ConstraintProfile, settings: _Settings) -> int:
+    srt_dir = Path(args.srt_dir)
+    if not srt_dir.is_dir():
+        raise ValueError(f"--srt-dir {srt_dir} is not a directory")
     sentences, line_numbers, malformed = [], [], []
     for line_number, raw in enumerate(
         Path(args.sentences).read_text(encoding="utf-8").splitlines(), start=1
@@ -129,6 +138,8 @@ def _cmd_build_corpus(args: Namespace, profile: ConstraintProfile, settings: _Se
         talk_id, text = raw.split("\t", 1)
         sentences.append((talk_id, text))
         line_numbers.append(line_number)
+    broken_talks: dict[str, str] = {}  # filled as the files are parsed, before any alignment
+    docs = _parsed_talks(sorted(srt_dir.glob("*.srt")), broken_talks)
     corpus, log = build_corpus(docs, sentences, line_numbers, broken_talks)
     log = sorted(log + malformed, key=lambda entry: entry.line_number)
     _write_lines(args.out, (sentence.to_text() for sentence in corpus))

@@ -46,19 +46,25 @@ class CplCheck(NamedTuple):
     conforming: bool
 
 
+def _block_line_lengths(sentence: AnnotatedSentence) -> list[list[int]]:
+    """Each block's rendered line lengths, from one walk over the sentence."""
+    return [[len(" ".join(line)) for line in block] for block in sentence.blocks()]
+
+
+def _block_length(line_lengths: list[int]) -> int:
+    """A block's length with its lines joined by one space."""
+    return sum(line_lengths) + len(line_lengths) - 1
+
+
 def check_cpl(sentence: AnnotatedSentence, profile: ConstraintProfile = DEFAULT_PROFILE) -> CplCheck:
     """Per-line lengths and whether every line is within the line limit."""
-    lengths = tuple(len(line) for line in sentence_lines(sentence))
+    lengths = tuple(n for block in _block_line_lengths(sentence) for n in block)
     return CplCheck(lengths, all(n <= profile.cpl_limit for n in lengths))
 
 
 def check_block_cpl(sentence: AnnotatedSentence, limit: int) -> bool:
     """True iff every block (its lines joined by one space) is within ``limit``."""
-    for block in sentence.blocks():
-        joined = " ".join(" ".join(line) for line in block)
-        if len(joined) > limit:
-            return False
-    return True
+    return all(_block_length(block) <= limit for block in _block_line_lengths(sentence))
 
 
 class CpsCheck(NamedTuple):
@@ -90,6 +96,8 @@ class ConformityReport:
     A sentence is line-conforming only if every one of its lines is within
     the line limit, and block-conforming only if every block fits in twice
     the line limit.  ``cpl_limit`` is the line limit the counts were taken at.
+    ``orphan_lines`` counts the lines shorter than the orphan threshold; the
+    corpus statistics report it, so neither rendering here includes it.
     """
 
     cpl_limit: int
@@ -99,6 +107,7 @@ class ConformityReport:
     total_lines: int
     conforming_lines: int
     sentences_with_eol: int
+    orphan_lines: int = 0
 
     def line_conformity(self) -> float:
         """Fraction of lines within the line limit (1.0 for an empty corpus)."""
@@ -135,18 +144,23 @@ def conformity_stats(
     corpus: Iterable[AnnotatedSentence], profile: ConstraintProfile = DEFAULT_PROFILE
 ) -> ConformityReport:
     """Count sentences conforming at the line limit, at twice the line limit
-    (block level), and carrying at least one ``<eol>``."""
+    (block level), and carrying at least one ``<eol>``, and orphan lines;
+    each sentence's lines are measured once."""
+    limit = profile.cpl_limit
     total = conforming = block_conforming = 0
-    total_lines = conforming_lines = with_eol = 0
+    total_lines = conforming_lines = with_eol = orphan_lines = 0
     for sentence in corpus:
         total += 1
-        lengths, ok = check_cpl(sentence, profile)
-        if ok:
+        blocks = _block_line_lengths(sentence)
+        lengths = [n for block in blocks for n in block]
+        lines_within = sum(1 for n in lengths if n <= limit)
+        if lines_within == len(lengths):
             conforming += 1
-        if check_block_cpl(sentence, 2 * profile.cpl_limit):
+        if all(_block_length(block) <= 2 * limit for block in blocks):
             block_conforming += 1
         total_lines += len(lengths)
-        conforming_lines += sum(1 for n in lengths if n <= profile.cpl_limit)
+        conforming_lines += lines_within
+        orphan_lines += sum(1 for n in lengths if n < profile.orphan_threshold)
         if sentence.has_eol:
             with_eol += 1
     return ConformityReport(
@@ -157,4 +171,5 @@ def conformity_stats(
         total_lines=total_lines,
         conforming_lines=conforming_lines,
         sentences_with_eol=with_eol,
+        orphan_lines=orphan_lines,
     )

@@ -62,12 +62,15 @@ def build_corpus(
     entry per input sentence, numbered by ``line_numbers`` (1, 2, ... when
     None); blank sentences, sentences of a talk in ``broken_talks`` (talk
     id -> why its subtitles could not be read) and alignment failures are
-    logged, never fatal.
+    logged, never fatal.  ``docs`` is consumed one document at a time
+    before the first sentence is aligned, so it may be a generator that
+    adds to ``broken_talks`` as it goes.
     """
     index = build_index(preprocess_document(doc) for doc in docs)
     sentences = list(sentences)
     numbers = range(1, len(sentences) + 1) if line_numbers is None else line_numbers
-    broken_talks = broken_talks or {}
+    if broken_talks is None:
+        broken_talks = {}
     corpus: list[AnnotatedSentence] = []
     log: list[AlignmentLogEntry] = []
     for line_number, (talk_id, text) in zip(numbers, sentences, strict=True):
@@ -215,12 +218,6 @@ def stats(
     report = conformity_stats(sentences, profile)
     words = sum(len(s.words) for s in sentences)
     eol_fraction = 0.0 if not sentences else report.sentences_with_eol / len(sentences)
-    orphan_lines = sum(
-        1
-        for s in sentences
-        for length in check_cpl(s, profile).line_lengths
-        if length < profile.orphan_threshold
-    )
     cps_measured = cps_conforming = None
     if metadata is not None and len(metadata) == len(sentences):
         cps_measured = len(sentences)
@@ -232,7 +229,7 @@ def stats(
         words=words,
         conformity=report,
         eol_fraction=eol_fraction,
-        orphan_lines=orphan_lines,
+        orphan_lines=report.orphan_lines,
         cps_measured=cps_measured,
         cps_conforming=cps_conforming,
     )

@@ -46,7 +46,7 @@ class NonMonotonicTiming(UserWarning):
 _TIMESTAMP_RE = re.compile(r"^(\d{2,}):([0-5]\d):([0-5]\d),(\d{3})$")
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class Timestamp:
     """A point in time as non-negative integer milliseconds."""
 
@@ -77,7 +77,7 @@ def format_timestamp(ts: Timestamp) -> str:
     return f"{hh:02d}:{mm:02d}:{ss:02d},{ms:03d}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Subtitle:
     """One timed cue: a positive index, a time window and 1+ display lines.
 

@@ -203,6 +203,18 @@ class TestIndexAndAlign:
         assert len(index) == 6
         assert set(index.talk_ids()) == {"a", "b", "c"}
 
+    def test_index_keeps_one_copy_of_each_word_of_a_talk(self):
+        srt = (
+            "1\n00:00:00,000 --> 00:00:01,000\nrepeated words here\n\n"
+            "2\n00:00:01,000 --> 00:00:02,000\nonce more  repeated\n\n"
+        )
+        doc = parse_srt(srt, talk_id="t")
+        first, second = build_index([doc])._talks["t"].cues
+        assert first.words[0] == second.words[2] == "repeated"
+        assert first.words[0] is second.words[2]
+        for record in (first, doc.subtitles[0], doc.subtitles[0].start):
+            assert not hasattr(record, "__dict__")
+
     def test_empty_index(self):
         index = build_index([])
         assert len(index) == 0

@@ -1,4 +1,5 @@
 import json
+import weakref
 
 import pytest
 
@@ -321,6 +322,52 @@ class TestBuildCorpusCommand:
         captured = capsys.readouterr()
         assert "aligned 1/3" in captured.out
         assert str(bad) in captured.err
+
+    def test_srt_dir_that_is_not_a_directory_fails_before_writing(self, tmp_path, capsys):
+        sentences = write(tmp_path / "sentences.tsv", f"talk1\t{FIGURE_SENTENCE}\n")
+        missing = tmp_path / "missing"
+        out = tmp_path / "corpus.txt"
+        status = main(
+            ["build-corpus", "--srt-dir", str(missing), "--sentences", str(sentences),
+             "--out", str(out), "--log", str(tmp_path / "log.tsv")]
+        )
+        assert status == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and str(missing) in captured.err
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["sentences.tsv"]
+
+    def test_holds_at_most_two_parsed_talks(self, tmp_path, capsys, monkeypatch):
+        srt_dir = tmp_path / "srt"
+        srt_dir.mkdir()
+        for k in range(5):
+            write(srt_dir / f"talk{k}.srt", FIGURE_SRT)
+        write(srt_dir / "talk2b.srt", "1\n00:00:05,000 --> 00:00:01,000\nbackwards cue\n\n")
+        sentences = write(
+            tmp_path / "sentences.tsv",
+            "".join(f"talk{k}\t{FIGURE_SENTENCE}\n" for k in range(5)) + "talk2b\tbackwards cue\n",
+        )
+        parsed, parse_srt = [], cli.parse_srt
+
+        def tracked(text, talk_id=""):
+            # the talk before the previous one must be gone by the time this one is parsed
+            assert all(ref() is None for ref in parsed[:-1]), f"{talk_id}: earlier talks alive"
+            doc = parse_srt(text, talk_id=talk_id)
+            parsed.append(weakref.ref(doc))
+            return doc
+
+        monkeypatch.setattr(cli, "parse_srt", tracked)
+        out = tmp_path / "corpus.txt"
+        status = main(
+            ["build-corpus", "--srt-dir", str(srt_dir), "--sentences", str(sentences),
+             "--out", str(out)]
+        )
+        assert status == 0
+        assert len(parsed) == 5
+        assert out.read_text(encoding="utf-8") == f"{FIGURE_ANNOTATED}\n" * 5
+        captured = capsys.readouterr()
+        assert "aligned 5/6" in captured.out
+        assert "warning: skipped" in captured.err and "talk2b.srt" in captured.err
 
 
 class TestTrainingCommands:
