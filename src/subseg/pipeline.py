@@ -126,6 +126,10 @@ def reannotate(
     and the pool.  The loop stops early once nothing is selected or
     accepted, and corpus line conformity never decreases.  ``config`` is
     passed to :func:`fine_tune` as it is (None keeps its default).
+
+    Only selected sentences change, and an accepted one conforms, so each
+    iteration after the first selects the previous one's rejects and starts
+    from its conformity: every sentence is measured once up front.
     """
     if iterations < 0:
         raise ValueError(f"iterations must be >= 0, got {iterations}")
@@ -133,34 +137,36 @@ def reannotate(
     pool = [s for s in sentences if s.has_eol]
     reports: list[IterationReport] = []
     current_model = model
-
+    conformity = conformity_stats(sentences, profile).line_conformity()
+    selected = [i for i, s in enumerate(sentences) if not check_cpl(s, profile).conforming]
     for iteration in range(1, iterations + 1):
-        before = conformity_stats(sentences, profile).line_conformity()
-        selected = [i for i, s in enumerate(sentences) if not check_cpl(s, profile).conforming]
+        before = conformity
         if not selected or not pool:
             reports.append(
                 IterationReport(iteration, len(selected), 0, before, before, len(pool))
             )
             break
         current_model = fine_tune(model, pool, config, profile)
-        accepted = 0
+        rejected: list[int] = []
         fresh: list[AnnotatedSentence] = []
         for i in selected:
             try:
                 candidate = segment_learned(current_model, sentences[i], profile, mode="eol_only")
             except GrammarViolation:
-                continue
-            if reannotation_filter(candidate, profile):
+                candidate = None
+            if candidate is not None and reannotation_filter(candidate, profile):
                 sentences[i] = candidate
                 fresh.append(candidate)
-                accepted += 1
+            else:
+                rejected.append(i)
         pool.extend(fresh)
-        after = conformity_stats(sentences, profile).line_conformity()
+        conformity = conformity_stats(sentences, profile).line_conformity()
         reports.append(
-            IterationReport(iteration, len(selected), accepted, before, after, len(pool))
+            IterationReport(iteration, len(selected), len(fresh), before, conformity, len(pool))
         )
-        if accepted == 0:
+        if not fresh:
             break
+        selected = rejected
     return sentences, current_model, reports
 
 

@@ -17,7 +17,6 @@ import functools
 import itertools
 import math
 import random
-import threading
 from dataclasses import dataclass
 from enum import IntEnum
 from typing import Iterable, Mapping, Sequence
@@ -208,7 +207,7 @@ def extract_features(
     features, tail, next_len = _sentence_pass(tuple(words))[gap - 1]
     clamp = _char_clamp(profile)
     max_lines = profile.max_lines_per_block
-    state = _state_ids(clamp, max_lines)[min(chars_since_break, clamp), prev_break, 0]
+    state = _state_id(min(chars_since_break, clamp), prev_break, 0, max_lines)
     key = _table(min(next_len, clamp), clamp, profile.cpl_limit, max_lines)[0][state]
     return [*features, *_state_features(tail, *_KEYS[key])]
 
@@ -251,53 +250,40 @@ def segment_count_char(
 
     rng = random.Random(seed)
     clamp = _char_clamp(profile)
-    state = _start(words, clamp, profile.cpl_limit)
+    max_lines = profile.max_lines_per_block
+    state = _start(words, clamp, profile.cpl_limit, max_lines)
     labels = []
     for word in words[1:]:
-        (_, prev, overflow), successors = _step(
-            state, min(len(word), clamp), clamp, profile.cpl_limit
-        )
+        table = _table(min(len(word), clamp), clamp, profile.cpl_limit, max_lines)
+        _, prev, overflow = _KEYS[table[0][state]]
         label = GapLabel.NONE
         if overflow:
-            roomy = prev is GapLabel.EOB and state[2] + 1 < profile.max_lines_per_block
+            roomy = prev is GapLabel.EOB and state % max_lines + 1 < max_lines
             label = rng.choice((GapLabel.EOB, GapLabel.EOL)) if roomy else GapLabel.EOB
         labels.append(label)
-        state = successors[label]
+        state = table[1 + label][state]
     labels.append(GapLabel.EOB)
     return _labels_to_sentence(words, labels)
 
 
-# decoder state: (characters on the current line, previous break, line breaks in the block)
-_State = tuple[int, GapLabel, int]
 # what the state features see of a state, besides the word's punctuation
 # tail: (length bucket, previous break, whether the next word overflows)
 _StateKey = tuple[int, GapLabel, bool]
 # the summed state-feature rows per punctuation tail, indexed by key id
 _StateRows = dict[str, list[tuple[float, float, float] | None]]
 
-
-def _step(
-    state: _State, next_len: int, clamp: int, cpl_limit: int
-) -> tuple[_StateKey, tuple[_State, _State, _State]]:
-    """The state's feature key, and the states after labelling its gap NONE,
-    EOL and EOB (indexed by ``GapLabel``) when the next word has
-    ``next_len`` characters.
-
-    Callers clamp ``next_len`` at ``clamp``: every longer word overflows
-    the line and starts a clamped one, so the result is the same.
-    """
-    chars, prev, eols = state
-    overflow = next_len > 0 and chars + 1 + next_len > cpl_limit
-    return (_length_bucket(chars), prev, overflow), (
-        (min(chars + 1 + next_len, clamp), prev, eols),
-        (next_len, GapLabel.EOL, eols + 1),
-        (next_len, GapLabel.EOB, 0),
-    )
+# every state key; a key's id is its index, (bucket * 3 + prev) * 2 + overflow,
+# the same for every profile, so a model's state rows serve any profile
+_KEYS: tuple[_StateKey, ...] = tuple(
+    itertools.product(range(_BUCKET_CAP + 1), GapLabel, (False, True))
+)
 
 
-def _start(words: Sequence[str], clamp: int, cpl_limit: int) -> _State:
-    """A sentence starts on a fresh screen, as if after an ``<eob>``."""
-    return _step((0, GapLabel.EOB, 0), min(len(words[0]), clamp), clamp, cpl_limit)[1][GapLabel.EOB]
+def _state_id(chars: int, prev: GapLabel, eols: int, max_lines: int) -> int:
+    """The packed id of the decoder state (characters on the current line,
+    previous break, line breaks in the block); ``divmod`` by ``3 *
+    max_lines`` and then by ``max_lines`` unpacks it."""
+    return (chars * 3 + prev) * max_lines + eols
 
 
 def _score(features: Iterable[str], weights: Mapping[str, _Row]) -> tuple[float, float, float]:
@@ -312,38 +298,34 @@ def _score(features: Iterable[str], weights: Mapping[str, _Row]) -> tuple[float,
     return none, eol, eob
 
 
-# the state keys numbered as the tables first meet them; ids are shared by
-# every profile, so a model's state rows serve any profile
-_KEYS: list[_StateKey] = []
-_KEY_IDS: dict[_StateKey, int] = {}
-_KEYS_LOCK = threading.Lock()
-
-
-@functools.lru_cache(maxsize=None)  # one per profile
-def _state_ids(clamp: int, max_lines: int) -> dict[_State, int]:
-    """Packed ids of the decoder states, numbered in (chars, prev, eols) order."""
-    states = itertools.product(range(clamp + 1), GapLabel, range(max_lines))
-    return {state: i for i, state in enumerate(states)}
-
-
 @functools.lru_cache(maxsize=None)  # finite per profile: one per clamped next length
 def _table(next_len: int, clamp: int, cpl_limit: int, max_lines: int) -> tuple[list[int], ...]:
-    """``_step`` for every state: four lists indexed by packed state id, giving
-    the state's key id and its NONE, EOL and EOB successor ids; -1 stands for
-    an ``<eol>`` past the block's line cap, a state the profile does not have.
+    """The decoder's transition when the next word has ``next_len``
+    characters: four lists indexed by state id, giving the state's key id
+    and its NONE, EOL and EOB successor ids; -1 stands for an ``<eol>`` past
+    the block's line cap, a state the profile does not have.
+
+    Callers clamp ``next_len`` at ``clamp``: every longer word overflows
+    the line and starts a clamped one, so the result is the same.
     """
-    ids = _state_ids(clamp, max_lines)
     table: tuple[list[int], ...] = ([], [], [], [])
-    with _KEYS_LOCK:
-        for state in ids:
-            key, successors = _step(state, next_len, clamp, cpl_limit)
-            if key not in _KEY_IDS:
-                _KEY_IDS[key] = len(_KEYS)
-                _KEYS.append(key)
-            table[0].append(_KEY_IDS[key])
-            for column, after in zip(table[1:], successors):
-                column.append(ids.get(after, -1))
+    # in state id order
+    for chars, prev, eols in itertools.product(range(clamp + 1), GapLabel, range(max_lines)):
+        overflow = next_len > 0 and chars + 1 + next_len > cpl_limit
+        table[0].append((_length_bucket(chars) * 3 + prev) * 2 + overflow)
+        table[1].append(_state_id(min(chars + 1 + next_len, clamp), prev, eols, max_lines))
+        table[2].append(
+            _state_id(next_len, GapLabel.EOL, eols + 1, max_lines) if eols + 1 < max_lines else -1
+        )
+        table[3].append(_state_id(next_len, GapLabel.EOB, 0, max_lines))
     return table
+
+
+def _start(words: Sequence[str], clamp: int, cpl_limit: int, max_lines: int) -> int:
+    """A sentence starts on a fresh screen, as if after an ``<eob>``: the
+    EOB successor of the state (0, EOB, 0)."""
+    table = _table(min(len(words[0]), clamp), clamp, cpl_limit, max_lines)
+    return table[1 + GapLabel.EOB][_state_id(0, GapLabel.EOB, 0, max_lines)]
 
 
 def _decode(
@@ -371,16 +353,14 @@ def _decode(
     last = len(words)
     # each entry holds (-score, labels), so the smallest entry is the one to keep
     frontier: dict[int, tuple[float, tuple[int, ...]]] = {
-        _state_ids(clamp, max_lines)[_start(words, clamp, cpl_limit)]: (0.0, ())
+        _start(words, clamp, cpl_limit, max_lines): (0.0, ())
     }
     for gap, (features, tail, next_len) in enumerate(_sentence_pass(tuple(words)), start=1):
         gap_row = _score(features, weights)
         key_ids, *successors = _table(min(next_len, clamp), clamp, cpl_limit, max_lines)
         rows = state_rows.get(tail)
         if rows is None:
-            rows = state_rows[tail] = []
-        if len(rows) < len(_KEYS):
-            rows.extend([None] * (len(_KEYS) - len(rows)))
+            rows = state_rows[tail] = [None] * len(_KEYS)
         forced = frozen.get(gap, GapLabel.EOB if gap == last else None)
         options = open_ints if forced is None else (int(forced),)
         moves = [(label, gap_row[label], successors[label]) for label in options]
@@ -416,9 +396,9 @@ def _path_steps(
     """Feature/label pairs along a fixed grammatical label path (teacher forcing)."""
     clamp = _char_clamp(profile)
     max_lines = profile.max_lines_per_block
-    state = _state_ids(clamp, max_lines)[_start(words, clamp, profile.cpl_limit)]
+    state = _start(words, clamp, profile.cpl_limit, max_lines)
     for gap, label in enumerate(labels, start=1):
-        chars, rest = divmod(state, len(_ALL_LABELS) * max_lines)  # ids run in (chars, prev, eols) order
+        chars, rest = divmod(state, len(_ALL_LABELS) * max_lines)  # unpacks _state_id
         yield extract_features(words, gap, chars, _ALL_LABELS[rest // max_lines], profile), label
         next_len = min(len(words[gap]), clamp) if gap < len(words) else 0
         state = _table(next_len, clamp, profile.cpl_limit, max_lines)[1 + label][state]
@@ -619,7 +599,8 @@ _FLAGS = {"true": True, "false": False}
 
 def parse_model(text: str) -> LinearSegmenterModel:
     """Load a model from the text format; unknown versions, unknown or
-    repeated header keys and broken records fail loudly, naming the line."""
+    repeated header keys, broken or repeated weight records and non-finite
+    weights fail loudly, naming the line."""
     lines = text.splitlines()
     header: dict[str, str] = {}
     body_start = None
@@ -651,7 +632,7 @@ def parse_model(text: str) -> LinearSegmenterModel:
     except (KeyError, ValueError) as exc:
         raise ModelFormatError(f"bad header: {exc}") from None
 
-    rows: dict[str, list[float]] = {}
+    rows: dict[str, list[float | None]] = {}
     for number, line in enumerate(lines[body_start:], start=body_start + 1):
         if not line:
             continue
@@ -661,8 +642,14 @@ def parse_model(text: str) -> LinearSegmenterModel:
             value = float(value_text)
         except (KeyError, ValueError):
             raise ModelFormatError(f"model line {number}: bad weight record {line!r}") from None
-        rows.setdefault(feature, [0.0, 0.0, 0.0])[label] = value
-    return LinearSegmenterModel({f: tuple(row) for f, row in rows.items()}, config, fine_tuned)
+        if not math.isfinite(value):
+            raise ModelFormatError(f"model line {number}: non-finite weight {line!r}")
+        row = rows.setdefault(feature, [None, None, None])
+        if row[label] is not None:
+            raise ModelFormatError(f"model line {number}: repeated weight record {line!r}")
+        row[label] = value
+    weights = {f: tuple([0.0 if w is None else w for w in row]) for f, row in rows.items()}
+    return LinearSegmenterModel(weights, config, fine_tuned)
 
 
 def save_model(model: LinearSegmenterModel, path) -> None:

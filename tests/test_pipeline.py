@@ -7,7 +7,8 @@ from subseg.annotate import (
     render_srt,
     strip_breaks,
 )
-from subseg.constraints import ConstraintProfile, conformity_stats
+from subseg import pipeline
+from subseg.constraints import ConstraintProfile, check_cpl, conformity_stats
 from subseg.pipeline import (
     AlignmentLogEntry,
     build_corpus,
@@ -189,6 +190,30 @@ class TestReannotate:
         assert out == list(corpus)
         assert reports == []
         assert model is base
+
+    def test_measures_each_sentence_once_per_iteration(self, monkeypatch):
+        corpus, _ = synth.reannotation_corpus(300, seed=5)
+        base = train(corpus, TrainingConfig(epochs=2, seed=5))
+        walked, checked = [], []
+
+        def counted_stats(sentences, profile):
+            sentences = list(sentences)
+            walked.extend(sentences)
+            return conformity_stats(sentences, profile)
+
+        def counted_check(sentence, profile):
+            checked.append(sentence)
+            return check_cpl(sentence, profile)
+
+        monkeypatch.setattr(pipeline, "conformity_stats", counted_stats)
+        monkeypatch.setattr(pipeline, "check_cpl", counted_check)
+        config = TrainingConfig(epochs=2, seed=6)
+        _, _, reports = reannotate(corpus, base, PROFILE, config, iterations=3)
+        assert [(r.selected, r.accepted) for r in reports] == [(247, 247), (0, 0)]
+        # once up front, then once after the one iteration that fine-tuned
+        assert len(walked) == 2 * len(corpus)
+        # selection once per sentence, then the filter once per candidate
+        assert len(checked) == len(corpus) + 247
 
     def test_config_reaches_fine_tuning_unchanged(self, collapsed_setup):
         corpus, _, base = collapsed_setup

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from subseg import segmenters
 from subseg.annotate import (
     AnnotatedSentence,
     BreakToken,
@@ -27,15 +28,14 @@ from subseg.segmenters import (
     _ALL_LABELS,
     _AveragedWeights,
     _EOL_ONLY_LABELS,
+    _KEYS,
     _char_clamp,
     _decode,
     _gap_features,
     _path_steps,
     _score,
     _sentence_pass,
-    _start,
     _state_features,
-    _step,
     _table,
     dump_model,
     extract_features,
@@ -694,6 +694,61 @@ class TestDecoderCaches:
         assert run("y" * 700) == tables
 
 
+def _step(state, next_len, clamp, cpl_limit):
+    """Reference transition on (chars, prev, eols) state tuples: the state's
+    feature key, and the states after labelling its gap NONE, EOL and EOB
+    when the next word has ``next_len`` (clamped) characters.  The decoder
+    packs the same machine into integer ids; this copy is the oracle its
+    tables are checked against, so it is kept out of the package."""
+    chars, prev, eols = state
+    overflow = next_len > 0 and chars + 1 + next_len > cpl_limit
+    return (min(chars // 4, 15), prev, overflow), (
+        (min(chars + 1 + next_len, clamp), prev, eols),
+        (next_len, GapLabel.EOL, eols + 1),
+        (next_len, GapLabel.EOB, 0),
+    )
+
+
+def _start(words, clamp, cpl_limit):
+    """Reference start state: a sentence starts as if after an ``<eob>``."""
+    return _step((0, GapLabel.EOB, 0), min(len(words[0]), clamp), clamp, cpl_limit)[1][GapLabel.EOB]
+
+
+class TestTransitionTables:
+    """The packed transition tables are ``_step`` for every state and every
+    clamped next length, the ``<eol>`` past the line cap marked -1."""
+
+    @staticmethod
+    def _unpack(state_id, max_lines):
+        chars, rest = divmod(state_id, 3 * max_lines)
+        prev, eols = divmod(rest, max_lines)
+        return chars, GapLabel(prev), eols
+
+    @pytest.mark.parametrize("profile_name", ["default", "narrow", "wide", "one-line"])
+    def test_tables_match_the_reference_step(self, profile_name):
+        profile = TestTableDecode.PROFILES[profile_name]
+        clamp, cpl_limit = _char_clamp(profile), profile.cpl_limit
+        max_lines = profile.max_lines_per_block
+        states = (clamp + 1) * 3 * max_lines
+        for next_len in range(clamp + 1):
+            key_ids, *successors = _table(next_len, clamp, cpl_limit, max_lines)
+            assert len(key_ids) == states
+            for state_id in range(states):
+                state = self._unpack(state_id, max_lines)
+                key, expected = _step(state, next_len, clamp, cpl_limit)
+                assert _KEYS[key_ids[state_id]] == key
+                for ids, after in zip(successors, expected):
+                    if after[2] < max_lines:
+                        assert self._unpack(ids[state_id], max_lines) == after
+                    else:
+                        assert ids[state_id] == -1
+        # a first word past the clamp starts like a clamped one
+        for first_len in range(1, clamp + 3):
+            words = ["x" * first_len, "y"]
+            start = segmenters._start(words, clamp, cpl_limit, max_lines)
+            assert self._unpack(start, max_lines) == _start(words, clamp, cpl_limit)
+
+
 def _dict_decode(words, weights, profile, frozen, open_labels, state_rows):
     """Reference decode over state tuples, with state rows keyed by the state
     key tuple: the decoder as it was before the transition tables."""
@@ -987,6 +1042,22 @@ class TestModelPersistence:
     def test_bad_record_names_its_line(self):
         with pytest.raises(ModelFormatError, match=r"model line 8: bad weight record 'w=a\\tMAYBE\\t1.0'"):
             parse_model(self.HEADER + "weights\nw=a\tEOL\t1.0\nw=a\tMAYBE\t1.0\n")
+
+    def test_repeated_weight_record_fails(self):
+        text = self.HEADER + "weights\nw=a\tEOL\t1.0\nw=a\tEOB\t2.0\nw=a\tEOL\t5.0\n"
+        with pytest.raises(ModelFormatError, match=r"model line 9: repeated weight record 'w=a\\tEOL\\t5.0'"):
+            parse_model(text)
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "NaN", "Infinity"])
+    def test_non_finite_weight_fails(self, value):
+        text = self.HEADER + f"weights\nw=a\tEOL\t1.0\nw=b\tNONE\t{value}\n"
+        with pytest.raises(ModelFormatError, match=rf"model line 8: non-finite weight 'w=b\\tNONE\\t{value}'"):
+            parse_model(text)
+
+    def test_weights_of_one_feature_may_come_in_any_order(self):
+        text = self.HEADER + "weights\nw=a\tEOB\t2.0\nw=b\tEOL\t-0.5\nw=a\tNONE\t1.0\n"
+        model = parse_model(text)
+        assert model.weights == {"w=a": (1.0, 0.0, 2.0), "w=b": (0.0, -0.5, 0.0)}
 
 
 class TestGoldenTraining:
