@@ -187,12 +187,15 @@ def _cmd_segment(args: Namespace, profile: ConstraintProfile, settings: _Setting
     # line with the base seed plus the line's index in the file
     out = []
     for i, line in enumerate(lines):
-        if not line.strip():
-            out.append("")
-        elif model is None:
-            out.append(segment_count_char(line, profile, seed=seed + i).to_text())
-        else:
-            out.append(segment_learned(model, line, profile, mode=args.mode).to_text())
+        try:
+            if not line.strip():
+                out.append("")
+            elif model is None:
+                out.append(segment_count_char(line, profile, seed=seed + i).to_text())
+            else:
+                out.append(segment_learned(model, line, profile, mode=args.mode).to_text())
+        except ValueError as exc:
+            raise type(exc)(f"{args.infile}:{i + 1}: {exc}") from None
     _write_lines(args.out, out)
     return 0
 
@@ -323,6 +326,8 @@ def build_parser() -> ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.command == "segment" and args.count_char and args.mode == "eol_only":
+        parser.error("segment: --mode eol_only needs --model; --count-char always segments in full")
     try:
         settings = _read_settings(args.config, _CONFIG_KEYS)
         # a flag that mirrors a --config key is stored under that key and overrides it

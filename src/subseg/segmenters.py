@@ -171,7 +171,6 @@ def _sentence_pass(words: tuple[str, ...]) -> tuple[tuple[tuple[str, ...], str, 
     return tuple(gaps)
 
 
-@functools.lru_cache(maxsize=None)  # finite: tails x buckets x labels x 2
 def _state_features(tail: str, since_bucket: int, prev: GapLabel, overflow: bool) -> tuple[str, ...]:
     """The features that depend on the decoder state; the word enters only
     through its punctuation tail."""
@@ -209,7 +208,7 @@ def extract_features(
     max_lines = profile.max_lines_per_block
     state = _state_id(min(chars_since_break, clamp), prev_break, 0, max_lines)
     key = _table(min(next_len, clamp), clamp, profile.cpl_limit, max_lines)[0][state]
-    return [*features, *_state_features(tail, *_KEYS[key])]
+    return [*features, *_tail_keys(tail)[key]]
 
 
 def _labels_to_sentence(words: Sequence[str], labels: Sequence[GapLabel]) -> AnnotatedSentence:
@@ -279,6 +278,13 @@ _KEYS: tuple[_StateKey, ...] = tuple(
 )
 
 
+@functools.lru_cache(maxsize=len(_PUNCTUATION) + 1)  # one per punctuation tail, "" included
+def _tail_keys(tail: str) -> tuple[tuple[str, ...], ...]:
+    """``_state_features`` of every state key for a punctuation tail,
+    indexed by key id."""
+    return tuple(_state_features(tail, *key) for key in _KEYS)
+
+
 def _state_id(chars: int, prev: GapLabel, eols: int, max_lines: int) -> int:
     """The packed id of the decoder state (characters on the current line,
     previous break, line breaks in the block); ``divmod`` by ``3 *
@@ -339,9 +345,14 @@ def _decode(
     """Exact constrained decode: the best-scoring grammatical label path.
 
     A left-to-right dynamic program over packed decoder states, stepped
-    through the transition tables with labels as plain ints.  Ties go to the
-    lexicographically smallest label sequence.  A line break is never taken,
-    frozen or not, once the block has the allowed number of lines.
+    through the transition tables.  Ties go to the lexicographically
+    smallest label sequence.  A line break is never taken, frozen or not,
+    once the block has the allowed number of lines.
+
+    Every ``<eob>`` lands in one state and every ``<eol>`` in one state per
+    line count, so each gap keeps a running best per break successor and
+    merges the winners once.  A NONE move that leaves the line unclamped
+    lands where no other move does.
 
     ``state_rows`` caches the summed state-feature rows per punctuation tail,
     indexed by key id; it is filled here and is valid only for ``weights``.
@@ -349,43 +360,61 @@ def _decode(
     clamp = _char_clamp(profile)
     cpl_limit = profile.cpl_limit
     max_lines = profile.max_lines_per_block
-    open_ints = tuple(map(int, open_labels))
+    clamped = _state_id(clamp, GapLabel.NONE, 0, max_lines)  # the first clamped state id
     last = len(words)
-    # each entry holds (-score, labels), so the smallest entry is the one to keep
-    frontier: dict[int, tuple[float, tuple[int, ...]]] = {
-        _start(words, clamp, cpl_limit, max_lines): (0.0, ())
-    }
+    # each entry holds (-score, labels), so the smallest entry is the one to
+    # keep; the labels are a base-3 code, first label most significant, so
+    # of two paths of one length the smaller code is the smaller path
+    frontier: dict[int, tuple[float, int]] = {_start(words, clamp, cpl_limit, max_lines): (0.0, 0)}
     for gap, (features, tail, next_len) in enumerate(_sentence_pass(tuple(words)), start=1):
-        gap_row = _score(features, weights)
-        key_ids, *successors = _table(min(next_len, clamp), clamp, cpl_limit, max_lines)
+        gap_none, gap_eol, gap_eob = _score(features, weights)
+        key_ids, none_ids, eol_ids, eob_ids = _table(min(next_len, clamp), clamp, cpl_limit, max_lines)
+        keys = _tail_keys(tail)
         rows = state_rows.get(tail)
         if rows is None:
             rows = state_rows[tail] = [None] * len(_KEYS)
         forced = frozen.get(gap, GapLabel.EOB if gap == last else None)
-        options = open_ints if forced is None else (int(forced),)
-        moves = [(label, gap_row[label], successors[label]) for label in options]
-        expanded: dict[int, tuple[float, tuple[int, ...]]] = {}
-        for state, (cost, labels) in frontier.items():
+        take_none, take_eol, take_eob = (
+            label in (open_labels if forced is None else (forced,)) for label in _ALL_LABELS
+        )
+        expanded: dict[int, tuple[float, int]] = {}
+        breaks: dict[int, tuple[float, int]] = {}  # the best <eol> per successor
+        eob = None
+        for state, (cost, code) in frontier.items():
             key = key_ids[state]
-            state_row = rows[key]
-            if state_row is None:
-                state_row = rows[key] = _score(_state_features(tail, *_KEYS[key]), weights)
-            for label, gap_cost, ids_after in moves:
-                after = ids_after[state]
-                if after < 0:
-                    continue
-                new_cost = cost - gap_cost - state_row[label]
-                held = expanded.get(after)
-                # the (cost, labels) order, building the labels only for a winner
-                if (
-                    held is None
-                    or new_cost < held[0]
-                    or (new_cost == held[0] and labels + (label,) < held[1])
-                ):
-                    expanded[after] = (new_cost, labels + (label,))
+            row = rows[key]
+            if row is None:
+                row = rows[key] = _score(keys[key], weights)
+            code *= 3
+            if take_none:
+                new_cost = cost - gap_none - row[0]
+                after = none_ids[state]
+                held = None if after < clamped else expanded.get(after)
+                if held is None or new_cost < held[0] or (new_cost == held[0] and code < held[1]):
+                    expanded[after] = (new_cost, code)
+            if take_eol and eol_ids[state] >= 0:
+                new_cost = cost - gap_eol - row[1]
+                held = breaks.get(eol_ids[state])
+                if held is None or new_cost < held[0] or (new_cost == held[0] and code + 1 < held[1]):
+                    breaks[eol_ids[state]] = (new_cost, code + 1)
+            if take_eob:
+                new_cost = cost - gap_eob - row[2]
+                if eob is None or new_cost < eob[0] or (new_cost == eob[0] and code + 2 < eob[1]):
+                    eob = (new_cost, code + 2)
+        if eob is not None:
+            breaks[eob_ids[0]] = eob
+        # a NONE into a clamped line may reach a break's state
+        for after, move in breaks.items():
+            held = expanded.get(after)
+            if held is None or move < held:
+                expanded[after] = move
         frontier = expanded
-    cost, labels = min(frontier.values())
-    return tuple(_ALL_LABELS[label] for label in labels), -cost
+    cost, code = min(frontier.values())
+    labels = []
+    for _ in range(last):
+        code, label = divmod(code, 3)
+        labels.append(_ALL_LABELS[label])
+    return tuple(reversed(labels)), -cost
 
 
 def _path_steps(

@@ -123,6 +123,34 @@ class TestSegment:
             segmenters.segment_count_char(sentence, seed=5).to_text(),
         ]
 
+    @pytest.mark.parametrize(
+        "flags, line, reason",
+        [
+            (["--count-char"], "foo <eol> <eol> bar", "word token '<eol>' collides with a break symbol"),
+            (["--model"], "foo <eol> <eol> bar", "a break token must follow a word"),
+            (["--model", "--mode", "eol_only"], "foo bar <eol> baz", "eol_only input must already end with <eob>"),
+        ],
+        ids=["count-char", "learned", "eol_only"],
+    )
+    def test_a_bad_line_is_named_by_file_and_line(self, tmp_path, capsys, tiny_model_file, flags, line, reason):
+        end = " <eob>" if "eol_only" in flags else ""  # the lines around it are good ones
+        infile = write(tmp_path / "in.txt", f"one two three{end}\n\n{line}\nfour five{end}\n")
+        out = tmp_path / "out.txt"
+        if flags[0] == "--model":
+            flags = [flags[0], str(tiny_model_file), *flags[1:]]
+        assert main(["segment", *flags, "--in", str(infile), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {infile}:3: {reason}\n"
+        assert not out.exists()
+
+    def test_count_char_with_eol_only_is_a_usage_error(self, tmp_path, capsys):
+        infile = write(tmp_path / "in.txt", "one two three <eob>\n")
+        out = tmp_path / "out.txt"
+        with pytest.raises(SystemExit) as err:
+            main(["segment", "--count-char", "--mode", "eol_only", "--in", str(infile), "--out", str(out)])
+        assert err.value.code == 2
+        assert "--mode eol_only needs --model" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_learned_segmenter_preserves_text(self, tmp_path, tiny_model_file):
         sentences = synth.make_plain_sentences(5, seed=3)
         infile = write(tmp_path / "in.txt", "".join(f"{s}\n" for s in sentences))

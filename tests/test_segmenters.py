@@ -676,6 +676,15 @@ class TestDecoderCaches:
         assert model._state_rows
         assert parse_model(dump_model(model)) == model
 
+    def test_tail_key_tables_hold_the_state_features_of_every_key(self):
+        tails = ["", *sorted(segmenters._PUNCTUATION)]
+        assert segmenters._tail_keys.cache_info().maxsize == len(tails)
+        for tail in tails:
+            table = segmenters._tail_keys(tail)
+            assert len(table) == len(_KEYS) == 96
+            for key, features in enumerate(table):
+                assert features == _state_features(tail, *_KEYS[key])
+
     def test_transition_cache_is_bounded_by_the_profile(self):
         def run(long_word):
             words = ["a", "bb,", long_word, "cc", "d.", "e", long_word, "f"]
@@ -862,6 +871,53 @@ class TestTableDecode:
                 assert (labels, score) == expected
                 assert all(type(label) is GapLabel for label in labels)
                 assert repr(score) == repr(expected[1])
+
+    # gap 1 is "a"*10, gap 2 is "b"*5 and its next word has the clamp's 60
+    # characters, so after gap 2 every line is clamped
+    CLAMPED = ("a" * 10, "b" * 5, "c" * 60, "d")
+
+    @pytest.mark.parametrize(
+        "weights, expected",
+        [
+            # at (60, EOL, 1) the NONE after an <eol> beats the <eol> after a NONE
+            ({"w=" + "a" * 10: (0.0, 2.0, 0.0)}, ("EOL", "NONE", "NONE", "EOB")),
+            # there the <eol> wins
+            ({"n=" + "c" * 60: (0.0, 1.0, 0.0)}, ("NONE", "EOL", "NONE", "EOB")),
+            # at (60, EOB, 0) two NONEs and the best <eob> meet; the first NONE
+            # ties the <eob> and wins as the smaller path
+            ({"w=" + "a" * 10: (2.0, 0.0, 0.0)}, ("NONE", "NONE", "NONE", "EOB")),
+            # at (60, EOL, 1) the NONE after an <eol> and the <eol> after a
+            # NONE tie; the <eol> is on the smaller path
+            ({"w=" + "a" * 10: (0.0, 1.0, 0.0), "n=" + "c" * 60: (0.0, 1.0, 0.0)},
+             ("NONE", "EOL", "NONE", "EOB")),
+        ],
+    )
+    def test_a_clamped_none_meets_a_line_break(self, weights, expected):
+        clamp = _char_clamp(PROFILE)
+        key_ids, none_ids, eol_ids, eob_ids = _table(clamp, clamp, PROFILE.cpl_limit, 2)
+        state = segmenters._state_id
+        assert none_ids[state(5, GapLabel.EOL, 1, 2)] == eol_ids[state(16, GapLabel.EOB, 0, 2)]
+        assert none_ids[state(5, GapLabel.EOB, 0, 2)] == none_ids[state(16, GapLabel.EOB, 0, 2)]
+        assert none_ids[state(16, GapLabel.EOB, 0, 2)] == eob_ids[0]
+        labels, score = _decode(self.CLAMPED, weights, PROFILE, {}, _ALL_LABELS, {})
+        assert (labels, score) == _dict_decode(self.CLAMPED, weights, PROFILE, {}, _ALL_LABELS, {})
+        assert tuple(label.name for label in labels) == expected
+
+    @pytest.mark.parametrize(
+        "weights, expected",
+        [
+            # every state after gap 2 has scored 0, so all their <eob>s tie at 1
+            ({"w=c": (0.0, 0.0, 1.0)}, ("NONE", "NONE", "EOB", "NONE", "EOB")),
+            # an <eob> after an <eol> scores 1 more, so those <eob>s tie
+            # among themselves at gap 3 and the last gap's <eob> wants one too
+            ({"w=c": (0.0, 0.0, 1.0), "prev=EOL": (0.0, 0.0, 1.0)}, ("NONE", "EOL", "EOB", "EOL", "EOB")),
+        ],
+    )
+    def test_tied_eob_moves_keep_the_smallest_path(self, weights, expected):
+        words = ("a", "b", "c", "d", "e")
+        labels, score = _decode(words, weights, PROFILE, {}, _ALL_LABELS, {})
+        assert (labels, score) == _dict_decode(words, weights, PROFILE, {}, _ALL_LABELS, {})
+        assert tuple(label.name for label in labels) == expected
 
 
 def _reference_extract_features(words, gap, chars, prev, profile):
