@@ -355,19 +355,14 @@ def restore_eol_from_double_space(line: str) -> list[str]:
     one splits (reported as an AnnotationWarning) and the rest of the line
     is kept verbatim.  Non-space characters are never altered.
     """
-    parts = _DOUBLE_SPACE_RE.split(line)
-    if len(parts) <= 1:
-        return [line]
-    if len(parts) > 2:
+    parts = _DOUBLE_SPACE_RE.split(line, maxsplit=1)
+    if len(parts) == 2 and (more := len(_DOUBLE_SPACE_RE.findall(parts[1]))):
         warnings.warn(
             AnnotationWarning(
-                f"line has {len(parts) - 1} double-space split points; keeping only the first"
+                f"line has {more + 1} double-space split points; keeping only the first"
             ),
             stacklevel=2,
         )
-        match = _DOUBLE_SPACE_RE.search(line)
-        assert match is not None
-        return [line[: match.start()], line[match.end() :]]
     return parts
 
 

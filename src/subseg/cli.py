@@ -18,7 +18,7 @@ from typing import Callable, Iterable, Iterator, Mapping, Sequence
 from .annotate import AnnotatedSentence, GrammarViolation, NoAlignment
 from .constraints import ConstraintProfile
 from .evaluation import evaluate
-from .pipeline import AlignmentLogEntry, build_corpus, reannotate, stats
+from .pipeline import build_corpus, reannotate, stats
 from .segmenters import (
     DEFAULT_EPOCHS,
     DEFAULT_FINE_TUNE_EPOCHS,
@@ -30,7 +30,7 @@ from .segmenters import (
     train,
     fine_tune,
 )
-from .srt_io import SubtitleDocument, load_segments_metadata, parse_srt
+from .srt_io import MalformedMetadata, SubtitleDocument, load_segments_metadata, parse_srt
 
 # every other error the commands raise on bad input (malformed files, grammar
 # violations, bad settings, empty corpora) subclasses ValueError
@@ -124,24 +124,10 @@ def _cmd_build_corpus(args: Namespace, profile: ConstraintProfile, settings: _Se
     srt_dir = Path(args.srt_dir)
     if not srt_dir.is_dir():
         raise ValueError(f"--srt-dir {srt_dir} is not a directory")
-    sentences, line_numbers, malformed = [], [], []
-    for line_number, raw in enumerate(
-        Path(args.sentences).read_text(encoding="utf-8").splitlines(), start=1
-    ):
-        if not raw.strip():
-            continue
-        if "\t" not in raw:  # costs only this line
-            malformed.append(
-                AlignmentLogEntry(line_number, "", False, "expected 'talk_id<TAB>sentence'")
-            )
-            continue
-        talk_id, text = raw.split("\t", 1)
-        sentences.append((talk_id, text))
-        line_numbers.append(line_number)
+    lines = Path(args.sentences).read_text(encoding="utf-8").splitlines()
     broken_talks: dict[str, str] = {}  # filled as the files are parsed, before any alignment
     docs = _parsed_talks(sorted(srt_dir.glob("*.srt")), broken_talks)
-    corpus, log = build_corpus(docs, sentences, line_numbers, broken_talks)
-    log = sorted(log + malformed, key=lambda entry: entry.line_number)
+    corpus, log = build_corpus(docs, lines, broken_talks)
     _write_lines(args.out, (sentence.to_text() for sentence in corpus))
     if args.log:
         _write_lines(
@@ -218,8 +204,16 @@ def _cmd_evaluate(args: Namespace, profile: ConstraintProfile, settings: _Settin
 def _cmd_stats(args: Namespace, profile: ConstraintProfile, settings: _Settings) -> int:
     metadata = None
     if args.metadata:
-        metadata = load_segments_metadata(Path(args.metadata).read_text(encoding="utf-8"))
-    report = stats(_read_corpus(args.corpus), metadata, profile)
+        try:
+            metadata = load_segments_metadata(Path(args.metadata).read_text(encoding="utf-8"))
+        except (UnicodeDecodeError, MalformedMetadata) as exc:
+            raise ValueError(f"{args.metadata}: {exc}") from None
+    corpus = _read_corpus(args.corpus)
+    if metadata is not None and len(metadata) != len(corpus):
+        raise ValueError(
+            f"{args.metadata}: {len(metadata)} metadata entries, {len(corpus)} corpus sentences"
+        )
+    report = stats(corpus, metadata, profile)
     print(report.to_json() if args.json else report.to_text())
     return 0
 
@@ -303,7 +297,7 @@ def build_parser() -> ArgumentParser:
 
     p = commands.add_parser("stats", parents=[common], help="corpus statistics")
     p.add_argument("--corpus", required=True, help="annotated corpus")
-    p.add_argument("--metadata", help="duration sidecar aligned 1:1 with the corpus")
+    p.add_argument("--metadata", help="duration sidecar, one entry per corpus sentence")
     p.add_argument("--json", action="store_true", help="print JSON instead of key/value lines")
     p.set_defaults(func=_cmd_stats)
 

@@ -6,7 +6,6 @@ Character counts are over Unicode code points of the rendered line text
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, fields
 from typing import Iterable, NamedTuple
 
@@ -97,7 +96,7 @@ class ConformityReport:
     the line limit, and block-conforming only if every block fits in twice
     the line limit.  ``cpl_limit`` is the line limit the counts were taken at.
     ``orphan_lines`` counts the lines shorter than the orphan threshold; the
-    corpus statistics report it, so neither rendering here includes it.
+    corpus statistics report it, so the JSON form here leaves it out.
     """
 
     cpl_limit: int
@@ -123,21 +122,6 @@ class ConformityReport:
             f"conforming_{2 * self.cpl_limit}": {"sentences": self.block_conforming_sentences},
             "with_eol": self.sentences_with_eol,
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True)
-
-    def to_text(self) -> str:
-        return "\n".join(
-            [
-                f"sentences: {self.total_sentences}",
-                f"lines: {self.total_lines}",
-                f"conforming_sentences: {self.conforming_sentences}",
-                f"conforming_lines: {self.conforming_lines}",
-                f"block_conforming_sentences: {self.block_conforming_sentences}",
-                f"sentences_with_eol: {self.sentences_with_eol}",
-            ]
-        )
 
 
 def conformity_stats(

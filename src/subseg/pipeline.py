@@ -52,29 +52,33 @@ def preprocess_document(doc: SubtitleDocument) -> SubtitleDocument:
 
 def build_corpus(
     docs: Iterable[SubtitleDocument],
-    sentences: Iterable[tuple[str, str]],
-    line_numbers: Iterable[int] | None = None,
+    lines: Iterable[str],
     broken_talks: Mapping[str, str] | None = None,
 ) -> tuple[list[AnnotatedSentence], list[AlignmentLogEntry]]:
-    """Align each (talk_id, sentence) pair against the indexed documents.
+    """Align the sentence of each ``talk_id<TAB>sentence`` line against the
+    indexed documents.
 
     Returns the successfully aligned sentences in input order plus a log
-    entry per input sentence, numbered by ``line_numbers`` (1, 2, ... when
-    None); blank sentences, sentences of a talk in ``broken_talks`` (talk
-    id -> why its subtitles could not be read) and alignment failures are
-    logged, never fatal.  ``docs`` is consumed one document at a time
-    before the first sentence is aligned, so it may be a generator that
-    adds to ``broken_talks`` as it goes.
+    entry per non-blank line, numbered from 1 by its place in ``lines``; a
+    line without a tab, a blank sentence, a sentence of a talk in
+    ``broken_talks`` (talk id -> why its subtitles could not be read) and an
+    alignment failure are logged, never fatal.  ``docs`` is consumed one
+    document at a time before the first sentence is aligned, so it may be a
+    generator that adds to ``broken_talks`` as it goes.
     """
     index = build_index(preprocess_document(doc) for doc in docs)
-    sentences = list(sentences)
-    numbers = range(1, len(sentences) + 1) if line_numbers is None else line_numbers
     if broken_talks is None:
         broken_talks = {}
     corpus: list[AnnotatedSentence] = []
     log: list[AlignmentLogEntry] = []
-    for line_number, (talk_id, text) in zip(numbers, sentences, strict=True):
-        detail = "empty sentence" if not text.split() else broken_talks.get(talk_id)
+    for line_number, line in enumerate(lines, start=1):
+        if not line.strip():
+            continue
+        talk_id, tab, text = line.partition("\t")
+        if not tab:
+            talk_id, detail = "", "expected 'talk_id<TAB>sentence'"
+        else:
+            detail = "empty sentence" if not text.split() else broken_talks.get(talk_id)
         if detail is not None:
             log.append(AlignmentLogEntry(line_number, talk_id, aligned=False, detail=detail))
             continue
@@ -204,8 +208,11 @@ class CorpusStats:
             f"words: {self.words}",
             f"eol_fraction: {self.eol_fraction:.4f}",
             f"orphan_lines: {self.orphan_lines}",
+            f"conforming_sentences: {self.conformity.conforming_sentences}",
+            f"conforming_lines: {self.conformity.conforming_lines}",
+            f"block_conforming_sentences: {self.conformity.block_conforming_sentences}",
+            f"sentences_with_eol: {self.conformity.sentences_with_eol}",
         ]
-        lines.extend(self.conformity.to_text().splitlines()[2:])
         if self.cps_measured is not None:
             lines.append(f"cps_measured: {self.cps_measured}")
             lines.append(f"cps_conforming: {self.cps_conforming}")

@@ -586,12 +586,12 @@ def segment_learned(
             raise GrammarViolation(
                 f"an input block has more than {profile.max_lines_per_block} lines"
             )
-        if breaks[-1].gap == len(words) and breaks[-1].kind is BreakToken.EOL:
+        if annotated.items[-1] is BreakToken.EOL:
             raise GrammarViolation(f"input must not end with {EOL_SYMBOL}")
     frozen = {position.gap: _LABEL_FOR_BREAK[position.kind] for position in breaks}
 
     if mode == "eol_only":
-        if annotated.items and annotated.items[-1] is not BreakToken.EOB:
+        if annotated.items[-1] is not BreakToken.EOB:
             raise GrammarViolation("eol_only input must already end with <eob>")
         open_labels = _EOL_ONLY_LABELS
     else:
@@ -687,5 +687,9 @@ def save_model(model: LinearSegmenterModel, path) -> None:
 
 
 def load_model(path) -> LinearSegmenterModel:
-    with open(path, "r", encoding="utf-8") as handle:
-        return parse_model(handle.read())
+    """Read a model file; text that is not UTF-8 or not a model names the file."""
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            return parse_model(handle.read())
+    except (UnicodeDecodeError, ModelFormatError) as exc:
+        raise ModelFormatError(f"{path}: {exc}") from None

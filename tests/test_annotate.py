@@ -174,6 +174,13 @@ class TestRestoreEol:
         with pytest.warns(AnnotationWarning):
             assert restore_eol_from_double_space("a  b  c") == ["a", "b  c"]
 
+    def test_warning_counts_every_split_point(self):
+        with pytest.warns(AnnotationWarning) as record:
+            assert restore_eol_from_double_space("a  b   c  d") == ["a", "b   c  d"]
+        assert [str(w.message) for w in record] == [
+            "line has 3 double-space split points; keeping only the first"
+        ]
+
     def test_longer_runs_count_once(self):
         assert restore_eol_from_double_space("left    right") == ["left", "right"]
 

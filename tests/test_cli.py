@@ -62,6 +62,32 @@ class TestOperationalErrors:
         )
         assert status == 1
 
+    @pytest.mark.parametrize("command", ["segment", "fine-tune", "reannotate"])
+    def test_bad_weight_record_names_the_model_file(self, tmp_path, capsys, tiny_model_file, command):
+        lines = tiny_model_file.read_text(encoding="utf-8").splitlines()
+        bad_line = lines.index("weights") + 2
+        lines[bad_line - 1] = "broken record"
+        model = write(tmp_path / "m.tsv", "\n".join(lines) + "\n")
+        corpus = write(tmp_path / "c.txt", "a <eol> b <eob>\n")
+        status = main(
+            [command, "--model", str(model), "--out", str(tmp_path / "out.txt"),
+             "--in" if command == "segment" else "--corpus", str(corpus)]
+        )
+        assert status == 1
+        assert capsys.readouterr().err == (
+            f"error: {model}: model line {bad_line}: bad weight record 'broken record'\n"
+        )
+
+    def test_model_that_is_not_utf8_names_the_file(self, tmp_path, capsys):
+        model = tmp_path / "m.tsv"
+        model.write_bytes(b"version\t1\n\xff\n")
+        status = main(
+            ["segment", "--model", str(model), "--in", str(write(tmp_path / "in.txt", "a b\n")),
+             "--out", str(tmp_path / "out.txt")]
+        )
+        assert status == 1
+        assert capsys.readouterr().err.startswith(f"error: {model}: 'utf-8' codec can't decode")
+
     @pytest.mark.parametrize(
         "error",
         sorted(
@@ -229,6 +255,49 @@ class TestStatsCommand:
         assert "sentences: 1" in out
         assert "words: 3" in out
 
+    def test_text_output_lines(self, tmp_path, capsys):
+        corpus = write(
+            tmp_path / "c.txt", f"one two <eol> three <eob>\n{'a' * 45} <eob> b <eob>\n"
+        )
+        assert main(["stats", "--corpus", str(corpus)]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "sentences: 2",
+            "words: 5",
+            "eol_fraction: 0.5000",
+            "orphan_lines: 1",
+            "conforming_sentences: 1",
+            "conforming_lines: 3",
+            "block_conforming_sentences: 2",
+            "sentences_with_eol: 1",
+        ]
+
+    def test_bad_metadata_entry_names_the_file(self, tmp_path, capsys):
+        corpus = write(tmp_path / "c.txt", "a <eob>\nb <eob>\n")
+        metadata = write(
+            tmp_path / "m.yaml",
+            "- {duration: 1.0, offset: 0.0, wav: t.wav}\n- {duration: x, offset: 1.0, wav: t.wav}\n",
+        )
+        assert main(["stats", "--corpus", str(corpus), "--metadata", str(metadata)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {metadata}: metadata line 2: offset/duration is not numeric\n"
+        )
+
+    def test_metadata_that_is_not_utf8_names_the_file(self, tmp_path, capsys):
+        corpus = write(tmp_path / "c.txt", "a <eob>\n")
+        metadata = tmp_path / "m.yaml"
+        metadata.write_bytes(b"- {duration: 1.0, offset: 0.0, wav: \xff.wav}\n")
+        assert main(["stats", "--corpus", str(corpus), "--metadata", str(metadata)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {metadata}: 'utf-8' codec can't decode")
+
+    def test_metadata_count_mismatch_is_operational_error(self, tmp_path, capsys):
+        corpus = write(tmp_path / "c.txt", "a <eob>\nb <eob>\n")
+        metadata = write(tmp_path / "m.yaml", "- {duration: 1.0, offset: 0.0, wav: t.wav}\n")
+        status = main(["stats", "--corpus", str(corpus), "--metadata", str(metadata), "--json"])
+        assert status == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {metadata}: 1 metadata entries, 2 corpus sentences\n"
+
     def test_json_output_with_metadata(self, tmp_path, capsys):
         corpus = write(tmp_path / "c.txt", "I wanted to challenge the idea <eob>\n")
         metadata = write(
@@ -364,6 +433,35 @@ class TestBuildCorpusCommand:
         assert captured.out == ""
         assert captured.err.startswith("error: ") and str(missing) in captured.err
         assert sorted(path.name for path in tmp_path.iterdir()) == ["sentences.tsv"]
+
+    def test_log_corpus_and_messages_of_every_line_kind(self, tmp_path, capsys):
+        srt_dir = tmp_path / "srt"
+        srt_dir.mkdir()
+        write(srt_dir / "t1.srt", "1\n00:00:01,000 --> 00:00:02,000\nsome words\n\n")
+        bad = write(srt_dir / "t3.srt", "1\n00:00:05,000 --> 00:00:01,000\nbackwards cue\n\n")
+        sentences = write(
+            tmp_path / "sentences.tsv",
+            "t1\tsome words\n\nno tab here\nt2\t   \nt3\tx\nt1\tother\n",
+        )
+        out = tmp_path / "corpus.txt"
+        log = tmp_path / "log.tsv"
+        status = main(
+            ["build-corpus", "--srt-dir", str(srt_dir), "--sentences", str(sentences),
+             "--out", str(out), "--log", str(log)]
+        )
+        assert status == 0
+        reason = "cue block 1: cue ends before it starts (00:00:05,000 --> 00:00:01,000)"
+        assert log.read_text(encoding="utf-8").splitlines() == [
+            "1\tt1\tok\t",
+            "3\t\tfailed\texpected 'talk_id<TAB>sentence'",
+            "4\tt2\tfailed\tempty sentence",
+            f"5\tt3\tfailed\t{bad}: {reason}",
+            "6\tt1\tfailed\tno in-order tiling of talk 't1' cues reconstructs the sentence",
+        ]
+        assert out.read_text(encoding="utf-8") == "some words <eob>\n"
+        captured = capsys.readouterr()
+        assert captured.out == "aligned 1/5 sentences\n"
+        assert captured.err == f"warning: skipped {bad}: {reason}\n"
 
     def test_holds_at_most_two_parsed_talks(self, tmp_path, capsys, monkeypatch):
         srt_dir = tmp_path / "srt"

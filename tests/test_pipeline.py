@@ -58,7 +58,7 @@ class TestPreprocessDocument:
 class TestBuildCorpus:
     def test_figure_fragment(self, figure_srt, figure_sentence, figure_annotated):
         docs = [parse_srt(figure_srt, talk_id="talk1")]
-        corpus, log = build_corpus(docs, [("talk1", figure_sentence)])
+        corpus, log = build_corpus(docs, [f"talk1\t{figure_sentence}"])
         assert [s.to_text() for s in corpus] == [figure_annotated]
         assert log[0].aligned
 
@@ -69,7 +69,7 @@ class TestBuildCorpus:
             "that design is but a tool  to create function and beauty.\n\n"
         )
         corpus, log = build_corpus(
-            [parse_srt(collapsed, talk_id="t")], [("t", figure_sentence)]
+            [parse_srt(collapsed, talk_id="t")], [f"t\t{figure_sentence}"]
         )
         assert [s.to_text() for s in corpus] == [figure_annotated]
 
@@ -81,7 +81,7 @@ class TestBuildCorpus:
         docs = [parse_srt(figure_srt, talk_id="talk1")]
         corpus, log = build_corpus(
             docs,
-            [("talk1", figure_sentence), ("talk1", "totally unrelated words"), ("nope", "x")],
+            [f"talk1\t{figure_sentence}", "talk1\ttotally unrelated words", "nope\tx"],
         )
         assert len(corpus) == 1
         assert [entry.aligned for entry in log] == [True, False, False]
@@ -91,8 +91,8 @@ class TestBuildCorpus:
         docs = [parse_srt(figure_srt, talk_id="talk1")]
         corpus, log = build_corpus(
             docs,
-            [("talk1", figure_sentence), ("talk2", figure_sentence), ("talk1", " ")],
-            line_numbers=[2, 5, 9],
+            ["", f"talk1\t{figure_sentence}", "", " ", f"talk2\t{figure_sentence}", "", "", "",
+             "talk1\t "],
             broken_talks={"talk2": "talk2.srt: bad cue"},
         )
         assert len(corpus) == 1
@@ -108,8 +108,8 @@ class TestBuildCorpus:
         for i, sentence in enumerate(sentences):
             window = SegmentDuration(f"w{i}", 10.0 * i, 5.0)
             docs.append(SubtitleDocument(f"talk{i}", tuple(render_srt(sentence, window))))
-        pairs = [(f"talk{i}", strip_breaks(s)) for i, s in enumerate(sentences)]
-        corpus, log = build_corpus(docs, pairs)
+        lines = [f"talk{i}\t{strip_breaks(s)}" for i, s in enumerate(sentences)]
+        corpus, log = build_corpus(docs, lines)
         assert all(entry.aligned for entry in log)
         assert corpus == sentences
 

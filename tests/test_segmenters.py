@@ -421,6 +421,11 @@ class TestSegmentLearned:
         with pytest.raises(GrammarViolation):
             segment_learned(gold_model[0], "a b c", mode="eol_only")
 
+    @pytest.mark.parametrize("mode", ["full", "eol_only"])
+    def test_rejects_a_final_line_break(self, gold_model, mode):
+        with pytest.raises(GrammarViolation, match="input must not end with <eol>"):
+            segment_learned(gold_model[0], "a b <eol>", mode=mode)
+
     def test_rejects_overfull_input_block(self, gold_model):
         with pytest.raises(GrammarViolation, match="more than 2 lines"):
             segment_learned(gold_model[0], "a <eol> b <eol> c <eob>")
