@@ -50,10 +50,18 @@ _CONFIG_KEYS = {
 _Settings = Mapping[str, object]
 
 
+def _read_text(path: str) -> str:
+    """The file's text; a file that is not UTF-8 is named."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
 def _read_settings(path: str | None, types: dict[str, type]) -> dict[str, object]:
     """Typed ``key = value`` lines, none without a path; a bad key or value names its line."""
     values: dict[str, object] = {}
-    lines = Path(path).read_text(encoding="utf-8").splitlines() if path else []
+    lines = _read_text(path).splitlines() if path else []
     for line_number, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -91,7 +99,7 @@ def _read_corpus(
     """The sentences of the non-blank lines; a grammar error, in the line or
     raised by ``check`` on its sentence, names the line."""
     sentences = []
-    for line_number, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
+    for line_number, raw in enumerate(_read_text(path).splitlines(), start=1):
         if raw.strip():
             try:
                 sentence = AnnotatedSentence.from_text(raw)
@@ -101,6 +109,12 @@ def _read_corpus(
                 raise GrammarViolation(f"{path}:{line_number}: {exc}") from None
             sentences.append(sentence)
     return sentences
+
+
+def _read_tuning_corpus(path: str, profile: ConstraintProfile) -> list[AnnotatedSentence]:
+    """The corpus, whose ``<eol>`` sentences, the ones fine-tuning uses, must be strict."""
+    max_lines = profile.max_lines_per_block
+    return _read_corpus(path, lambda s: s.has_eol and s.validate_strict(max_lines))
 
 
 def _write_lines(path: str, lines: Iterable[str]) -> None:
@@ -124,7 +138,7 @@ def _cmd_build_corpus(args: Namespace, profile: ConstraintProfile, settings: _Se
     srt_dir = Path(args.srt_dir)
     if not srt_dir.is_dir():
         raise ValueError(f"--srt-dir {srt_dir} is not a directory")
-    lines = Path(args.sentences).read_text(encoding="utf-8").splitlines()
+    lines = _read_text(args.sentences).splitlines()
     broken_talks: dict[str, str] = {}  # filled as the files are parsed, before any alignment
     docs = _parsed_talks(sorted(srt_dir.glob("*.srt")), broken_talks)
     corpus, log = build_corpus(docs, lines, broken_talks)
@@ -154,8 +168,7 @@ def _cmd_train(args: Namespace, profile: ConstraintProfile, settings: _Settings)
 
 def _cmd_fine_tune(args: Namespace, profile: ConstraintProfile, settings: _Settings) -> int:
     config = _training_config(settings, "fine_tune_epochs", DEFAULT_FINE_TUNE_EPOCHS)
-    max_lines = profile.max_lines_per_block
-    corpus = _read_corpus(args.corpus, lambda s: s.has_eol and s.validate_strict(max_lines))
+    corpus = _read_tuning_corpus(args.corpus, profile)
     subset = [sentence for sentence in corpus if sentence.has_eol]
     if len(subset) < len(corpus):
         print(f"using the {len(subset)}/{len(corpus)} sentences containing <eol>", file=sys.stderr)
@@ -167,7 +180,7 @@ def _cmd_fine_tune(args: Namespace, profile: ConstraintProfile, settings: _Setti
 
 def _cmd_segment(args: Namespace, profile: ConstraintProfile, settings: _Settings) -> int:
     seed = settings.get("seed", 0)
-    lines = Path(args.infile).read_text(encoding="utf-8").splitlines()
+    lines = _read_text(args.infile).splitlines()
     model = None if args.count_char else load_model(args.model)
     # output line i holds input line i, blank or not; count-char seeds each
     # line with the base seed plus the line's index in the file
@@ -205,8 +218,8 @@ def _cmd_stats(args: Namespace, profile: ConstraintProfile, settings: _Settings)
     metadata = None
     if args.metadata:
         try:
-            metadata = load_segments_metadata(Path(args.metadata).read_text(encoding="utf-8"))
-        except (UnicodeDecodeError, MalformedMetadata) as exc:
+            metadata = load_segments_metadata(_read_text(args.metadata))
+        except MalformedMetadata as exc:
             raise ValueError(f"{args.metadata}: {exc}") from None
     corpus = _read_corpus(args.corpus)
     if metadata is not None and len(metadata) != len(corpus):
@@ -221,7 +234,7 @@ def _cmd_stats(args: Namespace, profile: ConstraintProfile, settings: _Settings)
 def _cmd_reannotate(args: Namespace, profile: ConstraintProfile, settings: _Settings) -> int:
     config = _training_config(settings, "fine_tune_epochs", DEFAULT_FINE_TUNE_EPOCHS)
     corpus, model, reports = reannotate(
-        _read_corpus(args.corpus),
+        _read_tuning_corpus(args.corpus, profile),
         load_model(args.model),
         profile,
         config,

@@ -13,10 +13,6 @@ from .annotate import AnnotatedSentence, strip_breaks
 from .srt_io import SegmentDuration
 
 
-class NonPositiveDuration(ValueError):
-    """A reading-speed check was asked over a non-positive time window."""
-
-
 @dataclass(frozen=True)
 class ConstraintProfile:
     """Numeric subtitle limits (Latin-script defaults)."""
@@ -76,9 +72,8 @@ def check_cps(
     window: SegmentDuration,
     profile: ConstraintProfile = DEFAULT_PROFILE,
 ) -> CpsCheck:
-    """Characters per second of the plain text over the utterance window."""
-    if window.duration <= 0:
-        raise NonPositiveDuration(f"duration must be positive, got {window.duration}")
+    """Characters per second of the plain text over the utterance window,
+    whose duration is positive."""
     cps = len(strip_breaks(sentence)) / window.duration
     return CpsCheck(cps, cps <= profile.cps_limit)
 

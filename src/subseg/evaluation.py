@@ -21,10 +21,8 @@ from .constraints import ConstraintProfile, DEFAULT_PROFILE, conformity_stats
 class TextMismatch(ValueError):
     """Hypothesis and reference disagree on the underlying words."""
 
-    def __init__(self, message: str, index: int | None = None):
-        if index is not None:
-            message = f"pair {index}: {message}"
-        super().__init__(message)
+    def __init__(self, index: int):
+        super().__init__(f"pair {index}: hypothesis and reference text differ")
         self.index = index
 
 
@@ -41,20 +39,6 @@ class PrfScores(NamedTuple):
     counts: BreakCounts
 
 
-def _prf_from_counts(counts: BreakCounts) -> tuple[float, float, float]:
-    correct, hyp, ref = counts
-    if hyp == 0:
-        precision = 1.0 if ref == 0 else 0.0
-    else:
-        precision = correct / hyp
-    if ref == 0:
-        recall = 1.0 if hyp == 0 else 0.0
-    else:
-        recall = correct / ref
-    f1 = 0.0 if precision + recall == 0 else 2 * precision * recall / (precision + recall)
-    return precision, recall, f1
-
-
 def break_counts(hyp: AnnotatedSentence, ref: AnnotatedSentence) -> BreakCounts:
     """Correct/hypothesis/reference break counts; correct means both the gap
     index and the break kind match."""
@@ -64,32 +48,29 @@ def break_counts(hyp: AnnotatedSentence, ref: AnnotatedSentence) -> BreakCounts:
 
 
 def break_prf(hyp: AnnotatedSentence, ref: AnnotatedSentence) -> PrfScores:
-    """Precision, recall and F1 of break placements for one sentence pair.
-
-    When one side has no breaks the corresponding ratio is 1.0 if the other
-    side has none either, otherwise 0.0.
-    """
-    if strip_breaks(hyp) != strip_breaks(ref):
-        raise TextMismatch("hypothesis and reference text differ")
-    counts = break_counts(hyp, ref)
-    return PrfScores(*_prf_from_counts(counts), counts)
+    """Precision, recall and F1 of break placements for one sentence pair."""
+    return corpus_prf([(hyp, ref)])
 
 
 def corpus_prf(pairs: Iterable[tuple[AnnotatedSentence, AnnotatedSentence]]) -> PrfScores:
     """Micro-averaged scores: break counts are summed over the corpus first.
 
-    An empty corpus scores 1.0 everywhere (vacuously perfect).
+    When one side has no breaks the corresponding ratio is 1.0 if the other
+    side has none either, otherwise 0.0, so an empty corpus scores 1.0
+    everywhere (vacuously perfect).
     """
     correct = hyp_total = ref_total = 0
     for i, (hyp, ref) in enumerate(pairs):
         if strip_breaks(hyp) != strip_breaks(ref):
-            raise TextMismatch("hypothesis and reference text differ", index=i)
+            raise TextMismatch(i)
         counts = break_counts(hyp, ref)
         correct += counts.correct
         hyp_total += counts.hyp
         ref_total += counts.ref
-    counts = BreakCounts(correct, hyp_total, ref_total)
-    return PrfScores(*_prf_from_counts(counts), counts)
+    precision = correct / hyp_total if hyp_total else (1.0 if ref_total == 0 else 0.0)
+    recall = correct / ref_total if ref_total else (1.0 if hyp_total == 0 else 0.0)
+    f1 = 0.0 if precision + recall == 0 else 2 * precision * recall / (precision + recall)
+    return PrfScores(precision, recall, f1, BreakCounts(correct, hyp_total, ref_total))
 
 
 def corpus_bleu(pairs: Iterable[tuple[Sequence[str], Sequence[str]]]) -> float:

@@ -27,7 +27,6 @@ from .annotate import (
     EOL_SYMBOL,
     GrammarViolation,
     extract_breaks,
-    normalize_text,
 )
 from .constraints import ConstraintProfile, DEFAULT_PROFILE, check_lines
 
@@ -243,7 +242,7 @@ def segment_count_char(
     profile allows.  The final break is always ``<eob>``.  A word longer
     than the line limit gets a line of its own.
     """
-    words = normalize_text(sentence).split()
+    words = sentence.split()
     if not words:
         raise ValueError("sentence must be non-empty")
 
@@ -466,10 +465,8 @@ class _AveragedWeights:
             row[weight] = current + delta
 
     def averaged(self) -> dict[str, tuple[float, float, float]]:
-        """Mean weight rows over the snapshots taken after every step; rows
-        that average to zero are dropped."""
-        if self.step == 0:
-            return {f: tuple(row[:3]) for f, row in self.rows.items() if any(row[:3])}
+        """Mean weight rows over the snapshots taken after every step (training
+        takes at least one); rows that average to zero are dropped."""
         averages: dict[str, tuple[float, float, float]] = {}
         for feature, row in self.rows.items():
             mean = tuple(

@@ -22,7 +22,7 @@ class MalformedTimestamp(ValueError):
 
 
 class MalformedCue(ValueError):
-    """A cue block is structurally broken (bad index, timing, or empty text)."""
+    """A cue block is structurally broken (bad index, timing or text)."""
 
     def __init__(self, block_number: int, reason: str):
         super().__init__(f"cue block {block_number}: {reason}")
@@ -95,10 +95,10 @@ class Subtitle:
         object.__setattr__(self, "lines", tuple(self.lines))
         if self.index < 1:
             raise ValueError(f"cue index must be positive, got {self.index}")
-        if self.start.millis >= self.end.millis:
-            raise ValueError(f"cue must end after it starts ({self.start} >= {self.end})")
         if not self.lines:
-            raise ValueError("cue needs at least one text line")
+            raise ValueError("cue has no text")
+        if self.start.millis >= self.end.millis:
+            raise ValueError(f"cue ends before it starts ({self.start} --> {self.end})")
         for line in self.lines:
             if not line or line != line.rstrip() or "\n" in line or "\r" in line:
                 raise ValueError(f"bad cue line {line!r}")
@@ -169,9 +169,6 @@ def parse_srt(text: str, talk_id: str = "") -> SubtitleDocument:
         index_text = lines[0].strip()
         if not (index_text.isascii() and index_text.isdigit()):
             raise MalformedCue(number, f"cue index is not a number: {index_text!r}")
-        index = int(index_text)
-        if index < 1:
-            raise MalformedCue(number, f"cue index must be positive, got {index}")
         if len(lines) < 2:
             raise MalformedCue(number, "missing timing line")
         timing = lines[1].strip()
@@ -183,12 +180,10 @@ def parse_srt(text: str, talk_id: str = "") -> SubtitleDocument:
             raise MalformedTimestamp("missing end timestamp")
         start = parse_timestamp(left.strip())
         end = parse_timestamp(end_tokens[0])
-        text_lines = [line for line in lines[2:] if line]
-        if not text_lines:
-            raise MalformedCue(number, "cue has no text")
-        if start.millis >= end.millis:
-            raise MalformedCue(number, f"cue ends before it starts ({start} --> {end})")
-        subtitles.append(Subtitle(index, start, end, tuple(text_lines)))
+        try:  # the index, text and time-order rules are the cue's own
+            subtitles.append(Subtitle(int(index_text), start, end, tuple(lines[2:])))
+        except ValueError as exc:
+            raise MalformedCue(number, str(exc)) from None
 
     backwards = [
         (prev.index, cur.index)

@@ -89,6 +89,47 @@ class TestOperationalErrors:
         assert capsys.readouterr().err.startswith(f"error: {model}: 'utf-8' codec can't decode")
 
     @pytest.mark.parametrize(
+        "command, flag",
+        [
+            ("train", "--config"),
+            ("train", "--profile"),
+            ("train", "--corpus"),
+            ("fine-tune", "--corpus"),
+            ("evaluate", "--hyp"),
+            ("evaluate", "--ref"),
+            ("stats", "--corpus"),
+            ("reannotate", "--corpus"),
+            ("segment", "--in"),
+            ("build-corpus", "--sentences"),
+        ],
+    )
+    def test_input_that_is_not_utf8_names_the_file(
+        self, tmp_path, capsys, tiny_model_file, command, flag
+    ):
+        corpus = write(tmp_path / "c.txt", "a b <eob>\n")
+        (tmp_path / "srt").mkdir()
+        out = tmp_path / "out.txt"
+        argv = {
+            "train": ["--corpus", corpus, "--out", out],
+            "fine-tune": ["--model", tiny_model_file, "--corpus", corpus, "--out", out],
+            "evaluate": ["--hyp", corpus, "--ref", corpus],
+            "stats": ["--corpus", corpus],
+            "reannotate": ["--corpus", corpus, "--model", tiny_model_file, "--out", out],
+            "segment": ["--model", tiny_model_file, "--in", corpus, "--out", out],
+            "build-corpus": ["--srt-dir", tmp_path / "srt", "--sentences", corpus, "--out", out],
+        }[command]
+        argv = [str(arg) for arg in argv]
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(b"a \xff <eob>\n")
+        if flag in argv:
+            argv[argv.index(flag) + 1] = str(bad)
+        else:
+            argv += [flag, str(bad)]
+        assert main([command, *argv]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {bad}: 'utf-8' codec can't decode")
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
         "error",
         sorted(
             (
@@ -463,6 +504,24 @@ class TestBuildCorpusCommand:
         assert captured.out == "aligned 1/5 sentences\n"
         assert captured.err == f"warning: skipped {bad}: {reason}\n"
 
+    def test_bare_carriage_return_in_a_cue_reads_as_a_line_break(self, tmp_path, capsys):
+        # .srt files are read with universal newlines, so a cue line never
+        # holds a bare carriage return by the time parse_srt sees it
+        srt_dir = tmp_path / "srt"
+        srt_dir.mkdir()
+        write(srt_dir / "t1.srt", "1\n00:00:01,000 --> 00:00:02,000\nfoo\rbar\n")
+        sentences = write(tmp_path / "sentences.tsv", "t1\tfoo bar\n")
+        out = tmp_path / "corpus.txt"
+        log = tmp_path / "log.tsv"
+        status = main(
+            ["build-corpus", "--srt-dir", str(srt_dir), "--sentences", str(sentences),
+             "--out", str(out), "--log", str(log)]
+        )
+        assert status == 0
+        assert out.read_text(encoding="utf-8") == "foo <eol> bar <eob>\n"
+        assert log.read_text(encoding="utf-8") == "1\tt1\tok\t\n"
+        assert capsys.readouterr().err == ""
+
     def test_holds_at_most_two_parsed_talks(self, tmp_path, capsys, monkeypatch):
         srt_dir = tmp_path / "srt"
         srt_dir.mkdir()
@@ -621,6 +680,26 @@ class TestReannotateCommand:
         assert "iteration 1" in capsys.readouterr().out
         lines = out_file.read_text(encoding="utf-8").splitlines()
         assert len(lines) == len(corpus)
+
+    @pytest.mark.parametrize(
+        "first",
+        [
+            "alpha bravo charlie delta echo foxtrot golf hotel india juliet <eob>",
+            "alpha bravo <eob>",
+        ],
+        ids=["over-long first line", "conforming first line"],
+    )
+    def test_broken_eol_sentence_is_named(self, tmp_path, tiny_model_file, capsys, first):
+        # the <eol> sentences are the fine-tuning pool, checked as fine-tune checks them
+        corpus_file = write(tmp_path / "c.txt", f"{first}\nw <eol> x <eol> y z <eob>\n")
+        out_file = tmp_path / "out.txt"
+        status = main(
+            ["reannotate", "--corpus", str(corpus_file), "--model", str(tiny_model_file),
+             "--out", str(out_file)]
+        )
+        assert status == 1
+        assert capsys.readouterr().err == f"error: {corpus_file}:2: block has 3 lines (max 2)\n"
+        assert not out_file.exists()
 
     def test_config_learning_rate_reaches_fine_tuning(self, tmp_path):
         corpus, _ = synth.partially_collapsed_corpus(60, seed=33, keep_eol_fraction=0.3)

@@ -61,6 +61,12 @@ class TestBreakPrf:
         with pytest.raises(TextMismatch):
             break_prf(with_breaks("a b", []), with_breaks("a c", []))
 
+    def test_text_mismatch_names_pair_0(self):
+        with pytest.raises(TextMismatch) as err:
+            break_prf(with_breaks("a b", []), with_breaks("a c", []))
+        assert err.value.index == 0
+        assert str(err.value) == "pair 0: hypothesis and reference text differ"
+
 
 def _oracle_counts(hyp_labels, ref_labels):
     """Brute-force counting straight off the label tuples."""

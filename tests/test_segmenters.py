@@ -291,10 +291,6 @@ class TestAveragedWeights:
         for key in expected:
             assert averaged[key] == pytest.approx(expected[key])
 
-    def test_no_steps_returns_initial(self):
-        state = _AveragedWeights({"f": (0.0, 1.5, 0.0)})
-        assert state.averaged() == {"f": (0.0, 1.5, 0.0)}
-
 
 @pytest.fixture(scope="module")
 def gold_model():

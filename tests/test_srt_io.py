@@ -104,6 +104,33 @@ class TestParseSrt:
         with pytest.raises(MalformedCue):
             parse_srt("1\n00:00:02,000 --> 00:00:01,000\nhi\n\n")
 
+    @pytest.mark.parametrize(
+        "block, reason",
+        [
+            ("0\n00:00:00,000 --> 00:00:01,000\nhi", "cue index must be positive, got 0"),
+            ("2\n00:00:00,000 --> 00:00:01,000", "cue has no text"),
+            (
+                "2\n00:00:02,000 --> 00:00:01,000\nhi",
+                "cue ends before it starts (00:00:02,000 --> 00:00:01,000)",
+            ),
+            ("2\njust text", "missing timing line, got 'just text'"),
+            ("2", "missing timing line"),
+            ("x\n00:00:00,000 --> 00:00:01,000\nhi", "cue index is not a number: 'x'"),
+            ("2\n00:00:01,000 --> 00:00:02,000\nfoo\rbar", "bad cue line 'foo\\rbar'"),
+            # the shape of the block is checked before its index value
+            ("0\nno timing\nhi", "missing timing line, got 'no timing'"),
+        ],
+        ids=[
+            "index 0", "no text", "end before start", "text for timing", "no timing line",
+            "index not a number", "bare carriage return", "index 0 and text for timing",
+        ],
+    )
+    def test_malformed_cue_message(self, block, reason):
+        # a good first block, so the number counts blocks
+        with pytest.raises(MalformedCue) as err:
+            parse_srt(f"1\n00:00:00,000 --> 00:00:01,000\nok\n\n{block}\n")
+        assert str(err.value) == f"cue block 2: {reason}"
+
     def test_bad_timestamp_propagates(self):
         with pytest.raises(MalformedTimestamp):
             parse_srt("1\n00:00:00.000 --> 00:00:01,000\nhi\n\n")
