@@ -7,18 +7,17 @@ ends the block itself.  A *strict* sentence is one a renderer can display
 directly: it ends with ``<eob>`` and no block holds more than two lines.
 
 Reconstruction works the other way around: the cues of each talk are
-indexed by their first word, and a plain sentence is rebuilt by tiling it
-left-to-right with cues whose text is fully contained in it, turning cue
-boundaries into ``<eob>`` and in-cue line boundaries into ``<eol>``.  At
-each word of the sentence only the cues that start with that word are
-tried, so a sentence costs time in its own length, not the talk's.
+indexed by their first word, and a plain sentence is rebuilt from one run
+of consecutive cues whose words are exactly its own, turning cue
+boundaries into ``<eob>`` and in-cue line boundaries into ``<eol>``.  Only
+cues that start with the sentence's first word can open a run, so a
+sentence is never matched against the whole talk.
 """
 
 from __future__ import annotations
 
 import re
 import warnings
-from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Sequence
@@ -48,7 +47,7 @@ class InvalidGap(ValueError):
 
 
 class NoAlignment(Exception):
-    """No in-order tiling of fully contained cues rebuilds the sentence."""
+    """No run of consecutive cues rebuilds the sentence."""
 
     def __init__(self, reason: str):
         super().__init__(reason)
@@ -244,9 +243,8 @@ class InvertedIndex:
     to query concurrently.  For each talk it holds the cues in document
     order, as whitespace-split words per line and flattened, and a map from
     a cue's first word to the ascending positions of the cues starting with
-    it.  Cues without words are kept in order but never enter the map, since
-    they can never match.  Within a talk each distinct word is one string
-    object, however many cues repeat it.
+    it.  Within a talk each distinct word is one string object, however many
+    cues repeat it.
     """
 
     def __init__(self) -> None:
@@ -269,61 +267,42 @@ def build_index(docs: Iterable[SubtitleDocument]) -> InvertedIndex:
         starts: dict[str, list[int]] = {}
         shared: dict[str, str] = {}  # each word of the talk -> its one kept copy
         for position, sub in enumerate(doc.subtitles):
-            split = (tuple(shared.setdefault(w, w) for w in line.split()) for line in sub.lines)
-            line_words = tuple(words for words in split if words)
+            split = (line.split() for line in sub.lines)
+            line_words = tuple(tuple(shared.setdefault(w, w) for w in words) for words in split)
             flat = tuple(word for line in line_words for word in line)
             cues.append(_IndexedCue(line_words, flat))
-            if flat:
-                starts.setdefault(flat[0], []).append(position)
+            starts.setdefault(flat[0], []).append(position)
         index._talks[doc.talk_id] = _IndexedTalk(tuple(cues), starts)
     return index
 
 
-def _tile(words: tuple[str, ...], talk: _IndexedTalk) -> list[_IndexedCue] | None:
-    """Leftmost-first tiling of ``words`` by cues taken in index order.
+def _tile(words: tuple[str, ...], talk: _IndexedTalk) -> tuple[_IndexedCue, ...] | None:
+    """The earliest run of consecutive cues whose words are exactly ``words``.
 
-    Depth-first with memoized dead ends, so an existing tiling is always
-    found, and when several exist the one preferring earlier cues wins.
-    A search state is (first usable cue, next word); from it only the cues
-    starting with that word are tried, in index order.  The search keeps
-    its own stack, so the number of cues in a tiling is not bounded by the
-    interpreter's recursion limit.
+    Only cues starting with the sentence's first word can open a run; from
+    each of them, in index order, the following cues are matched one after
+    another until the sentence is used up or a cue does not fit.
     """
-    cues, starts = talk.cues, talk.starts
-    total = len(words)
-    dead: set[tuple[int, int]] = set()
-
-    def matches(cue_from: int, pos: int):
-        found = starts.get(words[pos], ())
-        for k in range(bisect_left(found, cue_from), len(found)):
-            j = found[k]
+    cues, total = talk.cues, len(words)
+    for first in talk.starts.get(words[0], ()):
+        pos = 0
+        for j in range(first, len(cues)):
             end = pos + len(cues[j].words)
-            if words[pos:end] == cues[j].words:
-                yield j, end
-
-    # each open state's cue_from is one past the cue that led to it
-    stack = [(0, 0, matches(0, 0))]
-    while stack:
-        cue_from, pos, options = stack[-1]
-        for j, end in options:
-            if end == total:
-                return [cues[state[0] - 1] for state in stack[1:]] + [cues[j]]
-            if (j + 1, end) not in dead:
-                stack.append((j + 1, end, matches(j + 1, end)))
+            if words[pos:end] != cues[j].words:
                 break
-        else:
-            dead.add((cue_from, pos))
-            stack.pop()
+            if end == total:
+                return cues[first : j + 1]
+            pos = end
     return None
 
 
 def align_sentence(sentence: str, talk_id: str, index: InvertedIndex) -> AnnotatedSentence:
     """Rebuild ``sentence`` as an annotated sentence from the talk's cues.
 
-    The cues must tile the whitespace-normalized sentence left-to-right, in
-    index order, without gaps or overlaps; every cue boundary becomes
-    ``<eob>`` and every line boundary inside a cue becomes ``<eol>``.
-    Raises NoAlignment when no such tiling exists.
+    One run of consecutive cues must hold exactly the words of the
+    whitespace-normalized sentence; when several runs do, the earliest
+    wins.  Every cue boundary becomes ``<eob>`` and every line boundary
+    inside a cue becomes ``<eol>``.  Raises NoAlignment when no run does.
     """
     words = tuple(sentence.split())
     if not words:

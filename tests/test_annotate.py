@@ -262,6 +262,29 @@ class TestIndexAndAlign:
         aligned = align_sentence("a b c", "t", build_index([doc]))
         assert aligned.to_text() == "a b <eob> c <eob>"
 
+    def test_sentence_does_not_borrow_cues_of_other_sentences(self):
+        doc = SubtitleDocument(
+            "t",
+            tuple(
+                Subtitle(i + 1, Timestamp(i * 1000), Timestamp(i * 1000 + 1000), (text,))
+                for i, text in enumerate(("uan", "zz", "gobalh.", "uan gobalh."))
+            ),
+        )
+        aligned = align_sentence("uan gobalh.", "t", build_index([doc]))
+        assert aligned.to_text() == "uan gobalh. <eob>"
+
+    def test_cues_interrupted_by_another_cue_fail(self):
+        doc = SubtitleDocument(
+            "t",
+            (
+                Subtitle(1, Timestamp(0), Timestamp(1000), ("a b",)),
+                Subtitle(2, Timestamp(1000), Timestamp(2000), ("x",)),
+                Subtitle(3, Timestamp(2000), Timestamp(3000), ("c",)),
+            ),
+        )
+        with pytest.raises(NoAlignment):
+            align_sentence("a b c", "t", build_index([doc]))
+
     def test_whitespace_normalized_query(self, figure_srt, figure_sentence, figure_annotated):
         index = build_index([parse_srt(figure_srt, talk_id="talk")])
         messy = figure_sentence.replace(" that", "   that")
@@ -319,25 +342,14 @@ class TestIndexAndAlign:
 
 
 def _full_scan_tile(words, cues):
-    """Reference tiling: every cue of the talk is tried at every state, from
-    the first usable one on; returns the chosen cue positions or None."""
-    dead = set()
-
-    def solve(cue_from, pos):
-        if pos == len(words):
-            return []
-        if (cue_from, pos) in dead:
-            return None
-        for j in range(cue_from, len(cues)):
-            size = len(cues[j])
-            if size and words[pos : pos + size] == cues[j]:
-                rest = solve(j + 1, pos + size)
-                if rest is not None:
-                    return [j] + rest
-        dead.add((cue_from, pos))
-        return None
-
-    return solve(0, 0)
+    """Reference alignment: every cue position is tried, in order, as the
+    start of a run of consecutive cues; returns the positions of the first
+    run whose words are exactly ``words``, or None."""
+    for first in range(len(cues)):
+        for last in range(first, len(cues)):
+            if [word for j in range(first, last + 1) for word in cues[j]] == words:
+                return list(range(first, last + 1))
+    return None
 
 
 class TestRenderSrt:

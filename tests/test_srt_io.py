@@ -202,6 +202,10 @@ class TestSerializeSrt:
         assert serialize_srt(parse_srt(once, talk_id=doc.talk_id)) == once
 
 
+# every character that str.split() (and so the cue index) separates words on
+WHITESPACE = "".join(c for c in map(chr, range(0x110000)) if c.isspace())
+
+
 class TestSubtitleInvariants:
     def test_rejects_equal_start_end(self):
         with pytest.raises(ValueError):
@@ -218,6 +222,12 @@ class TestSubtitleInvariants:
     def test_rejects_non_positive_index(self):
         with pytest.raises(ValueError):
             Subtitle(0, Timestamp(0), Timestamp(1), ("x",))
+
+    @given(st.text(alphabet=WHITESPACE))
+    def test_rejects_a_line_without_words(self, line):
+        assert not line.split()
+        with pytest.raises(ValueError):
+            Subtitle(1, Timestamp(0), Timestamp(1), ("x", line))
 
 
 class TestSegmentsMetadata:
