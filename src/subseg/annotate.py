@@ -34,9 +34,6 @@ class BreakToken(Enum):
     EOL = EOL_SYMBOL
     EOB = EOB_SYMBOL
 
-    def __str__(self) -> str:
-        return self.value
-
 
 class GrammarViolation(ValueError):
     """An annotated sentence breaks the subtitle-break grammar."""
@@ -46,12 +43,8 @@ class InvalidGap(ValueError):
     """A break position is out of range, duplicated, or out of order."""
 
 
-class NoAlignment(Exception):
+class NoAlignment(ValueError):
     """No run of consecutive cues rebuilds the sentence."""
-
-    def __init__(self, reason: str):
-        super().__init__(reason)
-        self.reason = reason
 
 
 class DuplicateTalkId(ValueError):

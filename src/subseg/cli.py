@@ -15,7 +15,7 @@ from dataclasses import fields
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
-from .annotate import AnnotatedSentence, GrammarViolation, NoAlignment
+from .annotate import AnnotatedSentence, GrammarViolation
 from .constraints import ConstraintProfile
 from .evaluation import evaluate
 from .pipeline import build_corpus, reannotate, stats
@@ -32,9 +32,10 @@ from .segmenters import (
 )
 from .srt_io import MalformedMetadata, SubtitleDocument, load_segments_metadata, parse_srt
 
-# every other error the commands raise on bad input (malformed files, grammar
-# violations, bad settings, empty corpora) subclasses ValueError
-_OPERATIONAL_ERRORS = (OSError, ValueError, NoAlignment)
+# a file that cannot be read raises OSError; every other error the commands
+# raise on bad input (malformed files, grammar violations, failed alignments,
+# bad settings, empty corpora) subclasses ValueError
+_OPERATIONAL_ERRORS = (OSError, ValueError)
 
 
 # each limit is read as the type of its default
@@ -73,6 +74,8 @@ def _read_settings(path: str | None, types: dict[str, type]) -> dict[str, object
             raise ValueError(
                 f"{path}:{line_number}: unknown key {key!r}, expected one of {sorted(types)}"
             )
+        if key in values:
+            raise ValueError(f"{path}:{line_number}: repeated key {key!r}")
         try:
             values[key] = types[key](value)
         except ValueError:
@@ -109,12 +112,6 @@ def _read_corpus(
                 raise GrammarViolation(f"{path}:{line_number}: {exc}") from None
             sentences.append(sentence)
     return sentences
-
-
-def _read_tuning_corpus(path: str, profile: ConstraintProfile) -> list[AnnotatedSentence]:
-    """The corpus, whose ``<eol>`` sentences, the ones fine-tuning uses, must be strict."""
-    max_lines = profile.max_lines_per_block
-    return _read_corpus(path, lambda s: s.has_eol and s.validate_strict(max_lines))
 
 
 def _write_lines(path: str, lines: Iterable[str]) -> None:
@@ -168,7 +165,9 @@ def _cmd_train(args: Namespace, profile: ConstraintProfile, settings: _Settings)
 
 def _cmd_fine_tune(args: Namespace, profile: ConstraintProfile, settings: _Settings) -> int:
     config = _training_config(settings, "fine_tune_epochs", DEFAULT_FINE_TUNE_EPOCHS)
-    corpus = _read_tuning_corpus(args.corpus, profile)
+    # only the <eol> sentences are fine-tuned on, so only they must be strict
+    max_lines = profile.max_lines_per_block
+    corpus = _read_corpus(args.corpus, lambda s: s.has_eol and s.validate_strict(max_lines))
     subset = [sentence for sentence in corpus if sentence.has_eol]
     if len(subset) < len(corpus):
         print(f"using the {len(subset)}/{len(corpus)} sentences containing <eol>", file=sys.stderr)
@@ -222,11 +221,10 @@ def _cmd_stats(args: Namespace, profile: ConstraintProfile, settings: _Settings)
         except MalformedMetadata as exc:
             raise ValueError(f"{args.metadata}: {exc}") from None
     corpus = _read_corpus(args.corpus)
-    if metadata is not None and len(metadata) != len(corpus):
-        raise ValueError(
-            f"{args.metadata}: {len(metadata)} metadata entries, {len(corpus)} corpus sentences"
-        )
-    report = stats(corpus, metadata, profile)
+    try:
+        report = stats(corpus, metadata, profile)
+    except ValueError as exc:  # the sidecar's entry count, the one input stats() checks
+        raise ValueError(f"{args.metadata}: {exc}") from None
     print(report.to_json() if args.json else report.to_text())
     return 0
 
@@ -234,7 +232,7 @@ def _cmd_stats(args: Namespace, profile: ConstraintProfile, settings: _Settings)
 def _cmd_reannotate(args: Namespace, profile: ConstraintProfile, settings: _Settings) -> int:
     config = _training_config(settings, "fine_tune_epochs", DEFAULT_FINE_TUNE_EPOCHS)
     corpus, model, reports = reannotate(
-        _read_tuning_corpus(args.corpus, profile),
+        _read_corpus(args.corpus, lambda s: s.validate_strict(profile.max_lines_per_block)),
         load_model(args.model),
         profile,
         config,

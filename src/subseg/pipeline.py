@@ -10,7 +10,6 @@ from typing import Iterable, Mapping, Sequence
 
 from .annotate import (
     AnnotatedSentence,
-    GrammarViolation,
     NoAlignment,
     align_sentence,
     build_index,
@@ -43,8 +42,8 @@ def preprocess_document(doc: SubtitleDocument) -> SubtitleDocument:
     subtitles = []
     for sub in doc.subtitles:
         if len(sub.lines) == 1:
-            lines = [line for line in restore_eol_from_double_space(sub.lines[0]) if line.strip()]
-            if len(lines) > 1:
+            lines = restore_eol_from_double_space(sub.lines[0])
+            if len(lines) == 2:
                 sub = replace(sub, lines=tuple(lines))
         subtitles.append(sub)
     return replace(doc, subtitles=tuple(subtitles))
@@ -86,7 +85,7 @@ def build_corpus(
             corpus.append(align_sentence(text, talk_id, index))
             log.append(AlignmentLogEntry(line_number, talk_id, aligned=True))
         except NoAlignment as exc:
-            log.append(AlignmentLogEntry(line_number, talk_id, aligned=False, detail=exc.reason))
+            log.append(AlignmentLogEntry(line_number, talk_id, aligned=False, detail=str(exc)))
     return corpus, log
 
 
@@ -131,6 +130,10 @@ def reannotate(
     accepted, and corpus line conformity never decreases.  ``config`` is
     passed to :func:`fine_tune` as it is (None keeps its default).
 
+    Every sentence must be strict, as for :func:`train`, so each selected
+    one can be segmented; one that is not raises GrammarViolation before
+    anything is fine-tuned.
+
     Only selected sentences change, and an accepted one conforms, so each
     iteration after the first selects the previous one's rejects and starts
     from its conformity: every sentence is measured once up front.
@@ -138,6 +141,8 @@ def reannotate(
     if iterations < 0:
         raise ValueError(f"iterations must be >= 0, got {iterations}")
     sentences = list(corpus)
+    for sentence in sentences:
+        sentence.validate_strict(profile.max_lines_per_block)
     pool = [s for s in sentences if s.has_eol]
     reports: list[IterationReport] = []
     current_model = model
@@ -154,11 +159,8 @@ def reannotate(
         rejected: list[int] = []
         fresh: list[AnnotatedSentence] = []
         for i in selected:
-            try:
-                candidate = segment_learned(current_model, sentences[i], profile, mode="eol_only")
-            except GrammarViolation:
-                candidate = None
-            if candidate is not None and reannotation_filter(candidate, profile):
+            candidate = segment_learned(current_model, sentences[i], profile, mode="eol_only")
+            if reannotation_filter(candidate, profile):
                 sentences[i] = candidate
                 fresh.append(candidate)
             else:
@@ -183,7 +185,6 @@ class CorpusStats:
     words: int
     conformity: ConformityReport
     eol_fraction: float
-    orphan_lines: int
     cps_measured: int | None = None
     cps_conforming: int | None = None
 
@@ -192,7 +193,7 @@ class CorpusStats:
             "sentences": self.sentences,
             "words": self.words,
             "eol_fraction": self.eol_fraction,
-            "orphan_lines": self.orphan_lines,
+            "orphan_lines": self.conformity.orphan_lines,
             "conformity": self.conformity.to_json_dict(),
         }
         if self.cps_measured is not None:
@@ -207,7 +208,7 @@ class CorpusStats:
             f"sentences: {self.sentences}",
             f"words: {self.words}",
             f"eol_fraction: {self.eol_fraction:.4f}",
-            f"orphan_lines: {self.orphan_lines}",
+            f"orphan_lines: {self.conformity.orphan_lines}",
             f"conforming_sentences: {self.conformity.conforming_sentences}",
             f"conforming_lines: {self.conformity.conforming_lines}",
             f"block_conforming_sentences: {self.conformity.block_conforming_sentences}",
@@ -225,14 +226,16 @@ def stats(
     profile: ConstraintProfile = DEFAULT_PROFILE,
 ) -> CorpusStats:
     """Sentence/word counts (break symbols excluded), conformity counts, the
-    fraction of sentences carrying ``<eol>``, and reading speed when
-    duration metadata aligns 1:1 with the corpus."""
+    fraction of sentences carrying ``<eol>``, and reading speed when duration
+    metadata is given, which must hold one entry per sentence (else ValueError)."""
     sentences = list(corpus)
     report = conformity_stats(sentences, profile)
     words = sum(len(s.words) for s in sentences)
     eol_fraction = 0.0 if not sentences else report.sentences_with_eol / len(sentences)
     cps_measured = cps_conforming = None
-    if metadata is not None and len(metadata) == len(sentences):
+    if metadata is not None:
+        if len(metadata) != len(sentences):
+            raise ValueError(f"{len(metadata)} metadata entries, {len(sentences)} corpus sentences")
         cps_measured = len(sentences)
         cps_conforming = sum(
             1 for s, window in zip(sentences, metadata) if check_cps(s, window, profile).conforming
@@ -242,7 +245,6 @@ def stats(
         words=words,
         conformity=report,
         eol_fraction=eol_fraction,
-        orphan_lines=report.orphan_lines,
         cps_measured=cps_measured,
         cps_conforming=cps_conforming,
     )

@@ -155,6 +155,11 @@ class TestInversePairs:
         assert rebuilt == sentence
 
     @given(strict_sentences())
+    def test_corpus_text_round_trip(self, sentence):
+        # break symbols are written as their values, the symbols from_text reads
+        assert AnnotatedSentence.from_text(sentence.to_text()) == sentence
+
+    @given(strict_sentences())
     def test_extract_of_apply(self, sentence):
         text = strip_breaks(sentence)
         breaks = extract_breaks(sentence)
@@ -192,6 +197,12 @@ class TestRestoreEol:
     def test_never_changes_non_space_characters(self, text):
         joined = "".join(restore_eol_from_double_space(text))
         assert joined.replace(" ", "") == text.replace(" ", "")
+
+    @pytest.mark.filterwarnings("ignore::subseg.annotate.AnnotationWarning")
+    @given(st.text(alphabet=st.sampled_from("ab. \t\u00a0\u2003"), max_size=30).filter(str.strip))
+    def test_every_part_holds_a_non_space_character(self, text):
+        # so preprocess_document never gets a blank line back from a line with words
+        assert all(part.strip() for part in restore_eol_from_double_space(text))
 
 
 class TestIndexAndAlign:

@@ -282,6 +282,14 @@ class TestEvaluate:
         ref_file = write(tmp_path / "r.txt", "a <eob>\nb <eob>\n")
         assert main(["evaluate", "--hyp", str(hyp_file), "--ref", str(ref_file)]) == 1
 
+    def test_json_file_holds_what_is_printed(self, tmp_path, capsys):
+        hyp = write(tmp_path / "h.txt", "a b <eob> c <eob>\n")
+        ref = write(tmp_path / "r.txt", "a <eob> b c <eob>\n")
+        report = tmp_path / "report.json"
+        assert main(["evaluate", "--hyp", str(hyp), "--ref", str(ref), "--json", str(report)]) == 0
+        assert report.read_text(encoding="utf-8") == capsys.readouterr().out
+        assert json.loads(report.read_text(encoding="utf-8"))["counts"]["correct"] == 1
+
     def test_table_output(self, tmp_path, capsys):
         f = write(tmp_path / "s.txt", "a b <eob>\n")
         assert main(["evaluate", "--hyp", str(f), "--ref", str(f), "--table"]) == 0
@@ -338,6 +346,16 @@ class TestStatsCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: {metadata}: 1 metadata entries, 2 corpus sentences\n"
+
+    def test_text_output_with_metadata_ends_with_the_cps_lines(self, tmp_path, capsys):
+        corpus = write(tmp_path / "c.txt", "I wanted to challenge the idea <eob>\n")
+        metadata = write(
+            tmp_path / "m.yaml", "- {duration: 1.456, offset: 537.02, wav: talk1.wav}\n"
+        )
+        assert main(["stats", "--corpus", str(corpus), "--metadata", str(metadata)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[-2:] == ["cps_measured: 1", "cps_conforming: 1"]
+        assert lines[0] == "sentences: 1"
 
     def test_json_output_with_metadata(self, tmp_path, capsys):
         corpus = write(tmp_path / "c.txt", "I wanted to challenge the idea <eob>\n")
@@ -701,6 +719,18 @@ class TestReannotateCommand:
         assert capsys.readouterr().err == f"error: {corpus_file}:2: block has 3 lines (max 2)\n"
         assert not out_file.exists()
 
+    def test_lenient_sentence_is_named(self, tmp_path, tiny_model_file, capsys):
+        # every sentence is checked as train checks them, not only the <eol> ones
+        corpus_file = write(tmp_path / "c.txt", "alpha bravo <eob>\na b c\n")
+        out_file = tmp_path / "out.txt"
+        status = main(
+            ["reannotate", "--corpus", str(corpus_file), "--model", str(tiny_model_file),
+             "--out", str(out_file)]
+        )
+        assert status == 1
+        assert capsys.readouterr().err == f"error: {corpus_file}:2: sentence must end with <eob>\n"
+        assert not out_file.exists()
+
     def test_config_learning_rate_reaches_fine_tuning(self, tmp_path):
         corpus, _ = synth.partially_collapsed_corpus(60, seed=33, keep_eol_fraction=0.3)
         corpus_file = write(tmp_path / "corpus.txt", "".join(s.to_text() + "\n" for s in corpus))
@@ -831,6 +861,28 @@ class TestBadSettings:
         assert captured.out == ""
         assert captured.err.startswith("error: ")
         assert list((tmp_path / "out").iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "flag, key", [("--config", "seed"), ("--profile", "cpl_limit")], ids=["config", "profile"]
+    )
+    def test_a_repeated_key_is_an_error(self, tmp_path, capsys, argv, flag, key):
+        settings = write(tmp_path / "settings.txt", f"{key} = 40\n{key} = 41\n")
+        assert main(["stats", *argv["stats"], flag, str(settings)]) == 1
+        assert capsys.readouterr().err == f"error: {settings}:2: repeated key {key!r}\n"
+
+    @pytest.mark.parametrize(
+        "flag, text, error",
+        [
+            ("--config", "# seed = 1\n  \nseed 1\n", "3: expected 'key = value', got 'seed 1'"),
+            ("--profile", "\n  # limits\ncpl_limit = 4.5\n", "3: bad value for cpl_limit: '4.5'"),
+        ],
+        ids=["no-equals-sign", "wrong-type"],
+    )
+    def test_a_bad_settings_line_is_named(self, tmp_path, capsys, argv, flag, text, error):
+        # the comment and the blank line are skipped, but still counted
+        settings = write(tmp_path / "settings.txt", text)
+        assert main(["stats", *argv["stats"], flag, str(settings)]) == 1
+        assert capsys.readouterr().err == f"error: {settings}:{error}\n"
 
     @pytest.mark.parametrize("value", ["nan", "inf"])
     def test_train_rejects_a_non_finite_learning_rate(self, tmp_path, capsys, value):

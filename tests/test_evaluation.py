@@ -194,6 +194,9 @@ class TestBleu:
         assert corpus_bleu([]) == 100.0
         assert bleu([], ["a"]) == 0.0
 
+    def test_no_unigram_in_common_scores_zero(self):
+        assert corpus_bleu([("a b".split(), "c d".split()), (["e"], ["f"])]) == 0.0
+
     @given(st.lists(st.sampled_from("abcdef"), min_size=1, max_size=20))
     @settings(max_examples=200)
     def test_self_bleu_always_100(self, tokens):

@@ -3,6 +3,7 @@ import pytest
 from subseg.annotate import (
     AnnotatedSentence,
     BreakToken,
+    GrammarViolation,
     extract_breaks,
     render_srt,
     strip_breaks,
@@ -11,13 +12,14 @@ from subseg import pipeline
 from subseg.constraints import ConstraintProfile, check_cpl, conformity_stats
 from subseg.pipeline import (
     AlignmentLogEntry,
+    IterationReport,
     build_corpus,
     preprocess_document,
     reannotate,
     reannotation_filter,
     stats,
 )
-from subseg.segmenters import TrainingConfig, train
+from subseg.segmenters import DEFAULT_FINE_TUNE_EPOCHS, TrainingConfig, fine_tune, train
 from subseg.srt_io import SegmentDuration, Subtitle, SubtitleDocument, Timestamp, parse_srt
 
 import synth
@@ -215,6 +217,31 @@ class TestReannotate:
         # selection once per sentence, then the filter once per candidate
         assert len(checked) == len(corpus) + 247
 
+    @pytest.mark.parametrize(
+        "lenient, reason",
+        [("a b c", "sentence must end with <eob>"), ("a <eol> b <eol> c <eob>", "block has 3 lines")],
+    )
+    def test_every_sentence_must_be_strict(self, collapsed_setup, lenient, reason):
+        corpus, _, base = collapsed_setup
+        with pytest.raises(GrammarViolation, match=reason):
+            reannotate([*corpus, sent(lenient)], base, PROFILE)
+
+    def test_an_iteration_that_accepts_nothing_ends_the_loop(self, collapsed_setup):
+        _, _, base = collapsed_setup
+        # no break can shorten a single over-long word, so nothing is accepted
+        corpus = [sent("a tool <eol> of beauty <eob>"), sent(f"{'x' * 50} <eob>")]
+        before = conformity_stats(corpus, PROFILE).line_conformity()
+        out, _, reports = reannotate(corpus, base, PROFILE, TrainingConfig(epochs=1), iterations=3)
+        assert out == corpus
+        assert reports == [IterationReport(1, 1, 0, before, before, 1)]
+
+    def test_fine_tunes_for_the_default_epochs_without_a_config(self, collapsed_setup):
+        corpus, _, base = collapsed_setup
+        pool = [s for s in corpus if s.has_eol]
+        default = fine_tune(base, pool, TrainingConfig(epochs=DEFAULT_FINE_TUNE_EPOCHS), PROFILE)
+        assert fine_tune(base, pool) == default
+        assert reannotate(corpus, base, PROFILE)[1] == default
+
     def test_config_reaches_fine_tuning_unchanged(self, collapsed_setup):
         corpus, _, base = collapsed_setup
         config = TrainingConfig(epochs=1, seed=3)
@@ -241,11 +268,11 @@ class TestStats:
         assert report.words == 10  # break symbols excluded
         assert report.eol_fraction == pytest.approx(1 / 3)
         assert report.conformity.total_lines == 5
-        assert report.orphan_lines == 1  # "six" is shorter than 5 characters
+        assert report.conformity.orphan_lines == 1  # "six" is shorter than 5 characters
 
     def test_orphan_lines_counted(self):
         report = stats([sent("hi <eob> a much longer line here <eob>")])
-        assert report.orphan_lines == 1  # "hi" has fewer than 5 characters
+        assert report.conformity.orphan_lines == 1  # "hi" has fewer than 5 characters
 
     def test_with_metadata(self):
         corpus = [sent("I wanted to challenge the idea <eob>")]
@@ -254,9 +281,11 @@ class TestStats:
         assert report.cps_measured == 1
         assert report.cps_conforming == 1
 
-    def test_metadata_length_mismatch_ignored(self):
-        report = stats([sent("a <eob>")], [])
-        assert report.cps_measured is None
+    @pytest.mark.parametrize("entries", [0, 2])
+    def test_metadata_count_mismatch_raises(self, entries):
+        metadata = [SegmentDuration("w", 0.0, 1.0)] * entries
+        with pytest.raises(ValueError, match=f"^{entries} metadata entries, 1 corpus sentences$"):
+            stats([sent("a <eob>")], metadata)
 
     def test_json_shape(self):
         data = stats([sent("a b <eob>")]).to_json_dict()

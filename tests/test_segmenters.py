@@ -1088,6 +1088,14 @@ class TestModelPersistence:
         with pytest.raises(ModelFormatError, match=rf"model line 5: .*'fine_tuned\\t{value}'"):
             parse_model(text)
 
+    def test_header_line_without_a_tab_fails(self):
+        with pytest.raises(ModelFormatError, match=r"model line 6: bad header line 'seed 2'"):
+            parse_model(self.HEADER + "seed 2\nweights\n")
+
+    def test_blank_lines_among_the_weights_are_skipped(self):
+        model = parse_model(self.HEADER + "weights\nw=a\tEOL\t1.0\n\nw=b\tEOB\t2.0\n\n")
+        assert model.weights == {"w=a": (0.0, 1.0, 0.0), "w=b": (0.0, 0.0, 2.0)}
+
     def test_unknown_header_key_fails(self):
         with pytest.raises(ModelFormatError, match=r"model line 6: unknown header key 'bogus\\tx'"):
             parse_model(self.HEADER + "bogus\tx\nweights\n")

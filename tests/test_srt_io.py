@@ -131,6 +131,10 @@ class TestParseSrt:
             parse_srt(f"1\n00:00:00,000 --> 00:00:01,000\nok\n\n{block}\n")
         assert str(err.value) == f"cue block 2: {reason}"
 
+    def test_timing_line_without_an_end_time(self):
+        with pytest.raises(MalformedTimestamp, match="missing end timestamp"):
+            parse_srt("1\n00:00:00,000 -->  \nhi\n\n")
+
     def test_bad_timestamp_propagates(self):
         with pytest.raises(MalformedTimestamp):
             parse_srt("1\n00:00:00.000 --> 00:00:01,000\nhi\n\n")
@@ -272,6 +276,20 @@ class TestSegmentsMetadata:
     def test_malformed(self, text):
         with pytest.raises(MalformedMetadata):
             load_segments_metadata(text)
+
+    @pytest.mark.parametrize(
+        "item, reason",
+        [
+            ("- duration: 2.0", "expected a flow mapping {key: value, ...}"),
+            ("- {wav: a.wav, offset 1.0, duration: 2.0}", "bad key/value pair 'offset 1.0'"),
+        ],
+        ids=["not a flow mapping", "pair without a colon"],
+    )
+    def test_malformed_item_names_its_line(self, item, reason):
+        good = "- {wav: a.wav, offset: 1.0, duration: 2.0}"
+        with pytest.raises(MalformedMetadata) as err:
+            load_segments_metadata(f"{good}\n{item}\n")
+        assert str(err.value) == f"metadata line 2: {reason}"
 
     def test_error_carries_line_number(self):
         good = "- {wav: a.wav, offset: 1.0, duration: 2.0}"
