@@ -155,14 +155,6 @@ class AnnotatedSentence:
                     f"block has {len(block)} lines (max {max_lines_per_block})"
                 )
 
-    @property
-    def is_strict(self) -> bool:
-        try:
-            self.validate_strict()
-        except GrammarViolation:
-            return False
-        return True
-
 
 def normalize_text(text: str) -> str:
     """Collapse whitespace runs to single spaces and trim the ends."""

@@ -189,7 +189,7 @@ def _cmd_segment(args: Namespace, profile: ConstraintProfile, settings: _Setting
             if not line.strip():
                 out.append("")
             elif model is None:
-                out.append(segment_count_char(line, profile, seed=seed + i).to_text())
+                out.append(segment_count_char(line, profile, seed + i, args.mode).to_text())
             else:
                 out.append(segment_learned(model, line, profile, mode=args.mode).to_text())
         except ValueError as exc:
@@ -296,7 +296,10 @@ def build_parser() -> ArgumentParser:
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--model", help="trained model file")
     group.add_argument("--count-char", action="store_true", help="use the character-count baseline")
-    p.add_argument("--mode", choices=("full", "eol_only"), default="full")
+    p.add_argument(
+        "--mode", choices=("full", "eol_only"), default="full",
+        help="full: place every break; eol_only: keep the input's <eob>s and add only <eol>s",
+    )
     p.set_defaults(func=_cmd_segment)
 
     p = commands.add_parser("evaluate", parents=[common], help="score hypotheses against references")
@@ -331,8 +334,6 @@ def build_parser() -> ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "segment" and args.count_char and args.mode == "eol_only":
-        parser.error("segment: --mode eol_only needs --model; --count-char always segments in full")
     try:
         settings = _read_settings(args.config, _CONFIG_KEYS)
         # a flag that mirrors a --config key is stored under that key and overrides it

@@ -228,36 +228,43 @@ def _gold_labels(sentence: AnnotatedSentence) -> tuple[GapLabel, ...]:
 
 
 def segment_count_char(
-    sentence: str, profile: ConstraintProfile = DEFAULT_PROFILE, seed: int = 0
+    sentence: str | AnnotatedSentence,
+    profile: ConstraintProfile = DEFAULT_PROFILE,
+    seed: int = 0,
+    mode: str = "full",
 ) -> AnnotatedSentence:
-    """Greedy character-count segmentation.
+    """Greedy character-count segmentation of ``sentence``, read as
+    ``segment_learned`` reads it: its breaks are frozen, the other gaps open.
 
     Walk the decoder's states, consuming words until adding the next one
-    would push the current line past the line limit, then insert a break
-    after the last word that fit.  After an ``<eob>`` the break kind is
-    drawn at random between ``<eob>`` and ``<eol>`` if the block has room
-    for another line (a sentence starts a fresh screen, so the first draw is
-    random too); otherwise, and always after an ``<eol>``, it is forced to
-    ``<eob>``, so a block has at most two lines and never more than the
-    profile allows.  The final break is always ``<eob>``.  A word longer
-    than the line limit gets a line of its own.
+    would push the current line past the line limit, then break after the
+    last word that fit.  After an ``<eob>`` (a sentence starts on a fresh
+    screen) the kind is drawn between ``<eob>`` and ``<eol>`` if the block
+    has room for another line, counting its frozen ``<eol>``s still ahead;
+    otherwise it is ``<eob>``.  In ``eol_only`` mode it is ``<eol>`` if the
+    block has room and no break otherwise, with no draw.  The final break is
+    always ``<eob>``.  A word longer than the line limit gets a line of its own.
     """
-    words = sentence.split()
-    if not words:
-        raise ValueError("sentence must be non-empty")
-
+    words, frozen, open_labels = _plan(sentence, profile, mode)
     rng = random.Random(seed)
     clamp = _char_clamp(profile)
     max_lines = profile.max_lines_per_block
     state = _start(words, clamp, profile.cpl_limit, max_lines)
     labels = []
-    for word in words[1:]:
+    for gap, word in enumerate(words[1:], start=1):
         table = _table(min(len(word), clamp), clamp, profile.cpl_limit, max_lines)
         _, prev, overflow = _KEYS[table[0][state]]
-        label = GapLabel.NONE
-        if overflow:
-            roomy = prev is GapLabel.EOB and state % max_lines + 1 < max_lines
-            label = rng.choice((GapLabel.EOB, GapLabel.EOL)) if roomy else GapLabel.EOB
+        label = frozen.get(gap, GapLabel.NONE)
+        if overflow and gap not in frozen:
+            # the block's frozen <eol>s after this gap, up to its frozen <eob>
+            ahead = itertools.takewhile(GapLabel.EOL.__eq__, (f for g, f in frozen.items() if g > gap))
+            roomy = state % max_lines + 1 + len(list(ahead)) < max_lines
+            if GapLabel.EOB not in open_labels:
+                label = GapLabel.EOL if roomy else GapLabel.NONE
+            elif prev is GapLabel.EOB and roomy:
+                label = rng.choice((GapLabel.EOB, GapLabel.EOL))
+            else:
+                label = GapLabel.EOB
         labels.append(label)
         state = table[1 + label][state]
     labels.append(GapLabel.EOB)
@@ -550,50 +557,51 @@ def fine_tune(
     return _run_perceptron(model.weights, sentences, config, profile, fine_tuned=True)
 
 
+def _plan(
+    sentence: str | AnnotatedSentence, profile: ConstraintProfile, mode: str
+) -> tuple[tuple[str, ...], dict[int, GapLabel], tuple[GapLabel, ...]]:
+    """What a segmenter may do with ``sentence``: its words, the labels of the
+    gaps its breaks freeze, in gap order and never to be moved, and the
+    labels an open gap may take.  In ``full`` mode that is NONE/EOL/EOB and
+    the final gap is EOB; in ``eol_only`` mode the input must already end in
+    ``<eob>`` and open gaps take NONE or EOL, so the block structure is
+    untouched."""
+    if mode not in ("full", "eol_only"):
+        raise ValueError(f"mode must be 'full' or 'eol_only', got {mode!r}")
+    if isinstance(sentence, str):
+        sentence = AnnotatedSentence.from_text(sentence)
+    words = sentence.words
+    if not words:
+        raise ValueError("sentence has no words")
+
+    breaks = extract_breaks(sentence)
+    if breaks:
+        # frozen breaks must not already violate the grammar we guarantee
+        if not check_lines(sentence, profile):
+            raise GrammarViolation(f"an input block has more than {profile.max_lines_per_block} lines")
+        if sentence.items[-1] is BreakToken.EOL:
+            raise GrammarViolation(f"input must not end with {EOL_SYMBOL}")
+    frozen = {position.gap: _LABEL_FOR_BREAK[position.kind] for position in breaks}
+
+    if mode == "eol_only":
+        if sentence.items[-1] is not BreakToken.EOB:
+            raise GrammarViolation("eol_only input must already end with <eob>")
+        return words, frozen, _EOL_ONLY_LABELS
+    return words, frozen, _ALL_LABELS
+
+
 def segment_learned(
     model: LinearSegmenterModel,
     sentence: str | AnnotatedSentence,
     profile: ConstraintProfile = DEFAULT_PROFILE,
     mode: str = "full",
 ) -> AnnotatedSentence:
-    """Segment ``sentence`` with an exact constrained left-to-right decode.
-
-    Breaks already present in the input are frozen and never moved.  In
-    ``full`` mode every other gap may take NONE/EOL/EOB and the final gap is
-    forced to EOB; in ``eol_only`` mode the input must already end in
-    ``<eob>`` and open gaps only choose between NONE and EOL, so the block
-    structure is untouched.  A line break is never an option once a block
-    has reached the allowed number of lines, so the decode always yields a
-    grammatical sentence.
+    """Segment ``sentence`` with an exact constrained left-to-right decode of
+    the gaps that ``_plan`` leaves open.  A line break is never an option
+    once a block has reached the allowed number of lines, so the decode
+    always yields a grammatical sentence.
     """
-    if mode not in ("full", "eol_only"):
-        raise ValueError(f"mode must be 'full' or 'eol_only', got {mode!r}")
-    if isinstance(sentence, str):
-        annotated = AnnotatedSentence.from_text(sentence)
-    else:
-        annotated = sentence
-    words = annotated.words
-    if not words:
-        raise ValueError("sentence has no words")
-
-    breaks = extract_breaks(annotated)
-    if breaks:
-        # frozen breaks must not already violate the grammar we guarantee
-        if not check_lines(annotated, profile):
-            raise GrammarViolation(
-                f"an input block has more than {profile.max_lines_per_block} lines"
-            )
-        if annotated.items[-1] is BreakToken.EOL:
-            raise GrammarViolation(f"input must not end with {EOL_SYMBOL}")
-    frozen = {position.gap: _LABEL_FOR_BREAK[position.kind] for position in breaks}
-
-    if mode == "eol_only":
-        if annotated.items[-1] is not BreakToken.EOB:
-            raise GrammarViolation("eol_only input must already end with <eob>")
-        open_labels = _EOL_ONLY_LABELS
-    else:
-        open_labels = _ALL_LABELS
-
+    words, frozen, open_labels = _plan(sentence, profile, mode)
     labels, _ = _decode(words, model.weights, profile, frozen, open_labels, model._state_rows)
     return _labels_to_sentence(words, labels)
 

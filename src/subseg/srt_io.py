@@ -26,8 +26,6 @@ class MalformedCue(ValueError):
 
     def __init__(self, block_number: int, reason: str):
         super().__init__(f"cue block {block_number}: {reason}")
-        self.block_number = block_number
-        self.reason = reason
 
 
 class MalformedMetadata(ValueError):
@@ -36,7 +34,6 @@ class MalformedMetadata(ValueError):
     def __init__(self, line_number: int, reason: str):
         super().__init__(f"metadata line {line_number}: {reason}")
         self.line_number = line_number
-        self.reason = reason
 
 
 class NonMonotonicTiming(UserWarning):

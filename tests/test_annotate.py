@@ -60,10 +60,13 @@ class TestAnnotatedSentence:
         assert len(blocks[1]) == 2
 
     def test_strictness(self, figure_annotated):
-        assert sent(figure_annotated).is_strict
-        assert not sent("a b c").is_strict  # no terminal <eob>
-        assert not sent("a <eol> b <eol> c <eob>").is_strict  # 3-line block
-        assert not sent("").is_strict
+        sent(figure_annotated).validate_strict()
+        with pytest.raises(GrammarViolation):
+            sent("a b c").validate_strict()  # no terminal <eob>
+        with pytest.raises(GrammarViolation):
+            sent("a <eol> b <eol> c <eob>").validate_strict()  # 3-line block
+        with pytest.raises(GrammarViolation):
+            sent("").validate_strict()
 
     def test_lenient_trailing_block(self):
         assert sent("a <eob> b c").blocks() == ((("a",),), (("b", "c"),))

@@ -193,7 +193,7 @@ class TestSegment:
     @pytest.mark.parametrize(
         "flags, line, reason",
         [
-            (["--count-char"], "foo <eol> <eol> bar", "word token '<eol>' collides with a break symbol"),
+            (["--count-char"], "foo <eol> <eol> bar", "a break token must follow a word"),
             (["--model"], "foo <eol> <eol> bar", "a break token must follow a word"),
             (["--model", "--mode", "eol_only"], "foo bar <eol> baz", "eol_only input must already end with <eob>"),
         ],
@@ -209,14 +209,24 @@ class TestSegment:
         assert capsys.readouterr().err == f"error: {infile}:3: {reason}\n"
         assert not out.exists()
 
-    def test_count_char_with_eol_only_is_a_usage_error(self, tmp_path, capsys):
-        infile = write(tmp_path / "in.txt", "one two three <eob>\n")
+    def test_count_char_freezes_the_input_breaks(self, tmp_path):
+        infile = write(tmp_path / "in.txt", "one two three <eob>\none <eob> two three\n")
         out = tmp_path / "out.txt"
-        with pytest.raises(SystemExit) as err:
-            main(["segment", "--count-char", "--mode", "eol_only", "--in", str(infile), "--out", str(out)])
-        assert err.value.code == 2
-        assert "--mode eol_only needs --model" in capsys.readouterr().err
-        assert not out.exists()
+        assert main(["segment", "--count-char", "--in", str(infile), "--out", str(out)]) == 0
+        assert out.read_text(encoding="utf-8") == "one two three <eob>\none <eob> two three <eob>\n"
+
+    def test_count_char_with_eol_only_adds_line_breaks_inside_the_blocks(self, tmp_path):
+        block = " ".join(["abcde"] * 10)  # the 8th word would overflow the line
+        infile = write(tmp_path / "in.txt", f"one two three <eob>\n{block} <eob> four <eob>\n")
+        out = tmp_path / "out.txt"
+        assert main(
+            ["segment", "--count-char", "--mode", "eol_only", "--in", str(infile), "--out", str(out)]
+        ) == 0
+        seven, three = " ".join(["abcde"] * 7), " ".join(["abcde"] * 3)
+        assert out.read_text(encoding="utf-8").splitlines() == [
+            "one two three <eob>",
+            f"{seven} <eol> {three} <eob> four <eob>",
+        ]
 
     def test_learned_segmenter_preserves_text(self, tmp_path, tiny_model_file):
         sentences = synth.make_plain_sentences(5, seed=3)

@@ -83,7 +83,7 @@ class TestCountCharBaseline:
             for left, right in zip(kinds, kinds[1:]):
                 assert not (left is BreakToken.EOL and right is BreakToken.EOL)
             assert kinds[-1] is BreakToken.EOB
-            assert out.is_strict
+            out.validate_strict()
 
     def test_deterministic_under_seed(self):
         text = " ".join(["word"] * 40)
@@ -100,7 +100,7 @@ class TestCountCharBaseline:
         for seed in range(6):
             out = segment_count_char(text, seed=seed)
             assert strip_breaks(out) == text
-            assert out.is_strict
+            out.validate_strict()
             lines = [line for block in out.blocks() for line in block]
             assert (long_word,) in lines
         assert segment_count_char(long_word, seed=0).to_text() == f"{long_word} <eob>"
@@ -119,7 +119,7 @@ class TestCountCharBaseline:
         ]
         out = segment_count_char(" ".join(words), seed=seed)
         assert check_cpl(out, PROFILE).conforming
-        assert out.is_strict
+        out.validate_strict()
         assert strip_breaks(out) == " ".join(words)
 
     @staticmethod
@@ -172,6 +172,72 @@ class TestCountCharBaseline:
         sentence = " ".join(words)
         out = segment_count_char(sentence, profile, seed=seed)
         assert out.to_text() == self._greedy_reference(sentence, profile, seed)
+
+    # the cases of test_matches_the_greedy_reference
+    CASES = dict(
+        words=st.lists(st.text("abc,.", min_size=1, max_size=80), min_size=1, max_size=40),
+        seed=st.integers(0, 2**32),
+        cpl_limit=st.integers(3, 70),
+        max_lines=st.integers(1, 3),
+    )
+    ROLLS = st.lists(st.sampled_from([0, 0, 0, 0, 1, 2]), max_size=39)
+
+    @staticmethod
+    def _with_breaks(words, rolls, max_lines, eol_only):
+        frozen = TestTableDecode._frozen(len(words), rolls, max_lines, eol_only)
+        items = []
+        for gap, word in enumerate(words, start=1):
+            items.append(word)
+            if gap in frozen:
+                items.append(frozen[gap].break_token)
+        return AnnotatedSentence(tuple(items))
+
+    @settings(max_examples=300, deadline=None)
+    @given(**CASES, other_seed=st.integers(0, 2**32))
+    def test_its_own_output_is_kept_under_any_seed(self, words, seed, cpl_limit, max_lines, other_seed):
+        profile = ConstraintProfile(cpl_limit=cpl_limit, max_lines_per_block=max_lines)
+        out = segment_count_char(" ".join(words), profile, seed=seed)
+        assert segment_count_char(out, profile, seed=other_seed) == out
+        assert segment_count_char(out.to_text(), profile, seed=other_seed) == out
+
+    @settings(max_examples=300, deadline=None)
+    @given(**CASES, rolls=ROLLS, eol_only=st.booleans())
+    def test_keeps_every_input_break(self, words, seed, cpl_limit, max_lines, rolls, eol_only):
+        profile = ConstraintProfile(cpl_limit=cpl_limit, max_lines_per_block=max_lines)
+        source = self._with_breaks(words, rolls, max_lines, eol_only)
+        out = segment_count_char(source, profile, seed, "eol_only" if eol_only else "full")
+        assert out.words == source.words
+        assert set(extract_breaks(source)) <= set(extract_breaks(out))
+        out.validate_strict(max_lines)
+
+    @settings(max_examples=300, deadline=None)
+    @given(**CASES, rolls=ROLLS, other_seed=st.integers(0, 2**32))
+    def test_eol_only_keeps_the_blocks_and_draws_nothing(
+        self, words, seed, cpl_limit, max_lines, rolls, other_seed
+    ):
+        profile = ConstraintProfile(cpl_limit=cpl_limit, max_lines_per_block=max_lines)
+        source = self._with_breaks(words, rolls, max_lines, eol_only=True)
+        out = segment_count_char(source, profile, seed, "eol_only")
+        eobs = lambda s: [b.gap for b in extract_breaks(s) if b.kind is BreakToken.EOB]
+        assert eobs(out) == eobs(source)
+        assert segment_count_char(source, profile, other_seed, "eol_only") == out
+
+    def test_an_added_line_break_leaves_room_for_the_frozen_ones(self):
+        # the 8th word overflows the line, but the frozen <eol> already gives
+        # the block its second line
+        seven, three = " ".join(["abcde"] * 7), " ".join(["abcde"] * 3)
+        source = f"{seven} {three} <eol> end <eob>"
+        for seed in range(8):
+            out = segment_count_char(source, PROFILE, seed)
+            assert out.to_text() == f"{seven} <eob> {three} <eol> end <eob>"
+        assert segment_count_char(source, PROFILE, 0, "eol_only").to_text() == source
+
+    def test_eol_only_breaks_an_overflowing_line_of_a_roomy_block(self):
+        seven, three = " ".join(["abcde"] * 7), " ".join(["abcde"] * 3)
+        out = segment_count_char(f"{seven} {three} <eob>", PROFILE, 0, "eol_only")
+        assert out.to_text() == f"{seven} <eol> {three} <eob>"
+        with pytest.raises(GrammarViolation):
+            segment_count_char(f"{seven} {three}", PROFILE, 0, "eol_only")
 
     def test_one_line_blocks_promote_every_drawn_line_break(self):
         # 30 five-char words at the default limit break every 7 words; seed 1
@@ -447,7 +513,7 @@ class TestSegmentLearned:
         for i, text in enumerate(synth.make_plain_sentences(150, seed=31)):
             out = segment_learned(tuned, text)
             assert strip_breaks(out) == normalize_text(text)
-            assert out.is_strict
+            out.validate_strict()
             out_baseline = segment_count_char(text, seed=i)
             assert strip_breaks(out_baseline) == normalize_text(text)
 
