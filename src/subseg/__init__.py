@@ -13,6 +13,7 @@ from .annotate import (
     BreakToken,
     EOB_SYMBOL,
     EOL_SYMBOL,
+    GapLabel,
     GrammarViolation,
     InvalidGap,
     InvertedIndex,
@@ -45,7 +46,6 @@ from .pipeline import (
     stats,
 )
 from .segmenters import (
-    GapLabel,
     LinearSegmenterModel,
     TrainingConfig,
     extract_features,

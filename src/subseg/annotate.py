@@ -6,12 +6,16 @@ break tokens: ``<eol>`` ends a line inside a subtitle block and ``<eob>``
 ends the block itself.  A *strict* sentence is one a renderer can display
 directly: it ends with ``<eob>`` and no block holds more than two lines.
 
-Reconstruction works the other way around: the cues of each talk are
-indexed by their first word, and a plain sentence is rebuilt from one run
-of consecutive cues whose words are exactly its own, turning cue
-boundaries into ``<eob>`` and in-cue line boundaries into ``<eol>``.  Only
-cues that start with the sentence's first word can open a run, so a
-sentence is never matched against the whole talk.
+The same segmentation reads as words plus one ``GapLabel`` per gap, the
+decision after each word; ``labels`` and ``from_labels`` convert.
+
+Reconstruction works the other way around: each talk is indexed as one
+word sequence with the label after every word (``<eol>`` ends a cue line,
+``<eob>`` the cue) and, by first word, the offsets where cues start.  A
+plain sentence is rebuilt from the earliest slice of the talk that equals
+its words, starts where a cue starts and ends where a cue ends.  Only cues
+that start with the sentence's first word are tried, so a sentence is
+never matched against the whole talk.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ from __future__ import annotations
 import re
 import warnings
 from dataclasses import dataclass
-from enum import Enum
+from enum import Enum, IntEnum
 from typing import Iterable, Sequence
 
 from .srt_io import SegmentDuration, Subtitle, SubtitleDocument, Timestamp
@@ -33,6 +37,17 @@ class BreakToken(Enum):
 
     EOL = EOL_SYMBOL
     EOB = EOB_SYMBOL
+
+
+class GapLabel(IntEnum):
+    """Decision for the gap after a word."""
+
+    NONE = 0
+    EOL = 1
+    EOB = 2
+
+
+_BREAK_FOR_LABEL = (None, BreakToken.EOL, BreakToken.EOB)  # indexed by GapLabel
 
 
 class GrammarViolation(ValueError):
@@ -107,6 +122,17 @@ class AnnotatedSentence:
                 items.append(token)
         return cls(tuple(items))
 
+    @classmethod
+    def from_labels(cls, words: Iterable[str], labels: Iterable[int]) -> "AnnotatedSentence":
+        """Each word followed by the break its ``GapLabel`` stands for
+        (inverse of :attr:`labels`); the two must be equally long."""
+        items: list[str | BreakToken] = []
+        for word, label in zip(words, labels, strict=True):
+            items.append(word)
+            if label:
+                items.append(_BREAK_FOR_LABEL[label])
+        return cls(tuple(items))
+
     def to_text(self) -> str:
         """Render as one corpus line (inverse of :meth:`from_text`)."""
         return " ".join(item.value if isinstance(item, BreakToken) else item for item in self.items)
@@ -114,6 +140,17 @@ class AnnotatedSentence:
     @property
     def words(self) -> tuple[str, ...]:
         return tuple(item for item in self.items if isinstance(item, str))
+
+    @property
+    def labels(self) -> tuple[GapLabel, ...]:
+        """The ``GapLabel`` of the gap after each word, in word order."""
+        labels: list[GapLabel] = []
+        for item in self.items:
+            if isinstance(item, str):
+                labels.append(GapLabel.NONE)
+            else:
+                labels[-1] = GapLabel[item.name]
+        return tuple(labels)
 
     @property
     def has_eol(self) -> bool:
@@ -168,14 +205,11 @@ def strip_breaks(sentence: AnnotatedSentence) -> str:
 
 def extract_breaks(sentence: AnnotatedSentence) -> tuple[BreakPosition, ...]:
     """Break coordinates as (gap, kind) pairs, in sentence order."""
-    positions: list[BreakPosition] = []
-    gap = 0
-    for item in sentence.items:
-        if isinstance(item, str):
-            gap += 1
-        else:
-            positions.append(BreakPosition(gap, item))
-    return tuple(positions)
+    return tuple(
+        BreakPosition(gap, _BREAK_FOR_LABEL[label])
+        for gap, label in enumerate(sentence.labels, start=1)
+        if label
+    )
 
 
 def apply_breaks(
@@ -210,25 +244,21 @@ def apply_breaks(
 
 
 @dataclass(frozen=True, slots=True)
-class _IndexedCue:
-    line_words: tuple[tuple[str, ...], ...]
-    words: tuple[str, ...]
-
-
-@dataclass(frozen=True)
 class _IndexedTalk:
-    cues: tuple[_IndexedCue, ...]
-    starts: dict[str, list[int]]  # first word -> ascending positions in ``cues``
+    words: tuple[str, ...]
+    labels: bytes  # the GapLabel after each word
+    starts: dict[str, list[int]]  # a cue's first word -> ascending offsets of such cues
 
 
 class InvertedIndex:
     """Per-talk cue lookup used to rebuild sentences from subtitle text.
 
     Build once with :func:`build_index`; afterwards it is read-only and safe
-    to query concurrently.  For each talk it holds the cues in document
-    order, as whitespace-split words per line and flattened, and a map from
-    a cue's first word to the ascending positions of the cues starting with
-    it.  Within a talk each distinct word is one string object, however many
+    to query concurrently.  For each talk it holds the words of its cues in
+    document order, whitespace-split, the ``GapLabel`` after each word
+    (``EOL`` ends a cue line, ``EOB`` ends the cue), and a map from a cue's
+    first word to the ascending offsets where cues starting with it start.
+    Within a talk each distinct word is one string object, however many
     cues repeat it.
     """
 
@@ -236,7 +266,7 @@ class InvertedIndex:
         self._talks: dict[str, _IndexedTalk] = {}
 
     def __len__(self) -> int:
-        return sum(len(talk.cues) for talk in self._talks.values())
+        return sum(talk.labels.count(GapLabel.EOB) for talk in self._talks.values())
 
     def talk_ids(self) -> tuple[str, ...]:
         return tuple(self._talks)
@@ -248,37 +278,21 @@ def build_index(docs: Iterable[SubtitleDocument]) -> InvertedIndex:
     for doc in docs:
         if doc.talk_id in index._talks:
             raise DuplicateTalkId(doc.talk_id)
-        cues = []
+        words: list[str] = []
+        labels = bytearray()
         starts: dict[str, list[int]] = {}
         shared: dict[str, str] = {}  # each word of the talk -> its one kept copy
-        for position, sub in enumerate(doc.subtitles):
-            split = (line.split() for line in sub.lines)
-            line_words = tuple(tuple(shared.setdefault(w, w) for w in words) for words in split)
-            flat = tuple(word for line in line_words for word in line)
-            cues.append(_IndexedCue(line_words, flat))
-            starts.setdefault(flat[0], []).append(position)
-        index._talks[doc.talk_id] = _IndexedTalk(tuple(cues), starts)
+        for sub in doc.subtitles:
+            first = len(words)
+            for line in sub.lines:
+                split = line.split()
+                words.extend(shared.setdefault(w, w) for w in split)
+                labels.extend(bytes(len(split) - 1))
+                labels.append(GapLabel.EOL)
+            labels[-1] = GapLabel.EOB
+            starts.setdefault(words[first], []).append(first)
+        index._talks[doc.talk_id] = _IndexedTalk(tuple(words), bytes(labels), starts)
     return index
-
-
-def _tile(words: tuple[str, ...], talk: _IndexedTalk) -> tuple[_IndexedCue, ...] | None:
-    """The earliest run of consecutive cues whose words are exactly ``words``.
-
-    Only cues starting with the sentence's first word can open a run; from
-    each of them, in index order, the following cues are matched one after
-    another until the sentence is used up or a cue does not fit.
-    """
-    cues, total = talk.cues, len(words)
-    for first in talk.starts.get(words[0], ()):
-        pos = 0
-        for j in range(first, len(cues)):
-            end = pos + len(cues[j].words)
-            if words[pos:end] != cues[j].words:
-                break
-            if end == total:
-                return cues[first : j + 1]
-            pos = end
-    return None
 
 
 def align_sentence(sentence: str, talk_id: str, index: InvertedIndex) -> AnnotatedSentence:
@@ -293,19 +307,16 @@ def align_sentence(sentence: str, talk_id: str, index: InvertedIndex) -> Annotat
     if not words:
         raise ValueError("sentence must be non-empty")
     talk = index._talks.get(talk_id)
-    if not talk or not talk.cues:
+    if talk is None or not talk.words:
         raise NoAlignment(f"no subtitles indexed for talk {talk_id!r}")
-    chosen = _tile(words, talk)
-    if chosen is None:
-        raise NoAlignment(
-            f"no in-order tiling of talk {talk_id!r} cues reconstructs the sentence"
-        )
-    items: list[str | BreakToken] = []
-    for cue in chosen:
-        for line_number, line in enumerate(cue.line_words, start=1):
-            items.extend(line)
-            items.append(BreakToken.EOL if line_number < len(cue.line_words) else BreakToken.EOB)
-    return AnnotatedSentence(tuple(items))
+    labels = talk.labels
+    for first in talk.starts.get(words[0], ()):
+        end = first + len(words)
+        if end <= len(labels) and labels[end - 1] == GapLabel.EOB:
+            run = talk.words[first:end]
+            if run == words:
+                return AnnotatedSentence.from_labels(run, labels[first:end])
+    raise NoAlignment(f"no in-order tiling of talk {talk_id!r} cues reconstructs the sentence")
 
 
 _DOUBLE_SPACE_RE = re.compile(r"(?<=\S) {2,}(?=\S)")

@@ -122,11 +122,11 @@ def _parsed_talks(
     srt_paths: Iterable[Path], broken_talks: dict[str, str]
 ) -> Iterator[SubtitleDocument]:
     """Parse one file per step, so only the talk being indexed is held; a
-    file that does not decode or parse costs only its own talk."""
+    file that cannot be read, decoded or parsed costs only its own talk."""
     for srt_path in srt_paths:
         try:
             yield parse_srt(srt_path.read_text(encoding="utf-8"), talk_id=srt_path.stem)
-        except ValueError as exc:
+        except (OSError, ValueError) as exc:
             broken_talks[srt_path.stem] = f"{srt_path}: {exc}"
             print(f"warning: skipped {srt_path}: {exc}", file=sys.stderr)
 

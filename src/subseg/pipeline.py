@@ -10,7 +10,6 @@ from typing import Iterable, Mapping, Sequence
 
 from .annotate import (
     AnnotatedSentence,
-    NoAlignment,
     align_sentence,
     build_index,
     restore_eol_from_double_space,
@@ -60,10 +59,12 @@ def build_corpus(
     Returns the successfully aligned sentences in input order plus a log
     entry per non-blank line, numbered from 1 by its place in ``lines``; a
     line without a tab, a blank sentence, a sentence of a talk in
-    ``broken_talks`` (talk id -> why its subtitles could not be read) and an
-    alignment failure are logged, never fatal.  ``docs`` is consumed one
-    document at a time before the first sentence is aligned, so it may be a
-    generator that adds to ``broken_talks`` as it goes.
+    ``broken_talks`` (talk id -> why its subtitles could not be read), an
+    alignment failure and a sentence that cannot be rebuilt as an annotated
+    sentence (its cues hold a break symbol as a word) are logged, never
+    fatal.  ``docs`` is consumed one document at a time before the first
+    sentence is aligned, so it may be a generator that adds to
+    ``broken_talks`` as it goes.
     """
     index = build_index(preprocess_document(doc) for doc in docs)
     if broken_talks is None:
@@ -84,7 +85,7 @@ def build_corpus(
         try:
             corpus.append(align_sentence(text, talk_id, index))
             log.append(AlignmentLogEntry(line_number, talk_id, aligned=True))
-        except NoAlignment as exc:
+        except ValueError as exc:  # NoAlignment included
             log.append(AlignmentLogEntry(line_number, talk_id, aligned=False, detail=str(exc)))
     return corpus, log
 

@@ -18,16 +18,9 @@ import itertools
 import math
 import random
 from dataclasses import dataclass
-from enum import IntEnum
 from typing import Iterable, Mapping, Sequence
 
-from .annotate import (
-    AnnotatedSentence,
-    BreakToken,
-    EOL_SYMBOL,
-    GrammarViolation,
-    extract_breaks,
-)
+from .annotate import AnnotatedSentence, EOL_SYMBOL, GapLabel, GrammarViolation
 from .constraints import ConstraintProfile, DEFAULT_PROFILE, check_lines
 
 DEFAULT_EPOCHS = 12
@@ -47,24 +40,6 @@ class SubsetViolation(ValueError):
 class ModelFormatError(ValueError):
     """A persisted model has an unknown version or a broken record."""
 
-
-class GapLabel(IntEnum):
-    """Decision for the gap after a word."""
-
-    NONE = 0
-    EOL = 1
-    EOB = 2
-
-    @property
-    def break_token(self) -> BreakToken | None:
-        if self is GapLabel.EOL:
-            return BreakToken.EOL
-        if self is GapLabel.EOB:
-            return BreakToken.EOB
-        return None
-
-
-_LABEL_FOR_BREAK = {BreakToken.EOL: GapLabel.EOL, BreakToken.EOB: GapLabel.EOB}
 
 _ALL_LABELS = (GapLabel.NONE, GapLabel.EOL, GapLabel.EOB)
 _EOL_ONLY_LABELS = (GapLabel.NONE, GapLabel.EOL)
@@ -210,23 +185,6 @@ def extract_features(
     return [*features, *_tail_keys(tail)[key]]
 
 
-def _labels_to_sentence(words: Sequence[str], labels: Sequence[GapLabel]) -> AnnotatedSentence:
-    items: list[str | BreakToken] = []
-    for word, label in zip(words, labels):
-        items.append(word)
-        token = label.break_token
-        if token is not None:
-            items.append(token)
-    return AnnotatedSentence(tuple(items))
-
-
-def _gold_labels(sentence: AnnotatedSentence) -> tuple[GapLabel, ...]:
-    labels = [GapLabel.NONE] * len(sentence.words)
-    for position in extract_breaks(sentence):
-        labels[position.gap - 1] = _LABEL_FOR_BREAK[position.kind]
-    return tuple(labels)
-
-
 def segment_count_char(
     sentence: str | AnnotatedSentence,
     profile: ConstraintProfile = DEFAULT_PROFILE,
@@ -268,7 +226,7 @@ def segment_count_char(
         labels.append(label)
         state = table[1 + label][state]
     labels.append(GapLabel.EOB)
-    return _labels_to_sentence(words, labels)
+    return AnnotatedSentence.from_labels(words, labels)
 
 
 # what the state features see of a state, besides the word's punctuation
@@ -495,7 +453,7 @@ def _run_perceptron(
     state = _AveragedWeights(initial)
     rng = random.Random(config.seed)
     order = list(range(len(sentences)))
-    gold_cache = [(s.words, _gold_labels(s)) for s in sentences]
+    gold_cache = [(s.words, s.labels) for s in sentences]
     state_rows: _StateRows = {}
 
     for _ in range(config.epochs):
@@ -574,17 +532,17 @@ def _plan(
     if not words:
         raise ValueError("sentence has no words")
 
-    breaks = extract_breaks(sentence)
-    if breaks:
+    labels = sentence.labels
+    frozen = {gap: label for gap, label in enumerate(labels, start=1) if label}
+    if frozen:
         # frozen breaks must not already violate the grammar we guarantee
         if not check_lines(sentence, profile):
             raise GrammarViolation(f"an input block has more than {profile.max_lines_per_block} lines")
-        if sentence.items[-1] is BreakToken.EOL:
+        if labels[-1] is GapLabel.EOL:
             raise GrammarViolation(f"input must not end with {EOL_SYMBOL}")
-    frozen = {position.gap: _LABEL_FOR_BREAK[position.kind] for position in breaks}
 
     if mode == "eol_only":
-        if sentence.items[-1] is not BreakToken.EOB:
+        if labels[-1] is not GapLabel.EOB:
             raise GrammarViolation("eol_only input must already end with <eob>")
         return words, frozen, _EOL_ONLY_LABELS
     return words, frozen, _ALL_LABELS
@@ -603,7 +561,7 @@ def segment_learned(
     """
     words, frozen, open_labels = _plan(sentence, profile, mode)
     labels, _ = _decode(words, model.weights, profile, frozen, open_labels, model._state_rows)
-    return _labels_to_sentence(words, labels)
+    return AnnotatedSentence.from_labels(words, labels)
 
 
 def dump_model(model: LinearSegmenterModel) -> str:

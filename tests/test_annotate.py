@@ -7,6 +7,7 @@ from subseg.annotate import (
     BreakPosition,
     BreakToken,
     DuplicateTalkId,
+    GapLabel,
     GrammarViolation,
     InvalidGap,
     NoAlignment,
@@ -150,6 +151,19 @@ def strict_sentences(draw, max_words=14):
     return AnnotatedSentence(tuple(items))
 
 
+@st.composite
+def lenient_sentences(draw, max_words=14):
+    """Any break after any word: blocks of any height, no final break needed."""
+    words = draw(st.lists(_word, max_size=max_words))
+    items = []
+    for word in words:
+        items.append(word)
+        pick = draw(st.sampled_from([None, EOL, EOB]))
+        if pick is not None:
+            items.append(pick)
+    return AnnotatedSentence(tuple(items))
+
+
 class TestInversePairs:
     @given(strict_sentences())
     @settings(max_examples=300)
@@ -161,6 +175,28 @@ class TestInversePairs:
     def test_corpus_text_round_trip(self, sentence):
         # break symbols are written as their values, the symbols from_text reads
         assert AnnotatedSentence.from_text(sentence.to_text()) == sentence
+
+    def test_labels_of_figure_sentence(self, figure_annotated):
+        none, eol, eob = GapLabel.NONE, GapLabel.EOL, GapLabel.EOB
+        assert sent("a b <eol> c <eob> d").labels == (none, eol, eob, none)
+        labels = sent(figure_annotated).labels
+        assert [gap for gap, label in enumerate(labels, start=1) if label] == [6, 12, 17]
+        assert (labels[5], labels[11], labels[16]) == (eob, eol, eob)
+
+    @given(st.one_of(strict_sentences(), lenient_sentences()))
+    @settings(max_examples=300)
+    def test_labels_round_trip(self, sentence):
+        labels = sentence.labels
+        assert len(labels) == len(sentence.words)
+        assert all(type(label) is GapLabel for label in labels)
+        assert AnnotatedSentence.from_labels(sentence.words, labels) == sentence
+
+    @given(st.one_of(strict_sentences(), lenient_sentences()), st.booleans())
+    def test_from_labels_rejects_mismatched_lengths(self, sentence, longer):
+        labels = sentence.labels
+        labels = labels + (GapLabel.NONE,) if longer or not labels else labels[:-1]
+        with pytest.raises(ValueError):
+            AnnotatedSentence.from_labels(sentence.words, labels)
 
     @given(strict_sentences())
     def test_extract_of_apply(self, sentence):
@@ -230,10 +266,10 @@ class TestIndexAndAlign:
             "2\n00:00:01,000 --> 00:00:02,000\nonce more  repeated\n\n"
         )
         doc = parse_srt(srt, talk_id="t")
-        first, second = build_index([doc])._talks["t"].cues
-        assert first.words[0] == second.words[2] == "repeated"
-        assert first.words[0] is second.words[2]
-        for record in (first, doc.subtitles[0], doc.subtitles[0].start):
+        talk = build_index([doc])._talks["t"]
+        assert talk.words[0] == talk.words[5] == "repeated"
+        assert talk.words[0] is talk.words[5]
+        for record in (talk, doc.subtitles[0], doc.subtitles[0].start):
             assert not hasattr(record, "__dict__")
 
     def test_empty_index(self):

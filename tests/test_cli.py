@@ -508,9 +508,15 @@ class TestBuildCorpusCommand:
         srt_dir.mkdir()
         write(srt_dir / "t1.srt", "1\n00:00:01,000 --> 00:00:02,000\nsome words\n\n")
         bad = write(srt_dir / "t3.srt", "1\n00:00:05,000 --> 00:00:01,000\nbackwards cue\n\n")
+        write(srt_dir / "t4.srt", "1\n00:00:01,000 --> 00:00:02,000\nsay <eob> now\n\n")
+        unreadable = srt_dir / "t5.srt"
+        unreadable.mkdir()
+        with pytest.raises(OSError) as raised:
+            unreadable.read_text(encoding="utf-8")
         sentences = write(
             tmp_path / "sentences.tsv",
-            "t1\tsome words\n\nno tab here\nt2\t   \nt3\tx\nt1\tother\n",
+            "t1\tsome words\n\nno tab here\nt2\t   \nt3\tx\nt1\tother\n"
+            "t4\tsay <eob> now\nt5\tx\n",
         )
         out = tmp_path / "corpus.txt"
         log = tmp_path / "log.tsv"
@@ -526,11 +532,15 @@ class TestBuildCorpusCommand:
             "4\tt2\tfailed\tempty sentence",
             f"5\tt3\tfailed\t{bad}: {reason}",
             "6\tt1\tfailed\tno in-order tiling of talk 't1' cues reconstructs the sentence",
+            "7\tt4\tfailed\tword token '<eob>' collides with a break symbol",
+            f"8\tt5\tfailed\t{unreadable}: {raised.value}",
         ]
         assert out.read_text(encoding="utf-8") == "some words <eob>\n"
         captured = capsys.readouterr()
-        assert captured.out == "aligned 1/5 sentences\n"
-        assert captured.err == f"warning: skipped {bad}: {reason}\n"
+        assert captured.out == "aligned 1/7 sentences\n"
+        assert captured.err == (
+            f"warning: skipped {bad}: {reason}\nwarning: skipped {unreadable}: {raised.value}\n"
+        )
 
     def test_bare_carriage_return_in_a_cue_reads_as_a_line_break(self, tmp_path, capsys):
         # .srt files are read with universal newlines, so a cue line never

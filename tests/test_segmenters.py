@@ -185,12 +185,8 @@ class TestCountCharBaseline:
     @staticmethod
     def _with_breaks(words, rolls, max_lines, eol_only):
         frozen = TestTableDecode._frozen(len(words), rolls, max_lines, eol_only)
-        items = []
-        for gap, word in enumerate(words, start=1):
-            items.append(word)
-            if gap in frozen:
-                items.append(frozen[gap].break_token)
-        return AnnotatedSentence(tuple(items))
+        labels = [frozen.get(gap, GapLabel.NONE) for gap in range(1, len(words) + 1)]
+        return AnnotatedSentence.from_labels(words, labels)
 
     @settings(max_examples=300, deadline=None)
     @given(**CASES, other_seed=st.integers(0, 2**32))
@@ -676,12 +672,8 @@ class TestExactDecode:
                 frozen[gap], eols = GapLabel.EOL, eols + 1
         if mode == "eol_only" or rng.random() < 0.5:
             frozen[n] = GapLabel.EOB
-        items = []
-        for gap, word in enumerate(words, start=1):
-            items.append(word)
-            if gap in frozen:
-                items.append(frozen[gap].break_token)
-        return words, frozen, AnnotatedSentence(tuple(items))
+        labels = [frozen.get(gap, GapLabel.NONE) for gap in range(1, n + 1)]
+        return words, frozen, AnnotatedSentence.from_labels(words, labels)
 
     @pytest.mark.parametrize("integer", [False, True], ids=["uniform", "integer"])
     @pytest.mark.parametrize("mode", ["full", "eol_only"])
