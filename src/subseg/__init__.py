@@ -10,7 +10,6 @@ re-annotation loop.
 from .annotate import (
     AnnotatedSentence,
     BreakPosition,
-    BreakToken,
     EOB_SYMBOL,
     EOL_SYMBOL,
     GapLabel,

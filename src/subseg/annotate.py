@@ -1,13 +1,13 @@
 """Sentences annotated with subtitle-break symbols, and their
 reconstruction from subtitle documents.
 
-An annotated sentence is a flat sequence of word tokens interleaved with
-break tokens: ``<eol>`` ends a line inside a subtitle block and ``<eob>``
-ends the block itself.  A *strict* sentence is one a renderer can display
-directly: it ends with ``<eob>`` and no block holds more than two lines.
-
-The same segmentation reads as words plus one ``GapLabel`` per gap, the
-decision after each word; ``labels`` and ``from_labels`` convert.
+An annotated sentence is a sequence of words plus one ``GapLabel`` per
+gap, the decision after each word: no break, ``<eol>`` (end of a line
+inside a subtitle block) or ``<eob>`` (end of the block itself).  In the
+corpus line format each break is written as its symbol after its word;
+``from_text`` reads that format and is the one place a break can be
+misplaced.  A *strict* sentence is one a renderer can display directly:
+it ends with ``<eob>`` and no block holds more than two lines.
 
 Reconstruction works the other way around: each talk is indexed as one
 word sequence with the label after every word (``<eol>`` ends a cue line,
@@ -23,20 +23,13 @@ from __future__ import annotations
 import re
 import warnings
 from dataclasses import dataclass
-from enum import Enum, IntEnum
+from enum import IntEnum
 from typing import Iterable, Sequence
 
 from .srt_io import SegmentDuration, Subtitle, SubtitleDocument, Timestamp
 
 EOL_SYMBOL = "<eol>"
 EOB_SYMBOL = "<eob>"
-
-
-class BreakToken(Enum):
-    """Subtitle break symbols: end of line and end of block."""
-
-    EOL = EOL_SYMBOL
-    EOB = EOB_SYMBOL
 
 
 class GapLabel(IntEnum):
@@ -47,7 +40,9 @@ class GapLabel(IntEnum):
     EOB = 2
 
 
-_BREAK_FOR_LABEL = (None, BreakToken.EOL, BreakToken.EOB)  # indexed by GapLabel
+_LABEL_OF_SYMBOL = {EOL_SYMBOL: GapLabel.EOL, EOB_SYMBOL: GapLabel.EOB}
+_GAP_LABELS = {label: label for label in GapLabel}  # 0-2 (or a member) -> its member
+_TEXT_AFTER = ("", f" {EOL_SYMBOL}", f" {EOB_SYMBOL}")  # indexed by GapLabel
 
 
 class GrammarViolation(ValueError):
@@ -72,89 +67,72 @@ class AnnotationWarning(UserWarning):
 
 @dataclass(frozen=True)
 class BreakPosition:
-    """A break after the ``gap``-th word (1-based), with its kind."""
+    """A break after the ``gap``-th word (1-based), with its kind:
+    ``GapLabel.EOL`` or ``GapLabel.EOB``."""
 
     gap: int
-    kind: BreakToken
+    kind: GapLabel
 
     def __post_init__(self):
         if self.gap < 1:
             raise InvalidGap(f"gap must be >= 1, got {self.gap}")
+        if self.kind is not GapLabel.EOL and self.kind is not GapLabel.EOB:
+            raise InvalidGap(f"a break is GapLabel.EOL or GapLabel.EOB, got {self.kind!r}")
 
 
 @dataclass(frozen=True)
 class AnnotatedSentence:
-    """An ordered mix of word tokens (plain strings) and BreakToken items.
+    """Words plus the ``GapLabel`` of the gap after each word.
 
-    Words never contain whitespace and never equal a break symbol; a break
-    always follows a word, so two breaks can never be adjacent and a
+    Words never contain whitespace and never equal a break symbol.  Labels
+    may be given as ints 0-2 and are stored as ``GapLabel`` members.  A
+    break always follows a word, so two breaks can never be adjacent and a
     sentence can never open with one.
     """
 
-    items: tuple[str | BreakToken, ...]
+    words: tuple[str, ...]
+    labels: tuple[GapLabel, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "items", tuple(self.items))
-        previous_was_break = True  # also forbids a leading break
-        for item in self.items:
-            if isinstance(item, BreakToken):
-                if previous_was_break:
-                    raise GrammarViolation("a break token must follow a word")
-                previous_was_break = True
-                continue
-            if not isinstance(item, str) or item.split() != [item]:
-                raise ValueError(f"bad word token {item!r}")
-            if item in (EOL_SYMBOL, EOB_SYMBOL):
-                raise ValueError(f"word token {item!r} collides with a break symbol")
-            previous_was_break = False
+        words = tuple(self.words)
+        try:
+            labels = tuple([_GAP_LABELS[label] for label in self.labels])
+        except (KeyError, TypeError):
+            raise ValueError(f"labels must be 0, 1 or 2, got {self.labels!r}") from None
+        if len(words) != len(labels):
+            raise ValueError(f"{len(words)} words but {len(labels)} labels")
+        for word in words:
+            if not isinstance(word, str) or word.split() != [word]:
+                raise ValueError(f"bad word token {word!r}")
+            if word in _LABEL_OF_SYMBOL:
+                raise ValueError(f"word token {word!r} collides with a break symbol")
+        object.__setattr__(self, "words", words)
+        object.__setattr__(self, "labels", labels)
 
     @classmethod
     def from_text(cls, text: str) -> "AnnotatedSentence":
         """Parse the corpus line format: space-separated tokens with literal
-        ``<eol>`` / ``<eob>`` break symbols."""
-        items: list[str | BreakToken] = []
+        ``<eol>`` / ``<eob>`` break symbols, each right after a word."""
+        words: list[str] = []
+        labels: list[int] = []
         for token in text.split():
-            if token == EOL_SYMBOL:
-                items.append(BreakToken.EOL)
-            elif token == EOB_SYMBOL:
-                items.append(BreakToken.EOB)
+            label = _LABEL_OF_SYMBOL.get(token)
+            if label is None:
+                words.append(token)
+                labels.append(0)  # GapLabel.NONE, without the enum lookup per word
+            elif not labels or labels[-1]:
+                raise GrammarViolation("a break token must follow a word")
             else:
-                items.append(token)
-        return cls(tuple(items))
-
-    @classmethod
-    def from_labels(cls, words: Iterable[str], labels: Iterable[int]) -> "AnnotatedSentence":
-        """Each word followed by the break its ``GapLabel`` stands for
-        (inverse of :attr:`labels`); the two must be equally long."""
-        items: list[str | BreakToken] = []
-        for word, label in zip(words, labels, strict=True):
-            items.append(word)
-            if label:
-                items.append(_BREAK_FOR_LABEL[label])
-        return cls(tuple(items))
+                labels[-1] = label
+        return cls(words, labels)
 
     def to_text(self) -> str:
         """Render as one corpus line (inverse of :meth:`from_text`)."""
-        return " ".join(item.value if isinstance(item, BreakToken) else item for item in self.items)
-
-    @property
-    def words(self) -> tuple[str, ...]:
-        return tuple(item for item in self.items if isinstance(item, str))
-
-    @property
-    def labels(self) -> tuple[GapLabel, ...]:
-        """The ``GapLabel`` of the gap after each word, in word order."""
-        labels: list[GapLabel] = []
-        for item in self.items:
-            if isinstance(item, str):
-                labels.append(GapLabel.NONE)
-            else:
-                labels[-1] = GapLabel[item.name]
-        return tuple(labels)
+        return " ".join([word + _TEXT_AFTER[label] for word, label in zip(self.words, self.labels)])
 
     @property
     def has_eol(self) -> bool:
-        return any(item is BreakToken.EOL for item in self.items)
+        return GapLabel.EOL in self.labels
 
     def blocks(self) -> tuple[tuple[tuple[str, ...], ...], ...]:
         """Block structure: a tuple of blocks, each a tuple of lines, each a
@@ -163,17 +141,14 @@ class AnnotatedSentence:
         blocks: list[tuple[tuple[str, ...], ...]] = []
         lines: list[tuple[str, ...]] = []
         words: list[str] = []
-        for item in self.items:
-            if isinstance(item, str):
-                words.append(item)
-            elif item is BreakToken.EOL:
+        for word, label in zip(self.words, self.labels):
+            words.append(word)
+            if label:
                 lines.append(tuple(words))
                 words = []
-            else:
-                lines.append(tuple(words))
-                blocks.append(tuple(lines))
-                words = []
-                lines = []
+                if label is GapLabel.EOB:
+                    blocks.append(tuple(lines))
+                    lines = []
         if words:
             lines.append(tuple(words))
         if lines:
@@ -182,9 +157,9 @@ class AnnotatedSentence:
 
     def validate_strict(self, max_lines_per_block: int = 2) -> None:
         """Raise GrammarViolation unless the sentence is fully renderable."""
-        if not self.items:
+        if not self.labels:
             raise GrammarViolation("empty sentence")
-        if self.items[-1] is not BreakToken.EOB:
+        if self.labels[-1] is not GapLabel.EOB:
             raise GrammarViolation(f"sentence must end with {EOB_SYMBOL}")
         for block in self.blocks():
             if len(block) > max_lines_per_block:
@@ -206,7 +181,7 @@ def strip_breaks(sentence: AnnotatedSentence) -> str:
 def extract_breaks(sentence: AnnotatedSentence) -> tuple[BreakPosition, ...]:
     """Break coordinates as (gap, kind) pairs, in sentence order."""
     return tuple(
-        BreakPosition(gap, _BREAK_FOR_LABEL[label])
+        BreakPosition(gap, label)
         for gap, label in enumerate(sentence.labels, start=1)
         if label
     )
@@ -221,6 +196,7 @@ def apply_breaks(
     ``strict`` (the default) the result must satisfy the full grammar.
     """
     words = text.split()
+    labels = [GapLabel.NONE] * len(words)
     last_gap = 0
     for position in breaks:
         if position.gap <= last_gap:
@@ -230,14 +206,8 @@ def apply_breaks(
         if position.gap > len(words):
             raise InvalidGap(f"gap {position.gap} beyond the {len(words)}-word sentence")
         last_gap = position.gap
-    kind_by_gap = {position.gap: position.kind for position in breaks}
-    items: list[str | BreakToken] = []
-    for i, word in enumerate(words, start=1):
-        items.append(word)
-        kind = kind_by_gap.get(i)
-        if kind is not None:
-            items.append(kind)
-    sentence = AnnotatedSentence(tuple(items))
+        labels[last_gap - 1] = position.kind
+    sentence = AnnotatedSentence(words, labels)
     if strict:
         sentence.validate_strict()
     return sentence
@@ -315,7 +285,7 @@ def align_sentence(sentence: str, talk_id: str, index: InvertedIndex) -> Annotat
         if end <= len(labels) and labels[end - 1] == GapLabel.EOB:
             run = talk.words[first:end]
             if run == words:
-                return AnnotatedSentence.from_labels(run, labels[first:end])
+                return AnnotatedSentence(run, labels[first:end])
     raise NoAlignment(f"no in-order tiling of talk {talk_id!r} cues reconstructs the sentence")
 
 

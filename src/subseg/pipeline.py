@@ -5,6 +5,7 @@ corpus statistics, and the iterative line-break re-annotation loop.
 from __future__ import annotations
 
 import json
+import warnings
 from dataclasses import asdict, dataclass, replace
 from typing import Iterable, Mapping, Sequence
 
@@ -37,14 +38,23 @@ class AlignmentLogEntry:
 
 def preprocess_document(doc: SubtitleDocument) -> SubtitleDocument:
     """Restore collapsed line breaks: single-line cues containing an internal
-    double space are split back into two lines."""
+    double space are split back into two lines.  Each warning this raises
+    is raised again with the talk id and the cue index in front."""
     subtitles = []
-    for sub in doc.subtitles:
-        if len(sub.lines) == 1:
-            lines = restore_eol_from_double_space(sub.lines[0])
-            if len(lines) == 2:
-                sub = replace(sub, lines=tuple(lines))
-        subtitles.append(sub)
+    notes = []  # (cue index, caught warning)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        for sub in doc.subtitles:
+            if len(sub.lines) == 1:
+                lines = restore_eol_from_double_space(sub.lines[0])
+                if caught:
+                    notes += [(sub.index, note) for note in caught]
+                    caught.clear()
+                if len(lines) == 2:
+                    sub = replace(sub, lines=tuple(lines))
+            subtitles.append(sub)
+    for cue, note in notes:
+        warnings.warn(f"talk {doc.talk_id!r}, cue {cue}: {note.message}", note.category, stacklevel=2)
     return replace(doc, subtitles=tuple(subtitles))
 
 

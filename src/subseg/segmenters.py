@@ -226,7 +226,7 @@ def segment_count_char(
         labels.append(label)
         state = table[1 + label][state]
     labels.append(GapLabel.EOB)
-    return AnnotatedSentence.from_labels(words, labels)
+    return AnnotatedSentence(words, labels)
 
 
 # what the state features see of a state, besides the word's punctuation
@@ -561,7 +561,7 @@ def segment_learned(
     """
     words, frozen, open_labels = _plan(sentence, profile, mode)
     labels, _ = _decode(words, model.weights, profile, frozen, open_labels, model._state_rows)
-    return AnnotatedSentence.from_labels(words, labels)
+    return AnnotatedSentence(words, labels)
 
 
 def dump_model(model: LinearSegmenterModel) -> str:

@@ -156,7 +156,8 @@ def parse_srt(text: str, talk_id: str = "") -> SubtitleDocument:
     internal spacing is preserved verbatim.  A leading UTF-8 BOM is dropped.
 
     Raises MalformedCue / MalformedTimestamp on structural damage; emits a
-    NonMonotonicTiming warning when start times go backwards.
+    NonMonotonicTiming warning, naming ``talk_id``, when start times go
+    backwards.
     """
     if text.startswith("﻿"):
         text = text[1:]
@@ -191,7 +192,7 @@ def parse_srt(text: str, talk_id: str = "") -> SubtitleDocument:
         first = backwards[0]
         warnings.warn(
             NonMonotonicTiming(
-                f"{len(backwards)} cue(s) start before their predecessor "
+                f"talk {talk_id!r}: {len(backwards)} cue(s) start before their predecessor "
                 f"(first: cue {first[1]} after cue {first[0]})"
             ),
             stacklevel=2,

@@ -10,8 +10,7 @@ and the sentence always ends a block.  Lines therefore never exceed
 
 import random
 
-from subseg.annotate import AnnotatedSentence, BreakToken
-from subseg.segmenters import GapLabel
+from subseg.annotate import AnnotatedSentence, GapLabel
 
 LINE_TRIGGER = 26
 COMMA_TRIGGER = 13
@@ -54,17 +53,6 @@ def hidden_rule_labels(words):
     return labels
 
 
-def _to_sentence(words, labels):
-    items = []
-    for word, label in zip(words, labels):
-        items.append(word)
-        if label is GapLabel.EOL:
-            items.append(BreakToken.EOL)
-        elif label is GapLabel.EOB:
-            items.append(BreakToken.EOB)
-    return AnnotatedSentence(tuple(items))
-
-
 def make_sentence(rng, vocab, min_words=6, max_words=24, comma_prob=0.12, strong_prob=0.05):
     words = []
     n = rng.randint(min_words, max_words)
@@ -79,7 +67,7 @@ def make_sentence(rng, vocab, min_words=6, max_words=24, comma_prob=0.12, strong
         elif rng.random() < 0.8:
             word += "."
         words.append(word)
-    return _to_sentence(words, hidden_rule_labels(words))
+    return AnnotatedSentence(words, hidden_rule_labels(words))
 
 
 def make_corpus(n, seed, vocab=None, min_words=6, max_words=24, comma_prob=0.12, strong_prob=0.05):
@@ -93,9 +81,8 @@ def make_corpus(n, seed, vocab=None, min_words=6, max_words=24, comma_prob=0.12,
 
 def strip_eols(sentence):
     """Collapse every block to one line by dropping the <eol> tokens."""
-    return AnnotatedSentence(
-        tuple(item for item in sentence.items if item is not BreakToken.EOL)
-    )
+    labels = (GapLabel.NONE if label is GapLabel.EOL else label for label in sentence.labels)
+    return AnnotatedSentence(sentence.words, tuple(labels))
 
 
 def partially_collapsed_corpus(n, seed, keep_eol_fraction=0.25, vocab=None):

@@ -15,7 +15,7 @@ import pytest
 from subseg.annotate import (
     AnnotatedSentence,
     BreakPosition,
-    BreakToken,
+    GapLabel,
     align_sentence,
     apply_breaks,
     build_index,
@@ -46,8 +46,8 @@ import synth
 from conftest import FIGURE_ANNOTATED, FIGURE_SENTENCE, FIGURE_SRT
 
 PROFILE = ConstraintProfile()
-EOL = BreakToken.EOL
-EOB = BreakToken.EOB
+EOL = GapLabel.EOL
+EOB = GapLabel.EOB
 
 
 @contextmanager
@@ -70,11 +70,9 @@ def test_criterion_1_figure_fixture_exact():
 
 
 def _oracle_counts(hyp_labels, ref_labels):
-    correct = sum(
-        1 for h, r in zip(hyp_labels, ref_labels) if h is not None and h == r
-    )
-    hyp = sum(1 for h in hyp_labels if h is not None)
-    ref = sum(1 for r in ref_labels if r is not None)
+    correct = sum(1 for h, r in zip(hyp_labels, ref_labels) if h and h == r)
+    hyp = sum(1 for h in hyp_labels if h)
+    ref = sum(1 for r in ref_labels if r)
     return correct, hyp, ref
 
 
@@ -87,24 +85,16 @@ def _oracle_prf(correct, hyp, ref):
 
 def test_criterion_2_metrics_against_enumeration_oracle():
     with criterion(2, "break P/R/F1 equals the enumeration oracle"):
-        kinds = (None, EOL, EOB)
         for n in range(1, 7):
             words = tuple(f"w{i}" for i in range(n))
             if n < 6:
-                assignments = list(itertools.product(kinds, repeat=n))
+                assignments = list(itertools.product(GapLabel, repeat=n))
             else:
                 # fix the terminal gap to <eob>: 3^5 assignments per side
                 assignments = [
-                    labels + (EOB,) for labels in itertools.product(kinds, repeat=n - 1)
+                    labels + (EOB,) for labels in itertools.product(GapLabel, repeat=n - 1)
                 ]
-            sentences = []
-            for labels in assignments:
-                items = []
-                for word, label in zip(words, labels):
-                    items.append(word)
-                    if label is not None:
-                        items.append(label)
-                sentences.append(AnnotatedSentence(tuple(items)))
+            sentences = [AnnotatedSentence(words, labels) for labels in assignments]
             for hyp_labels, hyp in zip(assignments, sentences):
                 for ref_labels, ref in zip(assignments, sentences):
                     scores = break_prf(hyp, ref)

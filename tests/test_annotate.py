@@ -5,7 +5,6 @@ from subseg.annotate import (
     AnnotatedSentence,
     AnnotationWarning,
     BreakPosition,
-    BreakToken,
     DuplicateTalkId,
     GapLabel,
     GrammarViolation,
@@ -22,8 +21,9 @@ from subseg.annotate import (
 )
 from subseg.srt_io import SegmentDuration, Subtitle, SubtitleDocument, Timestamp, parse_srt
 
-EOL = BreakToken.EOL
-EOB = BreakToken.EOB
+NONE = GapLabel.NONE
+EOL = GapLabel.EOL
+EOB = GapLabel.EOB
 
 
 def sent(text):
@@ -44,15 +44,35 @@ class TestAnnotatedSentence:
 
     def test_rejects_whitespace_in_word(self):
         with pytest.raises(ValueError):
-            AnnotatedSentence(("a b",))
+            AnnotatedSentence(("a b",), (NONE,))
 
     @given(st.text(alphabet=st.sampled_from("ab \t\n\u00a0\u2003\x1c\x85\u200b"), max_size=4))
     def test_word_check_matches_per_character_whitespace_test(self, word):
         if word and not any(c.isspace() for c in word):
-            AnnotatedSentence((word,))
+            AnnotatedSentence((word,), (NONE,))
         else:
             with pytest.raises(ValueError, match="bad word token"):
-                AnnotatedSentence((word,))
+                AnnotatedSentence((word,), (NONE,))
+
+    @pytest.mark.parametrize(
+        "words, labels",
+        [
+            (("a",), (3,)),
+            (("a",), (-1,)),  # must not index from the end
+            ((1,), (NONE,)),
+            (("<eol>",), (NONE,)),
+            (("<eob>",), (EOB,)),
+        ],
+        ids=["label 3", "label -1", "not a str", "eol symbol", "eob symbol"],
+    )
+    def test_constructor_rejects_bad_input(self, words, labels):
+        with pytest.raises(ValueError):
+            AnnotatedSentence(words, labels)
+
+    @pytest.mark.parametrize("kind", [NONE, 1, "<eol>"])
+    def test_break_position_kind_must_be_a_break(self, kind):
+        with pytest.raises(InvalidGap):
+            BreakPosition(1, kind)
 
     def test_blocks_of_figure_sentence(self, figure_annotated):
         blocks = sent(figure_annotated).blocks()
@@ -133,35 +153,44 @@ _word = st.text(alphabet="abcdefghijklmnopqrstuvwxyz'.,!?", min_size=1, max_size
 @st.composite
 def strict_sentences(draw, max_words=14):
     words = draw(st.lists(_word, min_size=1, max_size=max_words))
-    items = []
+    labels = []
     eols_in_block = 0
-    for i, word in enumerate(words):
-        items.append(word)
+    for i in range(len(words)):
         if i + 1 == len(words):
-            items.append(EOB)
+            label = EOB
         else:
-            choices = [None, EOB] + ([EOL] if eols_in_block == 0 else [])
-            pick = draw(st.sampled_from(choices))
-            if pick is EOL:
-                items.append(EOL)
-                eols_in_block += 1
-            elif pick is EOB:
-                items.append(EOB)
-                eols_in_block = 0
-    return AnnotatedSentence(tuple(items))
+            label = draw(st.sampled_from([NONE, EOB] + ([EOL] if eols_in_block == 0 else [])))
+        if label is EOL:
+            eols_in_block += 1
+        elif label is EOB:
+            eols_in_block = 0
+        labels.append(label)
+    return AnnotatedSentence(words, labels)
 
 
 @st.composite
 def lenient_sentences(draw, max_words=14):
     """Any break after any word: blocks of any height, no final break needed."""
     words = draw(st.lists(_word, max_size=max_words))
-    items = []
-    for word in words:
-        items.append(word)
-        pick = draw(st.sampled_from([None, EOL, EOB]))
-        if pick is not None:
-            items.append(pick)
-    return AnnotatedSentence(tuple(items))
+    labels = draw(st.lists(st.sampled_from(GapLabel), min_size=len(words), max_size=len(words)))
+    return AnnotatedSentence(words, labels)
+
+
+_break = st.sampled_from(["<eol>", "<eob>"])
+
+
+class TestFromTextGrammar:
+    @given(st.lists(st.tuples(st.sampled_from([" ", "  ", "\t", " \n "]), st.one_of(_word, _break))))
+    @settings(max_examples=300)
+    def test_rejects_exactly_a_break_that_follows_no_word(self, parts):
+        line = "".join(space + token for space, token in parts)
+        is_break = [token in ("<eol>", "<eob>") for _, token in parts]
+        misplaced = any(b and (i == 0 or is_break[i - 1]) for i, b in enumerate(is_break))
+        if misplaced:
+            with pytest.raises(GrammarViolation, match="a break token must follow a word"):
+                AnnotatedSentence.from_text(line)
+        else:
+            assert AnnotatedSentence.from_text(line).to_text() == normalize_text(line)
 
 
 class TestInversePairs:
@@ -186,17 +215,20 @@ class TestInversePairs:
     @given(st.one_of(strict_sentences(), lenient_sentences()))
     @settings(max_examples=300)
     def test_labels_round_trip(self, sentence):
+        # the cue index hands its labels over as the ints of a bytes slice
         labels = sentence.labels
         assert len(labels) == len(sentence.words)
         assert all(type(label) is GapLabel for label in labels)
-        assert AnnotatedSentence.from_labels(sentence.words, labels) == sentence
+        rebuilt = AnnotatedSentence(sentence.words, bytes(labels))
+        assert rebuilt == sentence
+        assert all(type(label) is GapLabel for label in rebuilt.labels)
 
     @given(st.one_of(strict_sentences(), lenient_sentences()), st.booleans())
-    def test_from_labels_rejects_mismatched_lengths(self, sentence, longer):
+    def test_constructor_rejects_mismatched_lengths(self, sentence, longer):
         labels = sentence.labels
-        labels = labels + (GapLabel.NONE,) if longer or not labels else labels[:-1]
+        labels = labels + (NONE,) if longer or not labels else labels[:-1]
         with pytest.raises(ValueError):
-            AnnotatedSentence.from_labels(sentence.words, labels)
+            AnnotatedSentence(sentence.words, labels)
 
     @given(strict_sentences())
     def test_extract_of_apply(self, sentence):

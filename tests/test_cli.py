@@ -1,4 +1,5 @@
 import json
+import warnings
 import weakref
 
 import pytest
@@ -591,6 +592,32 @@ class TestBuildCorpusCommand:
         captured = capsys.readouterr()
         assert "aligned 5/6" in captured.out
         assert "warning: skipped" in captured.err and "talk2b.srt" in captured.err
+
+    def test_every_warning_names_its_talk(self, tmp_path):
+        srt_dir = tmp_path / "srt"
+        srt_dir.mkdir()
+        for talk in ("talk1", "talk2"):  # a backwards start and a cue with two double-space runs
+            write(
+                srt_dir / f"{talk}.srt",
+                "1\n00:00:05,000 --> 00:00:06,000\nlate cue\n\n"
+                "2\n00:00:01,000 --> 00:00:02,000\nearly  one  two\n\n",
+            )
+        sentences = write(tmp_path / "sentences.tsv", "talk1\tlate cue\ntalk2\tlate cue\n")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("default")  # as a command line shows them: once per text and place
+            status = main(
+                ["build-corpus", "--srt-dir", str(srt_dir), "--sentences", str(sentences),
+                 "--out", str(tmp_path / "corpus.txt")]
+            )
+        assert status == 0
+        backwards = "1 cue(s) start before their predecessor (first: cue 2 after cue 1)"
+        runs = "line has 2 double-space split points; keeping only the first"
+        assert [(w.category, str(w.message)) for w in caught] == [
+            (srt_io.NonMonotonicTiming, f"talk 'talk1': {backwards}"),
+            (annotate.AnnotationWarning, f"talk 'talk1', cue 2: {runs}"),
+            (srt_io.NonMonotonicTiming, f"talk 'talk2': {backwards}"),
+            (annotate.AnnotationWarning, f"talk 'talk2', cue 2: {runs}"),
+        ]
 
 
 class TestTrainingCommands:

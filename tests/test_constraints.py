@@ -53,8 +53,8 @@ class TestCheckCpl:
 
     def test_boundary_just_over(self):
         word = "x" * 43
-        assert not check_cpl(AnnotatedSentence((word,))).conforming
-        assert check_cpl(AnnotatedSentence(("x" * 42,))).conforming
+        assert not check_cpl(AnnotatedSentence((word,), (0,))).conforming
+        assert check_cpl(AnnotatedSentence(("x" * 42,), (0,))).conforming
 
     def test_counts_spaces_not_breaks(self):
         with_break = sent("ab cd <eob> ef <eob>")
@@ -90,7 +90,7 @@ class TestCheckCps:
         assert result == (0.0, True)
 
     def test_over_limit(self):
-        result = check_cps(AnnotatedSentence(("x" * 43,)), SegmentDuration("w", 0.0, 1.0))
+        result = check_cps(AnnotatedSentence(("x" * 43,), (0,)), SegmentDuration("w", 0.0, 1.0))
         assert result.cps == 43.0
         assert not result.conforming
 
@@ -128,7 +128,7 @@ class TestConformityStats:
 
     def test_mixed_corpus(self):
         good = sent("short line <eob>")
-        bad = AnnotatedSentence(("x" * 43, "y" * 43))
+        bad = AnnotatedSentence(("x" * 43, "y" * 43), (0, 0))
         report = conformity_stats([good] * 7 + [bad] * 3)
         assert report.total_sentences == 10
         assert report.conforming_sentences == 7

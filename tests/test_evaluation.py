@@ -4,7 +4,7 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from subseg.annotate import AnnotatedSentence, BreakPosition, BreakToken, apply_breaks
+from subseg.annotate import AnnotatedSentence, BreakPosition, GapLabel, apply_breaks
 from subseg.constraints import ConstraintProfile
 from subseg.evaluation import (
     BreakCounts,
@@ -18,8 +18,8 @@ from subseg.evaluation import (
 
 from test_annotate import strict_sentences
 
-EOL = BreakToken.EOL
-EOB = BreakToken.EOB
+EOL = GapLabel.EOL
+EOB = GapLabel.EOB
 
 
 def with_breaks(text, breaks):
@@ -70,12 +70,8 @@ class TestBreakPrf:
 
 def _oracle_counts(hyp_labels, ref_labels):
     """Brute-force counting straight off the label tuples."""
-    correct = sum(1 for h, r in zip(hyp_labels, ref_labels) if h == r and h is not None)
-    return (
-        correct,
-        sum(1 for h in hyp_labels if h is not None),
-        sum(1 for r in ref_labels if r is not None),
-    )
+    correct = sum(1 for h, r in zip(hyp_labels, ref_labels) if h == r and h)
+    return correct, sum(1 for h in hyp_labels if h), sum(1 for r in ref_labels if r)
 
 
 def _oracle_prf(counts):
@@ -86,24 +82,15 @@ def _oracle_prf(counts):
     return precision, recall, f1
 
 
-def _sentence_from_labels(words, labels):
-    items = []
-    for word, label in zip(words, labels):
-        items.append(word)
-        if label is not None:
-            items.append(label)
-    return AnnotatedSentence(tuple(items))
-
-
 class TestExhaustiveOracle:
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_matches_brute_force_enumeration(self, n):
         words = tuple(f"w{i}" for i in range(n))
-        assignments = list(itertools.product((None, EOL, EOB), repeat=n))
+        assignments = list(itertools.product(GapLabel, repeat=n))
         for hyp_labels in assignments:
-            hyp = _sentence_from_labels(words, hyp_labels)
+            hyp = AnnotatedSentence(words, hyp_labels)
             for ref_labels in assignments:
-                ref = _sentence_from_labels(words, ref_labels)
+                ref = AnnotatedSentence(words, ref_labels)
                 scores = break_prf(hyp, ref)
                 counts = _oracle_counts(hyp_labels, ref_labels)
                 assert tuple(scores.counts) == counts
@@ -113,10 +100,10 @@ class TestExhaustiveOracle:
 @st.composite
 def label_assignments(draw):
     n = draw(st.integers(min_value=1, max_value=7))
-    hyp = draw(st.lists(st.sampled_from((None, EOL, EOB)), min_size=n, max_size=n))
-    ref = draw(st.lists(st.sampled_from((None, EOL, EOB)), min_size=n, max_size=n))
+    hyp = draw(st.lists(st.sampled_from(GapLabel), min_size=n, max_size=n))
+    ref = draw(st.lists(st.sampled_from(GapLabel), min_size=n, max_size=n))
     words = tuple(f"w{i}" for i in range(n))
-    return _sentence_from_labels(words, hyp), _sentence_from_labels(words, ref)
+    return AnnotatedSentence(words, hyp), AnnotatedSentence(words, ref)
 
 
 class TestPrfProperties:

@@ -2,7 +2,7 @@ import pytest
 
 from subseg.annotate import (
     AnnotatedSentence,
-    BreakToken,
+    GapLabel,
     GrammarViolation,
     extract_breaks,
     render_srt,
@@ -128,7 +128,7 @@ class TestReannotationFilter:
         assert not reannotation_filter(candidate, PROFILE)
 
     def test_rejects_overlong_line(self):
-        candidate = AnnotatedSentence(("x" * 43, BreakToken.EOL, "y", BreakToken.EOB))
+        candidate = AnnotatedSentence(("x" * 43, "y"), (GapLabel.EOL, GapLabel.EOB))
         assert not reannotation_filter(candidate, PROFILE)
 
 
@@ -170,8 +170,8 @@ class TestReannotate:
             if result == original:
                 continue
             changed += 1
-            original_eobs = [b for b in extract_breaks(original) if b.kind is BreakToken.EOB]
-            result_eobs = [b for b in extract_breaks(result) if b.kind is BreakToken.EOB]
+            original_eobs = [b for b in extract_breaks(original) if b.kind is GapLabel.EOB]
+            result_eobs = [b for b in extract_breaks(result) if b.kind is GapLabel.EOB]
             assert result_eobs == original_eobs
             assert strip_breaks(result) == strip_breaks(original)
             assert result.has_eol

@@ -10,7 +10,6 @@ from hypothesis import given, settings, strategies as st
 from subseg import segmenters
 from subseg.annotate import (
     AnnotatedSentence,
-    BreakToken,
     GrammarViolation,
     extract_breaks,
     normalize_text,
@@ -71,7 +70,7 @@ class TestCountCharBaseline:
         breaks = extract_breaks(out)
         assert breaks[0].gap == 7
         assert breaks[-1] == extract_breaks(out)[-1]
-        assert breaks[-1].kind is BreakToken.EOB
+        assert breaks[-1].kind is GapLabel.EOB
         lengths, conforming = check_cpl(out, PROFILE)
         assert conforming
         assert all(n <= 41 for n in lengths)
@@ -81,8 +80,8 @@ class TestCountCharBaseline:
             out = segment_count_char(" ".join(["abcde"] * 30), seed=seed)
             kinds = [b.kind for b in extract_breaks(out)]
             for left, right in zip(kinds, kinds[1:]):
-                assert not (left is BreakToken.EOL and right is BreakToken.EOL)
-            assert kinds[-1] is BreakToken.EOB
+                assert not (left is GapLabel.EOL and right is GapLabel.EOL)
+            assert kinds[-1] is GapLabel.EOB
             out.validate_strict()
 
     def test_deterministic_under_seed(self):
@@ -153,12 +152,7 @@ class TestCountCharBaseline:
                     eols_in_block += 1
             elif label is GapLabel.EOB:
                 eols_in_block = 0
-        items = []
-        for word, label in zip(words, labels):
-            items.append(word)
-            if label is not GapLabel.NONE:
-                items.append("<eol>" if label is GapLabel.EOL else "<eob>")
-        return " ".join(items)
+        return " ".join(word + ("", " <eol>", " <eob>")[label] for word, label in zip(words, labels))
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -186,7 +180,7 @@ class TestCountCharBaseline:
     def _with_breaks(words, rolls, max_lines, eol_only):
         frozen = TestTableDecode._frozen(len(words), rolls, max_lines, eol_only)
         labels = [frozen.get(gap, GapLabel.NONE) for gap in range(1, len(words) + 1)]
-        return AnnotatedSentence.from_labels(words, labels)
+        return AnnotatedSentence(words, labels)
 
     @settings(max_examples=300, deadline=None)
     @given(**CASES, other_seed=st.integers(0, 2**32))
@@ -214,7 +208,7 @@ class TestCountCharBaseline:
         profile = ConstraintProfile(cpl_limit=cpl_limit, max_lines_per_block=max_lines)
         source = self._with_breaks(words, rolls, max_lines, eol_only=True)
         out = segment_count_char(source, profile, seed, "eol_only")
-        eobs = lambda s: [b.gap for b in extract_breaks(s) if b.kind is BreakToken.EOB]
+        eobs = lambda s: [b.gap for b in extract_breaks(s) if b.kind is GapLabel.EOB]
         assert eobs(out) == eobs(source)
         assert segment_count_char(source, profile, other_seed, "eol_only") == out
 
@@ -242,9 +236,9 @@ class TestCountCharBaseline:
         one_line = ConstraintProfile(max_lines_per_block=1)
         two = segment_count_char(text, PROFILE, seed=1)
         one = segment_count_char(text, one_line, seed=1)
-        assert BreakToken.EOL in two.items
+        assert two.has_eol
         assert [b.gap for b in extract_breaks(one)] == [b.gap for b in extract_breaks(two)]
-        assert all(b.kind is BreakToken.EOB for b in extract_breaks(one))
+        assert all(b.kind is GapLabel.EOB for b in extract_breaks(one))
         assert one.to_text() == self._greedy_reference(text, one_line, 1)
 
 
@@ -440,9 +434,7 @@ class TestFineTune:
             return [(segment_learned(model, strip_breaks(ref)), ref) for ref in held_out]
 
         def eol_count(pairs):
-            return sum(
-                1 for hyp, _ in pairs for item in hyp.items if item is BreakToken.EOL
-            )
+            return sum(hyp.labels.count(GapLabel.EOL) for hyp, _ in pairs)
 
         base_pairs, tuned_pairs = decode_pairs(base), decode_pairs(tuned)
         assert eol_count(tuned_pairs) > eol_count(base_pairs)
@@ -464,14 +456,14 @@ class TestSegmentLearned:
         model, _ = gold_model
         out = segment_learned(model, "one <eob> two three")
         assert extract_breaks(out)[0].gap == 1
-        assert extract_breaks(out)[0].kind is BreakToken.EOB
+        assert extract_breaks(out)[0].kind is GapLabel.EOB
 
     def test_eol_only_keeps_eobs(self, collapsed_models):
         _, tuned = collapsed_models
         collapsed = synth.strip_eols(synth.make_corpus(30, seed=123)[0])
         out = segment_learned(tuned, collapsed, mode="eol_only")
-        assert [b for b in extract_breaks(out) if b.kind is BreakToken.EOB] == [
-            b for b in extract_breaks(collapsed) if b.kind is BreakToken.EOB
+        assert [b for b in extract_breaks(out) if b.kind is GapLabel.EOB] == [
+            b for b in extract_breaks(collapsed) if b.kind is GapLabel.EOB
         ]
         assert strip_breaks(out) == strip_breaks(collapsed)
 
@@ -519,7 +511,7 @@ class TestSegmentLearned:
         for text in synth.make_plain_sentences(40, seed=32):
             out = segment_learned(tuned, text, profile)
             assert check_lines(out, profile)
-            assert out.items[-1] is BreakToken.EOB
+            assert out.labels[-1] is GapLabel.EOB
 
 
 def _legal_label_paths(n_gaps, frozen, open_labels, max_lines=2):
@@ -615,8 +607,7 @@ class TestDecodeAgainstEnumeration:
             )
             decoded = segment_learned(model, " ".join(words))
             assert segment_learned(model, " ".join(words)) == decoded
-            got = tuple(_sentence_labels(decoded))
-            assert got == best
+            assert decoded.labels == best
 
     @pytest.mark.parametrize("seed", [3, 4, 5])
     def test_eol_only_matches_exhaustive_argmax(self, seed):
@@ -625,20 +616,9 @@ class TestDecodeAgainstEnumeration:
         model = _random_model([words], seed)
         paths = _legal_label_paths(len(words), frozen, (GapLabel.NONE, GapLabel.EOL))
         best = min(paths, key=lambda labels: (-_path_score(words, labels, model.weights), labels))
-        source = AnnotatedSentence(
-            ("aaa", "bb", "cc", BreakToken.EOB, "dd", "ee", "ff", BreakToken.EOB)
-        )
+        source = AnnotatedSentence(words, (0, 0, GapLabel.EOB, 0, 0, GapLabel.EOB))
         decoded = segment_learned(model, source, mode="eol_only")
-        assert tuple(_sentence_labels(decoded)) == best
-
-
-def _sentence_labels(sentence):
-    labels = [GapLabel.NONE] * len(sentence.words)
-    for position in extract_breaks(sentence):
-        labels[position.gap - 1] = (
-            GapLabel.EOL if position.kind is BreakToken.EOL else GapLabel.EOB
-        )
-    return labels
+        assert decoded.labels == best
 
 
 class TestExactDecode:
@@ -673,7 +653,7 @@ class TestExactDecode:
         if mode == "eol_only" or rng.random() < 0.5:
             frozen[n] = GapLabel.EOB
         labels = [frozen.get(gap, GapLabel.NONE) for gap in range(1, n + 1)]
-        return words, frozen, AnnotatedSentence.from_labels(words, labels)
+        return words, frozen, AnnotatedSentence(words, labels)
 
     @pytest.mark.parametrize("integer", [False, True], ids=["uniform", "integer"])
     @pytest.mark.parametrize("mode", ["full", "eol_only"])
@@ -694,7 +674,7 @@ class TestExactDecode:
                 key=lambda labels: (-_path_score(words, labels, model.weights, profile), labels),
             )
             decoded = segment_learned(model, source, profile, mode=mode)
-            assert tuple(_sentence_labels(decoded)) == best
+            assert decoded.labels == best
             assert segment_learned(model, source, profile, mode=mode) == decoded
             assert check_lines(decoded, profile)
 
