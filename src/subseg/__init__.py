@@ -30,13 +30,12 @@ from .constraints import (
     ConformityReport,
     ConstraintProfile,
     DEFAULT_PROFILE,
-    check_block_cpl,
     check_cpl,
     check_cps,
     check_lines,
     conformity_stats,
 )
-from .evaluation import EvalReport, PrfScores, bleu, break_prf, corpus_bleu, corpus_prf, evaluate
+from .evaluation import EvalReport, PrfScores, break_prf, corpus_bleu, corpus_prf, evaluate
 from .pipeline import (
     CorpusStats,
     IterationReport,

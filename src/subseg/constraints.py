@@ -57,11 +57,6 @@ def check_cpl(sentence: AnnotatedSentence, profile: ConstraintProfile = DEFAULT_
     return CplCheck(lengths, all(n <= profile.cpl_limit for n in lengths))
 
 
-def check_block_cpl(sentence: AnnotatedSentence, limit: int) -> bool:
-    """True iff every block (its lines joined by one space) is within ``limit``."""
-    return all(_block_length(block) <= limit for block in _block_line_lengths(sentence))
-
-
 class CpsCheck(NamedTuple):
     cps: float
     conforming: bool

@@ -2,8 +2,9 @@
 
 Three metric families: precision/recall/F1 of break placements (a break is
 correct only when gap position and kind both match), BLEU over the token
-stream with and without break symbols, and the percentage of hypothesis
-lines within the line-length limit.
+stream with break symbols, and the percentage of hypothesis lines within
+the line-length limit.  A segmenter never changes the words, so BLEU
+without break symbols would always be 100 and is not reported.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence
 
-from .annotate import AnnotatedSentence, extract_breaks, strip_breaks
+from .annotate import AnnotatedSentence
 from .constraints import ConstraintProfile, DEFAULT_PROFILE, conformity_stats
 
 
@@ -42,9 +43,8 @@ class PrfScores(NamedTuple):
 def break_counts(hyp: AnnotatedSentence, ref: AnnotatedSentence) -> BreakCounts:
     """Correct/hypothesis/reference break counts; correct means both the gap
     index and the break kind match."""
-    hyp_set = set(extract_breaks(hyp))
-    ref_set = set(extract_breaks(ref))
-    return BreakCounts(len(hyp_set & ref_set), len(hyp_set), len(ref_set))
+    correct = sum(1 for h, r in zip(hyp.labels, ref.labels) if h and h == r)
+    return BreakCounts(correct, sum(map(bool, hyp.labels)), sum(map(bool, ref.labels)))
 
 
 def break_prf(hyp: AnnotatedSentence, ref: AnnotatedSentence) -> PrfScores:
@@ -61,7 +61,7 @@ def corpus_prf(pairs: Iterable[tuple[AnnotatedSentence, AnnotatedSentence]]) -> 
     """
     correct = hyp_total = ref_total = 0
     for i, (hyp, ref) in enumerate(pairs):
-        if strip_breaks(hyp) != strip_breaks(ref):
+        if hyp.words != ref.words:
             raise TextMismatch(i)
         counts = break_counts(hyp, ref)
         correct += counts.correct
@@ -106,11 +106,6 @@ def corpus_bleu(pairs: Iterable[tuple[Sequence[str], Sequence[str]]]) -> float:
     return 100.0 * brevity * math.exp(log_precision)
 
 
-def bleu(hyp_tokens: Sequence[str], ref_tokens: Sequence[str]) -> float:
-    """Sentence-level BLEU (the corpus formula over a single pair)."""
-    return corpus_bleu([(hyp_tokens, ref_tokens)])
-
-
 @dataclass(frozen=True)
 class EvalReport:
     """Aggregate scores for a corpus of (hypothesis, reference) pairs."""
@@ -119,7 +114,6 @@ class EvalReport:
     recall: float
     f1: float
     bleu_with_breaks: float
-    bleu_no_breaks: float
     cpl_conformity_pct: float
     counts: BreakCounts
 
@@ -129,7 +123,6 @@ class EvalReport:
             "recall": self.recall,
             "f1": self.f1,
             "bleu_breaks": self.bleu_with_breaks,
-            "bleu_text": self.bleu_no_breaks,
             "cpl_conformity": self.cpl_conformity_pct,
             "counts": {
                 "correct": self.counts.correct,
@@ -147,7 +140,6 @@ class EvalReport:
             ("recall", f"{self.recall:.4f}"),
             ("f1", f"{self.f1:.4f}"),
             ("bleu_breaks", f"{self.bleu_with_breaks:.2f}"),
-            ("bleu_text", f"{self.bleu_no_breaks:.2f}"),
             ("cpl_conformity", f"{self.cpl_conformity_pct:.2f}"),
             ("breaks", f"{self.counts.correct}/{self.counts.hyp}/{self.counts.ref}"),
         ]
@@ -159,15 +151,11 @@ def evaluate(
     pairs: Iterable[tuple[AnnotatedSentence, AnnotatedSentence]],
     profile: ConstraintProfile = DEFAULT_PROFILE,
 ) -> EvalReport:
-    """Micro-averaged break P/R/F1, corpus BLEU with and without break
-    symbols, and the percentage of hypothesis lines within the line limit."""
+    """Micro-averaged break P/R/F1, corpus BLEU with break symbols, and the
+    percentage of hypothesis lines within the line limit."""
     pairs = list(pairs)
     prf = corpus_prf(pairs)
     with_breaks = corpus_bleu((hyp.to_text().split(), ref.to_text().split()) for hyp, ref in pairs)
-    # corpus_prf has checked that every pair has the same words, and the BLEU
-    # of identical token lists is exactly 100.0 (every n-gram precision is
-    # 1, the brevity penalty 1, and an empty corpus scores 100.0)
-    no_breaks = 100.0
     lines = conformity_stats((hyp for hyp, _ in pairs), profile)
     # from the counts: 100.0 * lines.line_conformity() may differ in the last bit
     conformity = (
@@ -178,7 +166,6 @@ def evaluate(
         recall=prf.recall,
         f1=prf.f1,
         bleu_with_breaks=with_breaks,
-        bleu_no_breaks=no_breaks,
         cpl_conformity_pct=conformity,
         counts=prf.counts,
     )

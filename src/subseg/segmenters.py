@@ -112,24 +112,26 @@ def _tail(word: str) -> str:
 def _gap_features(words: Sequence[str], gap: int, to_end: int) -> tuple[tuple[str, ...], str, int]:
     """The features of the gap after ``words[gap - 1]`` that no decoder state
     changes, with the word's punctuation tail and the next word's length (0
-    after the last word).  ``to_end`` is the length of ``words[gap:]`` joined."""
+    after the last word).  ``to_end`` is the length of ``words[gap:]`` joined.
+
+    The last gap has none: both segmenters force its ``<eob>`` and strict
+    gold ends in one, so they would add the same score to every path."""
     word = words[gap - 1]
-    nxt = words[gap] if gap < len(words) else None
-    next_len = len(nxt) if nxt is not None else 0
     tail = _tail(word)
+    if gap == len(words):
+        return (), tail, 0
+    nxt = words[gap]
     features = (
         f"to_end={_length_bucket(to_end)}",
         f"w={word}",
         f"wlen={len(word)}",
-        f"n={nxt if nxt is not None else '</s>'}",
-        f"nlen={next_len}",
+        f"n={nxt}",
+        f"nlen={len(nxt)}",
         f"punct={int(bool(tail))}",
         f"tail={tail}",
         f"pos={(10 * gap) // len(words)}",
     )
-    if nxt is None:
-        features += ("end_of_sentence",)
-    return features, tail, next_len
+    return features, tail, len(nxt)
 
 
 @functools.lru_cache(maxsize=1)  # the latest sentence: one training step's decode and path walks
@@ -171,7 +173,8 @@ def extract_features(
     Covers the line budget (bucketed characters on the current line and to
     the sentence end, and whether appending the next word would overflow the
     line limit), local lexical identity, punctuation on the current word,
-    the previous break kind and the relative position in the sentence.
+    the previous break kind and the relative position in the sentence.  The
+    last gap, always ``<eob>``, has only the six state features.
     """
     if not 1 <= gap <= len(words):
         raise ValueError(f"gap must be in 1..{len(words)}, got {gap}")

@@ -5,7 +5,6 @@ from subseg.annotate import AnnotatedSentence
 from subseg.constraints import (
     ConformityReport,
     ConstraintProfile,
-    check_block_cpl,
     check_cpl,
     check_cps,
     check_lines,
@@ -62,18 +61,29 @@ class TestCheckCpl:
 
 
 class TestCheckBlockCpl:
+    """Block conformity: every block, its lines joined by one space, within
+    twice the line limit."""
+
+    @staticmethod
+    def fits(sentence, cpl_limit=42):
+        report = conformity_stats([sentence], ConstraintProfile(cpl_limit=cpl_limit))
+        return report.block_conforming_sentences == 1
+
     def test_figure_block_at_84(self):
         block = sent("that design is but a tool <eol> to create function and beauty. <eob>")
-        assert check_block_cpl(block, 84)
-        assert not check_block_cpl(block, 55)  # the block holds 56 characters
+        assert self.fits(block)
+        assert self.fits(block, 28)
+        assert not self.fits(block, 27)  # the block holds 56 characters
 
     def test_empty_sentence(self):
-        assert check_block_cpl(sent(""), 84)
+        assert self.fits(sent(""))
 
     def test_boundary_at_85(self):
-        lines = "x" * 42 + " <eol> " + "y" * 42 + " <eob>"  # 42 + 1 + 42 = 85
-        assert not check_block_cpl(sent(lines), 84)
-        assert check_block_cpl(sent(lines), 85)
+        at_84 = "x" * 41 + " <eol> " + "y" * 42 + " <eob>"  # 41 + 1 + 42 = 84
+        at_85 = "x" * 42 + " <eol> " + "y" * 42 + " <eob>"  # 42 + 1 + 42 = 85
+        assert self.fits(sent(at_84))
+        assert not self.fits(sent(at_85))
+        assert self.fits(sent(at_85), 43)
 
 
 class TestCheckCps:
@@ -179,7 +189,8 @@ class TestConformityStats:
         limit = max(check_cpl(sentence).line_lengths, default=0)
         profile = ConstraintProfile(cpl_limit=max(limit, 1))
         if check_cpl(sentence, profile).conforming and check_lines(sentence, profile):
-            assert check_block_cpl(sentence, 2 * profile.cpl_limit + 1)
+            for block in sentence.blocks():
+                assert len(" ".join(" ".join(line) for line in block)) <= 2 * profile.cpl_limit + 1
 
     @given(strict_sentences())
     @settings(max_examples=100)

@@ -4,12 +4,12 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from subseg.annotate import AnnotatedSentence, BreakPosition, GapLabel, apply_breaks
+from subseg.annotate import AnnotatedSentence, BreakPosition, GapLabel, apply_breaks, extract_breaks
 from subseg.constraints import ConstraintProfile
 from subseg.evaluation import (
     BreakCounts,
     TextMismatch,
-    bleu,
+    break_counts,
     break_prf,
     corpus_bleu,
     corpus_prf,
@@ -106,7 +106,19 @@ def label_assignments(draw):
     return AnnotatedSentence(words, hyp), AnnotatedSentence(words, ref)
 
 
+def _set_counts(hyp, ref):
+    """The counts as sets of ``BreakPosition``s: correct is their intersection."""
+    hyp_set, ref_set = set(extract_breaks(hyp)), set(extract_breaks(ref))
+    return len(hyp_set & ref_set), len(hyp_set), len(ref_set)
+
+
 class TestPrfProperties:
+    @given(label_assignments())
+    @settings(max_examples=300)
+    def test_counts_match_the_break_position_sets(self, pair):
+        hyp, ref = pair
+        assert tuple(break_counts(hyp, ref)) == _set_counts(hyp, ref)
+
     @given(label_assignments())
     @settings(max_examples=300)
     def test_precision_recall_symmetry(self, pair):
@@ -150,36 +162,36 @@ class TestCorpusPrf:
 class TestBleu:
     def test_identity_is_100(self):
         tokens = "the quick brown fox jumps".split()
-        assert bleu(tokens, tokens) == 100.0
+        assert corpus_bleu([(tokens, tokens)]) == 100.0
 
     def test_single_token_identity(self):
-        assert bleu(["hi"], ["hi"]) == 100.0
+        assert corpus_bleu([(["hi"], ["hi"])]) == 100.0
 
     def test_hand_checked_toy_case(self):
         # hyp "a b x d e" vs ref "a b c d e":
         #   p1 = 4/5, p2 = (2+1)/(4+1), p3 = (0+1)/(3+1), p4 = (0+1)/(2+1), BP = 1
         expected = 100.0 * (0.8 * 0.6 * 0.25 * (1 / 3)) ** 0.25
-        assert bleu("a b x d e".split(), "a b c d e".split()) == pytest.approx(expected)
+        assert corpus_bleu([("a b x d e".split(), "a b c d e".split())]) == pytest.approx(expected)
         assert expected == pytest.approx(44.7214, abs=1e-3)
 
     def test_brevity_penalty(self):
         # hyp "a b" vs ref "a b c": p1 = 1, p2 = (1+1)/(1+1) = 1,
         # p3, p4 smoothed to 1 on empty totals; BP = exp(1 - 3/2)
-        assert bleu("a b".split(), "a b c".split()) == pytest.approx(100.0 * math.exp(1 - 3 / 2))
+        assert corpus_bleu([("a b".split(), "a b c".split())]) == pytest.approx(100.0 * math.exp(1 - 3 / 2))
 
     def test_break_position_shift_stays_high(self):
         ref = "w1 w2 w3 w4 w5 w6 w7 w8 <eol> w9 w10 w11 w12 w13 w14 w15 w16 w17 w18 <eob>"
         hyp = "w1 w2 w3 w4 w5 w6 w7 w8 w9 <eol> w10 w11 w12 w13 w14 w15 w16 w17 w18 <eob>"
-        score = bleu(hyp.split(), ref.split())
+        score = corpus_bleu([(hyp.split(), ref.split())])
         assert 50.0 < score < 100.0
 
     def test_permutation_sensitive(self):
         ref = "a b c d e f".split()
-        assert bleu(list(reversed(ref)), ref) < bleu(ref, ref)
+        assert corpus_bleu([(list(reversed(ref)), ref)]) < corpus_bleu([(ref, ref)])
 
     def test_empty_inputs(self):
         assert corpus_bleu([]) == 100.0
-        assert bleu([], ["a"]) == 0.0
+        assert corpus_bleu([([], ["a"])]) == 0.0
 
     def test_no_unigram_in_common_scores_zero(self):
         assert corpus_bleu([("a b".split(), "c d".split()), (["e"], ["f"])]) == 0.0
@@ -187,13 +199,12 @@ class TestBleu:
     @given(st.lists(st.sampled_from("abcdef"), min_size=1, max_size=20))
     @settings(max_examples=200)
     def test_self_bleu_always_100(self, tokens):
-        assert bleu(tokens, tokens) == 100.0
+        assert corpus_bleu([(tokens, tokens)]) == 100.0
 
     @given(st.lists(st.lists(st.sampled_from(["a", "b", "cd", "<eol>"]), max_size=6), max_size=8))
     @settings(max_examples=300)
     def test_corpus_bleu_of_identical_pairs_is_exactly_100(self, sentences):
-        # evaluate relies on this for BLEU without breaks, whose pairs have
-        # the same words; empty and one- to three-token sentences included
+        # empty and one- to three-token sentences included
         assert corpus_bleu((tokens, list(tokens)) for tokens in sentences) == 100.0
 
 
@@ -203,7 +214,6 @@ class TestEvaluate:
         report = evaluate([(sentence, sentence)])
         assert (report.precision, report.recall, report.f1) == (1.0, 1.0, 1.0)
         assert report.bleu_with_breaks == 100.0
-        assert report.bleu_no_breaks == 100.0
         assert report.cpl_conformity_pct == 100.0
 
     def test_terminal_only_hypotheses(self):
@@ -222,6 +232,7 @@ class TestEvaluate:
             (with_breaks("a b", [(2, EOB)]), with_breaks("a b", [(1, EOL), (2, EOB)])),
         ]
         assert evaluate(pairs) == evaluate(list(reversed(pairs)))
+        assert evaluate(pairs).bleu_with_breaks < 100.0
 
     def test_conformity_percentage_of_hand_counted_lines(self):
         # lines "aa bb" (5) and "d" (1) are within 5 characters, "cccccc" (6) is not
@@ -238,18 +249,8 @@ class TestEvaluate:
         sentence = with_breaks("a b", [(2, EOB)])
         data = evaluate([(sentence, sentence)]).to_json_dict()
         assert set(data) == {
-            "precision", "recall", "f1", "bleu_breaks", "bleu_text", "cpl_conformity", "counts",
+            "precision", "recall", "f1", "bleu_breaks", "cpl_conformity", "counts",
         }
-
-    def test_bleu_without_breaks_is_the_bleu_of_the_words(self):
-        pairs = [
-            (with_breaks(TWELVE, [(6, EOB), (12, EOB)]), with_breaks(TWELVE, [(12, EOB)])),
-            (with_breaks("a b", [(2, EOB)]), with_breaks("a b", [(1, EOL), (2, EOB)])),
-        ]
-        report = evaluate(pairs)
-        words = [(hyp.words, ref.words) for hyp, ref in pairs]
-        assert report.bleu_no_breaks == corpus_bleu(words) == 100.0
-        assert report.bleu_with_breaks < 100.0
 
     @given(strict_sentences())
     @settings(max_examples=50)

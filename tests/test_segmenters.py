@@ -254,10 +254,18 @@ class TestExtractFeatures:
         assert "n=that" in features
         assert "w=idea" in features
 
-    def test_last_gap_marks_end_of_sentence(self):
-        features = extract_features(self.FIGURE_WORDS, len(self.FIGURE_WORDS), 30, GapLabel.EOB)
-        assert "end_of_sentence" in features
-        assert "n=</s>" in features
+    def test_last_gap_has_only_state_features(self):
+        words = self.FIGURE_WORDS
+        features = extract_features(words, len(words), 30, GapLabel.EOB, PROFILE)
+        assert features == (
+            "since=7 prev=EOB over=0 over&punct=0&1 since&prev=7&EOB punct&tail&since=1&.&7".split()
+        )
+        every_gap = {
+            feature
+            for gap in range(1, len(words) + 1)
+            for feature in extract_features(words, gap, 0, GapLabel.EOB, PROFILE)
+        }
+        assert not every_gap & {"end_of_sentence", "n=</s>", "nlen=0", "pos=10"}
 
     def test_deterministic(self):
         a = extract_features(self.FIGURE_WORDS, 6, 30, GapLabel.EOB, PROFILE)
@@ -279,7 +287,8 @@ class TestExtractFeatures:
             extract_features(("a", "b"), 1, -1, GapLabel.EOB)
 
     # Feature strings are the keys of persisted weights: these sets, one per
-    # (gap, line characters, previous break), must never change.
+    # (gap, line characters, previous break), must never change.  The last
+    # gap has only the state features; its old gap features are never read.
     PERSISTED_WORDS = ("Well,", "design", "matters", "today.")
     PERSISTED_FEATURES = {
         (1, 5, "EOB"): "since=1 to_end=5 w=Well, wlen=5 n=design nlen=6 punct=1 tail=, prev=EOB pos=2 over=0 over&punct=0&1 since&prev=1&EOB punct&tail&since=1&,&1",
@@ -291,9 +300,9 @@ class TestExtractFeatures:
         (3, 5, "EOB"): "since=1 to_end=1 w=matters wlen=7 n=today. nlen=6 punct=0 tail= prev=EOB pos=7 over=0 over&punct=0&0 since&prev=1&EOB punct&tail&since=0&&1",
         (3, 38, "EOL"): "since=9 to_end=1 w=matters wlen=7 n=today. nlen=6 punct=0 tail= prev=EOL pos=7 over=1 over&punct=1&0 since&prev=9&EOL punct&tail&since=0&&9",
         (3, 64, "EOB"): "since=15 to_end=1 w=matters wlen=7 n=today. nlen=6 punct=0 tail= prev=EOB pos=7 over=1 over&punct=1&0 since&prev=15&EOB punct&tail&since=0&&15",
-        (4, 5, "EOB"): "since=1 to_end=0 w=today. wlen=6 n=</s> nlen=0 punct=1 tail=. prev=EOB pos=10 over=0 over&punct=0&1 since&prev=1&EOB punct&tail&since=1&.&1 end_of_sentence",
-        (4, 38, "EOL"): "since=9 to_end=0 w=today. wlen=6 n=</s> nlen=0 punct=1 tail=. prev=EOL pos=10 over=0 over&punct=0&1 since&prev=9&EOL punct&tail&since=1&.&9 end_of_sentence",
-        (4, 64, "EOB"): "since=15 to_end=0 w=today. wlen=6 n=</s> nlen=0 punct=1 tail=. prev=EOB pos=10 over=0 over&punct=0&1 since&prev=15&EOB punct&tail&since=1&.&15 end_of_sentence",
+        (4, 5, "EOB"): "since=1 prev=EOB over=0 over&punct=0&1 since&prev=1&EOB punct&tail&since=1&.&1",
+        (4, 38, "EOL"): "since=9 prev=EOL over=0 over&punct=0&1 since&prev=9&EOL punct&tail&since=1&.&9",
+        (4, 64, "EOB"): "since=15 prev=EOB over=0 over&punct=0&1 since&prev=15&EOB punct&tail&since=1&.&15",
     }
 
     @pytest.mark.parametrize("gap, chars, prev", sorted(PERSISTED_FEATURES))
