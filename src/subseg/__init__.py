@@ -15,7 +15,6 @@ from .annotate import (
     GapLabel,
     GrammarViolation,
     InvalidGap,
-    InvertedIndex,
     NoAlignment,
     align_sentence,
     apply_breaks,
@@ -23,7 +22,6 @@ from .annotate import (
     extract_breaks,
     normalize_text,
     render_srt,
-    restore_eol_from_double_space,
     strip_breaks,
 )
 from .constraints import (

@@ -20,11 +20,9 @@ never matched against the whole talk.
 
 from __future__ import annotations
 
-import re
-import warnings
 from dataclasses import dataclass
 from enum import IntEnum
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .srt_io import SegmentDuration, Subtitle, SubtitleDocument, Timestamp
 
@@ -59,10 +57,6 @@ class NoAlignment(ValueError):
 
 class DuplicateTalkId(ValueError):
     """Two documents with the same talk id were offered to one index."""
-
-
-class AnnotationWarning(UserWarning):
-    """Recoverable oddity met while restoring collapsed line breaks."""
 
 
 @dataclass(frozen=True)
@@ -187,13 +181,11 @@ def extract_breaks(sentence: AnnotatedSentence) -> tuple[BreakPosition, ...]:
     )
 
 
-def apply_breaks(
-    text: str, breaks: Sequence[BreakPosition], strict: bool = True
-) -> AnnotatedSentence:
+def apply_breaks(text: str, breaks: Sequence[BreakPosition]) -> AnnotatedSentence:
     """Insert breaks into plain ``text`` at the given gaps.
 
-    Gaps must be strictly increasing and within 1..word count.  With
-    ``strict`` (the default) the result must satisfy the full grammar.
+    Gaps must be strictly increasing and within 1..word count, and the
+    result must satisfy the full grammar.
     """
     words = text.split()
     labels = [GapLabel.NONE] * len(words)
@@ -208,8 +200,7 @@ def apply_breaks(
         last_gap = position.gap
         labels[last_gap - 1] = position.kind
     sentence = AnnotatedSentence(words, labels)
-    if strict:
-        sentence.validate_strict()
+    sentence.validate_strict()
     return sentence
 
 
@@ -220,33 +211,19 @@ class _IndexedTalk:
     starts: dict[str, list[int]]  # a cue's first word -> ascending offsets of such cues
 
 
-class InvertedIndex:
-    """Per-talk cue lookup used to rebuild sentences from subtitle text.
+def build_index(docs: Iterable[SubtitleDocument]) -> dict[str, _IndexedTalk]:
+    """Index the cues of every document by talk id and by first word.
 
-    Build once with :func:`build_index`; afterwards it is read-only and safe
-    to query concurrently.  For each talk it holds the words of its cues in
-    document order, whitespace-split, the ``GapLabel`` after each word
-    (``EOL`` ends a cue line, ``EOB`` ends the cue), and a map from a cue's
-    first word to the ascending offsets where cues starting with it start.
-    Within a talk each distinct word is one string object, however many
-    cues repeat it.
+    The index is read-only after build, so it is safe to query concurrently.
+    For each talk it holds the words of its cues in document order,
+    whitespace-split, the ``GapLabel`` after each word (``EOL`` ends a cue
+    line, ``EOB`` ends the cue), and a map from a cue's first word to the
+    ascending offsets where cues starting with it start.  Within a talk each
+    distinct word is one string object, however many cues repeat it.
     """
-
-    def __init__(self) -> None:
-        self._talks: dict[str, _IndexedTalk] = {}
-
-    def __len__(self) -> int:
-        return sum(talk.labels.count(GapLabel.EOB) for talk in self._talks.values())
-
-    def talk_ids(self) -> tuple[str, ...]:
-        return tuple(self._talks)
-
-
-def build_index(docs: Iterable[SubtitleDocument]) -> InvertedIndex:
-    """Index the cues of every document by talk id and by first word."""
-    index = InvertedIndex()
+    index: dict[str, _IndexedTalk] = {}
     for doc in docs:
-        if doc.talk_id in index._talks:
+        if doc.talk_id in index:
             raise DuplicateTalkId(doc.talk_id)
         words: list[str] = []
         labels = bytearray()
@@ -261,11 +238,13 @@ def build_index(docs: Iterable[SubtitleDocument]) -> InvertedIndex:
                 labels.append(GapLabel.EOL)
             labels[-1] = GapLabel.EOB
             starts.setdefault(words[first], []).append(first)
-        index._talks[doc.talk_id] = _IndexedTalk(tuple(words), bytes(labels), starts)
+        index[doc.talk_id] = _IndexedTalk(tuple(words), bytes(labels), starts)
     return index
 
 
-def align_sentence(sentence: str, talk_id: str, index: InvertedIndex) -> AnnotatedSentence:
+def align_sentence(
+    sentence: str, talk_id: str, index: Mapping[str, _IndexedTalk]
+) -> AnnotatedSentence:
     """Rebuild ``sentence`` as an annotated sentence from the talk's cues.
 
     One run of consecutive cues must hold exactly the words of the
@@ -276,7 +255,7 @@ def align_sentence(sentence: str, talk_id: str, index: InvertedIndex) -> Annotat
     words = tuple(sentence.split())
     if not words:
         raise ValueError("sentence must be non-empty")
-    talk = index._talks.get(talk_id)
+    talk = index.get(talk_id)
     if talk is None or not talk.words:
         raise NoAlignment(f"no subtitles indexed for talk {talk_id!r}")
     labels = talk.labels
@@ -287,28 +266,6 @@ def align_sentence(sentence: str, talk_id: str, index: InvertedIndex) -> Annotat
             if run == words:
                 return AnnotatedSentence(run, labels[first:end])
     raise NoAlignment(f"no in-order tiling of talk {talk_id!r} cues reconstructs the sentence")
-
-
-_DOUBLE_SPACE_RE = re.compile(r"(?<=\S) {2,}(?=\S)")
-
-
-def restore_eol_from_double_space(line: str) -> list[str]:
-    """Split a collapsed subtitle line on internal double spaces.
-
-    A run of two or more spaces between non-space text marks a removed line
-    break.  At most two lines come back: with several runs only the first
-    one splits (reported as an AnnotationWarning) and the rest of the line
-    is kept verbatim.  Non-space characters are never altered.
-    """
-    parts = _DOUBLE_SPACE_RE.split(line, maxsplit=1)
-    if len(parts) == 2 and (more := len(_DOUBLE_SPACE_RE.findall(parts[1]))):
-        warnings.warn(
-            AnnotationWarning(
-                f"line has {more + 1} double-space split points; keeping only the first"
-            ),
-            stacklevel=2,
-        )
-    return parts
 
 
 def render_srt(

@@ -59,10 +59,18 @@ def _read_text(path: str) -> str:
         raise ValueError(f"{path}: {exc}") from None
 
 
+def _read_lines(path: str) -> list[str]:
+    """The file's lines.  A line ends only at ``\\n``, which text mode makes
+    of ``\\r\\n`` and ``\\r`` too; every other character ``str.splitlines``
+    breaks at stays inside its line."""
+    text = _read_text(path)
+    return text.removesuffix("\n").split("\n") if text else []
+
+
 def _read_settings(path: str | None, types: dict[str, type]) -> dict[str, object]:
     """Typed ``key = value`` lines, none without a path; a bad key or value names its line."""
     values: dict[str, object] = {}
-    lines = _read_text(path).splitlines() if path else []
+    lines = _read_lines(path) if path else []
     for line_number, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -102,7 +110,7 @@ def _read_corpus(
     """The sentences of the non-blank lines; a grammar error, in the line or
     raised by ``check`` on its sentence, names the line."""
     sentences = []
-    for line_number, raw in enumerate(_read_text(path).splitlines(), start=1):
+    for line_number, raw in enumerate(_read_lines(path), start=1):
         if raw.strip():
             try:
                 sentence = AnnotatedSentence.from_text(raw)
@@ -135,7 +143,7 @@ def _cmd_build_corpus(args: Namespace, profile: ConstraintProfile, settings: _Se
     srt_dir = Path(args.srt_dir)
     if not srt_dir.is_dir():
         raise ValueError(f"--srt-dir {srt_dir} is not a directory")
-    lines = _read_text(args.sentences).splitlines()
+    lines = _read_lines(args.sentences)
     broken_talks: dict[str, str] = {}  # filled as the files are parsed, before any alignment
     docs = _parsed_talks(sorted(srt_dir.glob("*.srt")), broken_talks)
     corpus, log = build_corpus(docs, lines, broken_talks)
@@ -179,7 +187,7 @@ def _cmd_fine_tune(args: Namespace, profile: ConstraintProfile, settings: _Setti
 
 def _cmd_segment(args: Namespace, profile: ConstraintProfile, settings: _Settings) -> int:
     seed = settings.get("seed", 0)
-    lines = _read_text(args.infile).splitlines()
+    lines = _read_lines(args.infile)
     model = None if args.count_char else load_model(args.model)
     # output line i holds input line i, blank or not; count-char seeds each
     # line with the base seed plus the line's index in the file

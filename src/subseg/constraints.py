@@ -85,8 +85,7 @@ class ConformityReport:
     A sentence is line-conforming only if every one of its lines is within
     the line limit, and block-conforming only if every block fits in twice
     the line limit.  ``cpl_limit`` is the line limit the counts were taken at.
-    ``orphan_lines`` counts the lines shorter than the orphan threshold; the
-    corpus statistics report it, so the JSON form here leaves it out.
+    ``orphan_lines`` counts the lines shorter than the orphan threshold.
     """
 
     cpl_limit: int
@@ -101,17 +100,6 @@ class ConformityReport:
     def line_conformity(self) -> float:
         """Fraction of lines within the line limit (1.0 for an empty corpus)."""
         return 1.0 if self.total_lines == 0 else self.conforming_lines / self.total_lines
-
-    def to_json_dict(self) -> dict:
-        return {
-            "totals": {"sentences": self.total_sentences, "lines": self.total_lines},
-            f"conforming_{self.cpl_limit}": {
-                "sentences": self.conforming_sentences,
-                "lines": self.conforming_lines,
-            },
-            f"conforming_{2 * self.cpl_limit}": {"sentences": self.block_conforming_sentences},
-            "with_eol": self.sentences_with_eol,
-        }
 
 
 def conformity_stats(

@@ -5,16 +5,12 @@ corpus statistics, and the iterative line-break re-annotation loop.
 from __future__ import annotations
 
 import json
+import re
 import warnings
 from dataclasses import asdict, dataclass, replace
 from typing import Iterable, Mapping, Sequence
 
-from .annotate import (
-    AnnotatedSentence,
-    align_sentence,
-    build_index,
-    restore_eol_from_double_space,
-)
+from .annotate import AnnotatedSentence, align_sentence, build_index
 from .constraints import (
     ConformityReport,
     ConstraintProfile,
@@ -36,25 +32,37 @@ class AlignmentLogEntry:
     detail: str = ""
 
 
+_DOUBLE_SPACE_RE = re.compile(r"(?<=\S) {2,}(?=\S)")
+
+
+class AnnotationWarning(UserWarning):
+    """Recoverable oddity met while restoring collapsed line breaks."""
+
+
 def preprocess_document(doc: SubtitleDocument) -> SubtitleDocument:
-    """Restore collapsed line breaks: single-line cues containing an internal
-    double space are split back into two lines.  Each warning this raises
-    is raised again with the talk id and the cue index in front."""
+    """Restore collapsed line breaks.
+
+    In a single-line cue, a run of two or more spaces between non-space
+    text marks a removed line break, and the cue is split back into two
+    lines there.  With several runs only the first one splits, the rest of
+    the line is kept verbatim, and an AnnotationWarning names the talk and
+    the cue.  Non-space characters are never altered.
+    """
     subtitles = []
-    notes = []  # (cue index, caught warning)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        for sub in doc.subtitles:
-            if len(sub.lines) == 1:
-                lines = restore_eol_from_double_space(sub.lines[0])
-                if caught:
-                    notes += [(sub.index, note) for note in caught]
-                    caught.clear()
-                if len(lines) == 2:
-                    sub = replace(sub, lines=tuple(lines))
-            subtitles.append(sub)
-    for cue, note in notes:
-        warnings.warn(f"talk {doc.talk_id!r}, cue {cue}: {note.message}", note.category, stacklevel=2)
+    for sub in doc.subtitles:
+        if len(sub.lines) == 1:
+            lines = _DOUBLE_SPACE_RE.split(sub.lines[0], maxsplit=1)
+            if len(lines) == 2:
+                if more := len(_DOUBLE_SPACE_RE.findall(lines[1])):
+                    warnings.warn(
+                        AnnotationWarning(
+                            f"talk {doc.talk_id!r}, cue {sub.index}: line has {more + 1} "
+                            "double-space split points; keeping only the first"
+                        ),
+                        stacklevel=2,
+                    )
+                sub = replace(sub, lines=tuple(lines))
+        subtitles.append(sub)
     return replace(doc, subtitles=tuple(subtitles))
 
 
@@ -200,12 +208,23 @@ class CorpusStats:
     cps_conforming: int | None = None
 
     def to_json_dict(self) -> dict:
+        report = self.conformity
         data = {
             "sentences": self.sentences,
             "words": self.words,
             "eol_fraction": self.eol_fraction,
-            "orphan_lines": self.conformity.orphan_lines,
-            "conformity": self.conformity.to_json_dict(),
+            "orphan_lines": report.orphan_lines,
+            "conformity": {
+                "totals": {"sentences": report.total_sentences, "lines": report.total_lines},
+                f"conforming_{report.cpl_limit}": {
+                    "sentences": report.conforming_sentences,
+                    "lines": report.conforming_lines,
+                },
+                f"conforming_{2 * report.cpl_limit}": {
+                    "sentences": report.block_conforming_sentences
+                },
+                "with_eol": report.sentences_with_eol,
+            },
         }
         if self.cps_measured is not None:
             data["cps"] = {"measured": self.cps_measured, "conforming": self.cps_conforming}

@@ -3,7 +3,6 @@ from hypothesis import given, settings, strategies as st
 
 from subseg.annotate import (
     AnnotatedSentence,
-    AnnotationWarning,
     BreakPosition,
     DuplicateTalkId,
     GapLabel,
@@ -16,9 +15,9 @@ from subseg.annotate import (
     extract_breaks,
     normalize_text,
     render_srt,
-    restore_eol_from_double_space,
     strip_breaks,
 )
+from subseg.pipeline import AnnotationWarning, preprocess_document
 from subseg.srt_io import SegmentDuration, Subtitle, SubtitleDocument, Timestamp, parse_srt
 
 NONE = GapLabel.NONE
@@ -120,8 +119,9 @@ class TestApplyBreaks:
         out = apply_breaks("a b c", [BreakPosition(1, EOL), BreakPosition(3, EOB)])
         assert out.to_text() == "a <eol> b c <eob>"
 
-    def test_lenient_no_breaks(self):
-        assert apply_breaks("a b c", [], strict=False).to_text() == "a b c"
+    def test_rejects_sentence_without_breaks(self):
+        with pytest.raises(GrammarViolation):
+            apply_breaks("a b c", [])
 
     def test_strict_three_line_block(self):
         breaks = [BreakPosition(1, EOL), BreakPosition(2, EOL), BreakPosition(3, EOB)]
@@ -142,7 +142,7 @@ class TestApplyBreaks:
     )
     def test_invalid_gaps(self, breaks):
         with pytest.raises(InvalidGap):
-            apply_breaks("a b c", breaks, strict=False)
+            apply_breaks("a b c", breaks)
 
 
 _word = st.text(alphabet="abcdefghijklmnopqrstuvwxyz'.,!?", min_size=1, max_size=9).filter(
@@ -237,43 +237,56 @@ class TestInversePairs:
         assert extract_breaks(apply_breaks(text, breaks)) == breaks
 
 
+def restored(line):
+    """The lines ``preprocess_document`` makes of a one-cue document holding ``line``."""
+    doc = SubtitleDocument("t", (Subtitle(1, Timestamp(0), Timestamp(1000), (line,)),))
+    return list(preprocess_document(doc).subtitles[0].lines)
+
+
+def cue_lines(alphabet):
+    """Lines a cue can hold: non-empty, with no trailing whitespace."""
+    last = st.sampled_from([c for c in alphabet if not c.isspace()])
+    return st.builds(str.__add__, st.text(alphabet=st.sampled_from(alphabet), max_size=29), last)
+
+
 class TestRestoreEol:
     def test_figure_collapsed_line(self):
-        assert restore_eol_from_double_space(
+        assert restored(
             "that design is but a tool  to create function and beauty."
         ) == ["that design is but a tool", "to create function and beauty."]
 
     def test_no_double_space_identity(self):
-        assert restore_eol_from_double_space("no double spaces here") == ["no double spaces here"]
+        assert restored("no double spaces here") == ["no double spaces here"]
 
     def test_three_way_split_keeps_first_and_warns(self):
         with pytest.warns(AnnotationWarning):
-            assert restore_eol_from_double_space("a  b  c") == ["a", "b  c"]
+            assert restored("a  b  c") == ["a", "b  c"]
 
     def test_warning_counts_every_split_point(self):
         with pytest.warns(AnnotationWarning) as record:
-            assert restore_eol_from_double_space("a  b   c  d") == ["a", "b   c  d"]
+            assert restored("a  b   c  d") == ["a", "b   c  d"]
         assert [str(w.message) for w in record] == [
-            "line has 3 double-space split points; keeping only the first"
+            "talk 't', cue 1: line has 3 double-space split points; keeping only the first"
         ]
 
     def test_longer_runs_count_once(self):
-        assert restore_eol_from_double_space("left    right") == ["left", "right"]
+        assert restored("left    right") == ["left", "right"]
 
     def test_leading_trailing_runs_do_not_split(self):
-        assert restore_eol_from_double_space("  padded") == ["  padded"]
+        # a cue line cannot end in whitespace, so only a leading run can reach restoration
+        assert restored("  padded") == ["  padded"]
 
-    @pytest.mark.filterwarnings("ignore::subseg.annotate.AnnotationWarning")
-    @given(st.text(alphabet=st.sampled_from("ab ."), max_size=30))
+    @pytest.mark.filterwarnings("ignore::subseg.pipeline.AnnotationWarning")
+    @given(cue_lines("ab ."))
     def test_never_changes_non_space_characters(self, text):
-        joined = "".join(restore_eol_from_double_space(text))
+        joined = "".join(restored(text))
         assert joined.replace(" ", "") == text.replace(" ", "")
 
-    @pytest.mark.filterwarnings("ignore::subseg.annotate.AnnotationWarning")
-    @given(st.text(alphabet=st.sampled_from("ab. \t\u00a0\u2003"), max_size=30).filter(str.strip))
+    @pytest.mark.filterwarnings("ignore::subseg.pipeline.AnnotationWarning")
+    @given(cue_lines("ab. \t\u00a0\u2003"))
     def test_every_part_holds_a_non_space_character(self, text):
         # so preprocess_document never gets a blank line back from a line with words
-        assert all(part.strip() for part in restore_eol_from_double_space(text))
+        assert all(part.strip() for part in restored(text))
 
 
 class TestIndexAndAlign:
@@ -289,8 +302,8 @@ class TestIndexAndAlign:
             parse_srt(figure_srt.replace("164", "9").replace("165", "10"), talk_id="c"),
         ]
         index = build_index(docs)
-        assert len(index) == 6
-        assert set(index.talk_ids()) == {"a", "b", "c"}
+        assert sum(talk.labels.count(EOB) for talk in index.values()) == 6
+        assert set(index) == {"a", "b", "c"}
 
     def test_index_keeps_one_copy_of_each_word_of_a_talk(self):
         srt = (
@@ -298,7 +311,7 @@ class TestIndexAndAlign:
             "2\n00:00:01,000 --> 00:00:02,000\nonce more  repeated\n\n"
         )
         doc = parse_srt(srt, talk_id="t")
-        talk = build_index([doc])._talks["t"]
+        talk = build_index([doc])["t"]
         assert talk.words[0] == talk.words[5] == "repeated"
         assert talk.words[0] is talk.words[5]
         for record in (talk, doc.subtitles[0], doc.subtitles[0].start):

@@ -178,6 +178,13 @@ class TestSegment:
         first, blank, second = out.read_text(encoding="utf-8").splitlines()
         assert (first.split()[0], blank, second.split()[0]) == ("one", "", "four")
 
+    def test_a_line_ends_only_at_a_newline(self, tmp_path):
+        # a form feed inside a line separates words, so the file is still two lines
+        infile = write(tmp_path / "in.txt", "one\ftwo three\nfour five\n")
+        out = tmp_path / "out.txt"
+        assert main(["segment", "--count-char", "--in", str(infile), "--out", str(out)]) == 0
+        assert out.read_text(encoding="utf-8") == "one two three <eob>\nfour five <eob>\n"
+
     def test_count_char_seeds_each_line_by_its_index_in_the_file(self, tmp_path):
         sentence = " ".join(["abcde"] * 40)
         infile = write(tmp_path / "in.txt", f"{sentence}\n   \n{sentence}\n")
@@ -543,6 +550,25 @@ class TestBuildCorpusCommand:
             f"warning: skipped {bad}: {reason}\nwarning: skipped {unreadable}: {raised.value}\n"
         )
 
+    def test_a_sentence_line_ends_only_at_a_newline(self, tmp_path, capsys):
+        srt_dir = tmp_path / "srt"
+        srt_dir.mkdir()
+        write(srt_dir / "talk1.srt", FIGURE_SRT)
+        separated = FIGURE_SENTENCE.replace(" ", "\u2028", 1)  # a line separator between words
+        sentences = write(
+            tmp_path / "sentences.tsv", f"talk1\t{separated}\ntalk1\t{FIGURE_SENTENCE}\n"
+        )
+        out = tmp_path / "corpus.txt"
+        log = tmp_path / "log.tsv"
+        status = main(
+            ["build-corpus", "--srt-dir", str(srt_dir), "--sentences", str(sentences),
+             "--out", str(out), "--log", str(log)]
+        )
+        assert status == 0
+        assert out.read_text(encoding="utf-8") == f"{FIGURE_ANNOTATED}\n" * 2
+        assert log.read_text(encoding="utf-8") == "1\ttalk1\tok\t\n2\ttalk1\tok\t\n"
+        assert "aligned 2/2" in capsys.readouterr().out
+
     def test_bare_carriage_return_in_a_cue_reads_as_a_line_break(self, tmp_path, capsys):
         # .srt files are read with universal newlines, so a cue line never
         # holds a bare carriage return by the time parse_srt sees it
@@ -593,7 +619,7 @@ class TestBuildCorpusCommand:
         assert "aligned 5/6" in captured.out
         assert "warning: skipped" in captured.err and "talk2b.srt" in captured.err
 
-    def test_every_warning_names_its_talk(self, tmp_path):
+    def test_every_warning_names_its_talk(self, tmp_path, recwarn):
         srt_dir = tmp_path / "srt"
         srt_dir.mkdir()
         for talk in ("talk1", "talk2"):  # a backwards start and a cue with two double-space runs
@@ -603,20 +629,19 @@ class TestBuildCorpusCommand:
                 "2\n00:00:01,000 --> 00:00:02,000\nearly  one  two\n\n",
             )
         sentences = write(tmp_path / "sentences.tsv", "talk1\tlate cue\ntalk2\tlate cue\n")
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("default")  # as a command line shows them: once per text and place
-            status = main(
-                ["build-corpus", "--srt-dir", str(srt_dir), "--sentences", str(sentences),
-                 "--out", str(tmp_path / "corpus.txt")]
-            )
+        warnings.simplefilter("default")  # as a command line shows them: once per text and place
+        status = main(
+            ["build-corpus", "--srt-dir", str(srt_dir), "--sentences", str(sentences),
+             "--out", str(tmp_path / "corpus.txt")]
+        )
         assert status == 0
         backwards = "1 cue(s) start before their predecessor (first: cue 2 after cue 1)"
         runs = "line has 2 double-space split points; keeping only the first"
-        assert [(w.category, str(w.message)) for w in caught] == [
+        assert [(w.category, str(w.message)) for w in recwarn] == [
             (srt_io.NonMonotonicTiming, f"talk 'talk1': {backwards}"),
-            (annotate.AnnotationWarning, f"talk 'talk1', cue 2: {runs}"),
+            (pipeline.AnnotationWarning, f"talk 'talk1', cue 2: {runs}"),
             (srt_io.NonMonotonicTiming, f"talk 'talk2': {backwards}"),
-            (annotate.AnnotationWarning, f"talk 'talk2', cue 2: {runs}"),
+            (pipeline.AnnotationWarning, f"talk 'talk2', cue 2: {runs}"),
         ]
 
 

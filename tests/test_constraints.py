@@ -11,6 +11,7 @@ from subseg.constraints import (
     conformity_stats,
     sentence_lines,
 )
+from subseg.pipeline import stats
 from subseg.srt_io import SegmentDuration
 
 from test_annotate import strict_sentences
@@ -146,11 +147,12 @@ class TestConformityStats:
         assert report.conforming_lines == 7
 
     def test_json_keys(self):
-        data = conformity_stats([sent("a <eob>")]).to_json_dict()
+        data = stats([sent("a <eob>")]).to_json_dict()["conformity"]
         assert set(data) == {"totals", "conforming_42", "conforming_84", "with_eol"}
 
     def test_json_keys_follow_the_profile(self):
-        data = conformity_stats([sent("a <eob>")], ConstraintProfile(cpl_limit=37)).to_json_dict()
+        data = stats([sent("a <eob>")], profile=ConstraintProfile(cpl_limit=37)).to_json_dict()
+        data = data["conformity"]
         assert set(data) == {"totals", "conforming_37", "conforming_74", "with_eol"}
 
     @given(

@@ -4,7 +4,7 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from subseg.annotate import AnnotatedSentence, BreakPosition, GapLabel, apply_breaks, extract_breaks
+from subseg.annotate import AnnotatedSentence, GapLabel, extract_breaks
 from subseg.constraints import ConstraintProfile
 from subseg.evaluation import (
     BreakCounts,
@@ -23,7 +23,13 @@ EOB = GapLabel.EOB
 
 
 def with_breaks(text, breaks):
-    return apply_breaks(text, [BreakPosition(g, k) for g, k in breaks], strict=False)
+    """``text`` with a break of kind ``k`` after word ``g`` for each ``(g, k)``;
+    the sentence need not be strict."""
+    words = text.split()
+    labels = [GapLabel.NONE] * len(words)
+    for gap, kind in breaks:
+        labels[gap - 1] = kind
+    return AnnotatedSentence(words, labels)
 
 
 TWELVE = "w1 w2 w3 w4 w5 w6 w7 w8 w9 w10 w11 w12"
