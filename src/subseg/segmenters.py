@@ -43,6 +43,8 @@ class ModelFormatError(ValueError):
 
 _ALL_LABELS = (GapLabel.NONE, GapLabel.EOL, GapLabel.EOB)
 _EOL_ONLY_LABELS = (GapLabel.NONE, GapLabel.EOL)
+# which labels a gap frozen at a label may take, indexed like _ALL_LABELS
+_ONLY = {label: tuple(other is label for other in _ALL_LABELS) for label in _ALL_LABELS}
 
 
 @dataclass(frozen=True)
@@ -109,6 +111,19 @@ def _tail(word: str) -> str:
     return word[-1] if word[-1] in _PUNCTUATION else ""
 
 
+# the gap features of small domains, formatted once: bucketed length to the
+# sentence end, word lengths up to _LENGTHS (longer ones are formatted per
+# gap), the punctuation pair per tail, and the tenth of the sentence
+_LENGTHS = 64
+_TO_END = tuple(f"to_end={bucket}" for bucket in range(_BUCKET_CAP + 1))
+_WLEN = tuple(f"wlen={n}" for n in range(_LENGTHS))
+_NLEN = tuple(f"nlen={n}" for n in range(_LENGTHS))
+_TAIL_FEATURES = {
+    tail: (f"punct={int(bool(tail))}", f"tail={tail}") for tail in ("", *_PUNCTUATION)
+}
+_POS = tuple(f"pos={tenth}" for tenth in range(10))
+
+
 def _gap_features(words: Sequence[str], gap: int, to_end: int) -> tuple[tuple[str, ...], str, int]:
     """The features of the gap after ``words[gap - 1]`` that no decoder state
     changes, with the word's punctuation tail and the next word's length (0
@@ -121,24 +136,26 @@ def _gap_features(words: Sequence[str], gap: int, to_end: int) -> tuple[tuple[st
     if gap == len(words):
         return (), tail, 0
     nxt = words[gap]
+    wlen, nlen = len(word), len(nxt)
+    punct, tail_feature = _TAIL_FEATURES[tail]
     features = (
-        f"to_end={_length_bucket(to_end)}",
+        _TO_END[_length_bucket(to_end)],
         f"w={word}",
-        f"wlen={len(word)}",
+        _WLEN[wlen] if wlen < _LENGTHS else f"wlen={wlen}",
         f"n={nxt}",
-        f"nlen={len(nxt)}",
-        f"punct={int(bool(tail))}",
-        f"tail={tail}",
-        f"pos={(10 * gap) // len(words)}",
+        _NLEN[nlen] if nlen < _LENGTHS else f"nlen={nlen}",
+        punct,
+        tail_feature,
+        _POS[(10 * gap) // len(words)],
     )
-    return features, tail, len(nxt)
+    return features, tail, nlen
 
 
-@functools.lru_cache(maxsize=1)  # the latest sentence: one training step's decode and path walks
+@functools.lru_cache(maxsize=1)  # the latest sentence: one training step's decode and update
 def _sentence_pass(words: tuple[str, ...]) -> tuple[tuple[tuple[str, ...], str, int], ...]:
     """``_gap_features`` for every gap of ``words``, in gap order.  The decoder
     and ``extract_features`` both read it, so one training step builds each
-    gap's features once for its decode and both path walks."""
+    gap's features once for its decode and its update."""
     to_end = len(" ".join(words))
     gaps = []
     for gap, word in enumerate(words, start=1):
@@ -329,6 +346,7 @@ def _decode(
     max_lines = profile.max_lines_per_block
     clamped = _state_id(clamp, GapLabel.NONE, 0, max_lines)  # the first clamped state id
     last = len(words)
+    takes = tuple(label in open_labels for label in _ALL_LABELS)  # at an open gap
     # each entry holds (-score, labels), so the smallest entry is the one to
     # keep; the labels are a base-3 code, first label most significant, so
     # of two paths of one length the smaller code is the smaller path
@@ -341,9 +359,7 @@ def _decode(
         if rows is None:
             rows = state_rows[tail] = [None] * len(_KEYS)
         forced = frozen.get(gap, GapLabel.EOB if gap == last else None)
-        take_none, take_eol, take_eob = (
-            label in (open_labels if forced is None else (forced,)) for label in _ALL_LABELS
-        )
+        take_none, take_eol, take_eob = takes if forced is None else _ONLY[forced]
         expanded: dict[int, tuple[float, int]] = {}
         breaks: dict[int, tuple[float, int]] = {}  # the best <eol> per successor
         eob = None
@@ -384,21 +400,30 @@ def _decode(
     return tuple(reversed(labels)), -cost
 
 
-def _path_steps(
+def _path_differences(
     words: Sequence[str],
-    labels: Sequence[GapLabel],
+    gold: Sequence[GapLabel],
+    predicted: Sequence[GapLabel],
     profile: ConstraintProfile,
-) -> Iterable[tuple[list[str], GapLabel]]:
-    """Feature/label pairs along a fixed grammatical label path (teacher forcing)."""
+) -> Iterable[tuple[list[str], GapLabel, int]]:
+    """The perceptron update Phi(gold) - Phi(predicted) as (features, label,
+    sign) triples: both grammatical label paths are walked in lockstep, and
+    only a gap where their states or labels differ yields, gold's side (+1)
+    first.  Elsewhere both sides bump the same features of the same label."""
     clamp = _char_clamp(profile)
     max_lines = profile.max_lines_per_block
-    state = _start(words, clamp, profile.cpl_limit, max_lines)
-    for gap, label in enumerate(labels, start=1):
-        chars, rest = divmod(state, len(_ALL_LABELS) * max_lines)  # unpacks _state_id
-        yield extract_features(words, gap, chars, _ALL_LABELS[rest // max_lines], profile), label
+    gold_state = guess_state = _start(words, clamp, profile.cpl_limit, max_lines)
+    for gap, (gold_label, guess) in enumerate(zip(gold, predicted), start=1):
+        if gold_state != guess_state or gold_label is not guess:
+            for state, label, sign in ((gold_state, gold_label, 1), (guess_state, guess, -1)):
+                chars, rest = divmod(state, len(_ALL_LABELS) * max_lines)  # unpacks _state_id
+                prev = _ALL_LABELS[rest // max_lines]
+                yield extract_features(words, gap, chars, prev, profile), label, sign
         next_len = min(len(words[gap]), clamp) if gap < len(words) else 0
-        state = _table(next_len, clamp, profile.cpl_limit, max_lines)[1 + label][state]
-        if state < 0:
+        successors = _table(next_len, clamp, profile.cpl_limit, max_lines)
+        gold_state = successors[1 + gold_label][gold_state]
+        guess_state = successors[1 + guess][guess_state]
+        if gold_state < 0 or guess_state < 0:
             raise ValueError(f"gap {gap}: an {EOL_SYMBOL} past the block's line cap")
 
 
@@ -469,10 +494,8 @@ def _run_perceptron(
             predicted, _ = _decode(words, state.rows, profile, {}, _ALL_LABELS, state_rows)
             if predicted != gold:
                 mistakes += 1
-                for features, label in _path_steps(words, gold, profile):
-                    state.bump(features, label, config.learning_rate)
-                for features, label in _path_steps(words, predicted, profile):
-                    state.bump(features, label, -config.learning_rate)
+                for features, label, sign in _path_differences(words, gold, predicted, profile):
+                    state.bump(features, label, sign * config.learning_rate)
                 state_rows = {}  # the rows hold until the weights change
         if mistakes == 0:
             break  # weights are now fixed points; further epochs cannot change them

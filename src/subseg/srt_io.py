@@ -175,9 +175,12 @@ def parse_srt(text: str, talk_id: str = "") -> SubtitleDocument:
         left, right = timing.split("-->", 1)
         end_tokens = right.split()
         if not end_tokens:
-            raise MalformedTimestamp("missing end timestamp")
-        start = parse_timestamp(left.strip())
-        end = parse_timestamp(end_tokens[0])
+            raise MalformedTimestamp(f"cue block {number}: missing end timestamp")
+        try:  # a timestamp error keeps its class and names the cue
+            start = parse_timestamp(left.strip())
+            end = parse_timestamp(end_tokens[0])
+        except MalformedTimestamp as exc:
+            raise MalformedTimestamp(f"cue block {number}: {exc}") from None
         try:  # the index, text and time-order rules are the cue's own
             subtitles.append(Subtitle(int(index_text), start, end, tuple(lines[2:])))
         except ValueError as exc:

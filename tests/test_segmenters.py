@@ -31,7 +31,7 @@ from subseg.segmenters import (
     _char_clamp,
     _decode,
     _gap_features,
-    _path_steps,
+    _path_differences,
     _score,
     _sentence_pass,
     _state_features,
@@ -969,12 +969,28 @@ class TestTableDecode:
 
 
 def _reference_extract_features(words, gap, chars, prev, profile):
-    """Reference feature extraction: the gap features re-derived per call,
-    with ``words[gap:]`` joined for ``to_end``, and the state key from ``_step``."""
-    features, tail, next_len = _gap_features(words, gap, len(" ".join(words[gap:])))
+    """Reference feature extraction, spelled out per call: the gap features
+    from their own f-strings, with ``words[gap:]`` joined for ``to_end``, and
+    the state key from ``_step``."""
+    word = words[gap - 1]
+    tail = word[-1] if word[-1] in ".,;:!?…\"')»]}" else ""
+    next_len = len(words[gap]) if gap < len(words) else 0
     clamp = _char_clamp(profile)
     key, _ = _step((min(chars, clamp), prev, 0), min(next_len, clamp), clamp, profile.cpl_limit)
-    return [*features, *_state_features(tail, *key)]
+    if gap == len(words):
+        return list(_state_features(tail, *key))
+    nxt = words[gap]
+    return [
+        f"to_end={min(len(' '.join(words[gap:])) // 4, 15)}",
+        f"w={word}",
+        f"wlen={len(word)}",
+        f"n={nxt}",
+        f"nlen={len(nxt)}",
+        f"punct={int(bool(tail))}",
+        f"tail={tail}",
+        f"pos={(10 * gap) // len(words)}",
+        *_state_features(tail, *key),
+    ]
 
 
 def _reference_path_steps(words, labels, profile):
@@ -988,14 +1004,51 @@ def _reference_path_steps(words, labels, profile):
         state = _step(state, next_len, clamp, profile.cpl_limit)[1][label]
 
 
+def _reference_update(weights, words, gold, predicted, profile, rate):
+    """The dense perceptron update: every gap of the gold path bumped by
+    ``rate``, then every gap of the predicted path by ``-rate``."""
+    for features, label in _reference_path_steps(words, gold, profile):
+        weights.bump(features, label, rate)
+    for features, label in _reference_path_steps(words, predicted, profile):
+        weights.bump(features, label, -rate)
+
+
+def _settled(weights):
+    """Each feature's weights and its sums over the snapshots before the
+    current step, bit for bit; rows that hold only zeros are left out."""
+    settled = {}
+    for feature, row in weights.rows.items():
+        sums = [row[label + 3] + (weights.step - row[label + 6]) * row[label] for label in _ALL_LABELS]
+        if any(row[:3]) or any(sums):
+            settled[feature] = repr((*row[:3], *sums))
+    return settled
+
+
+def _grammatical(labels, max_lines):
+    """``labels`` with every ``<eol>`` that would pass the line cap made an ``<eob>``."""
+    fixed, eols = [], 0
+    for label in labels:
+        if label is GapLabel.EOL and eols + 2 > max_lines:
+            label = GapLabel.EOB
+        eols = eols + 1 if label is GapLabel.EOL else 0 if label is GapLabel.EOB else eols
+        fixed.append(label)
+    return fixed
+
+
 class TestFeaturePass:
-    """``extract_features`` and the training path walk read the shared
+    """``extract_features`` and the training update read the shared
     sentence pass and the transition tables, and give the per-call
-    reference's feature lists."""
+    reference's feature lists and weights."""
+
+    # every punctuation tail, on words up to past the prebuilt length strings
+    WORDS = st.one_of(
+        st.text("ab" + "".join(sorted(segmenters._PUNCTUATION)), min_size=1, max_size=8),
+        TestTableDecode.WORDS,
+    )
 
     @settings(max_examples=300, deadline=None)
     @given(
-        words=st.lists(TestTableDecode.WORDS, min_size=1, max_size=20),
+        words=st.lists(WORDS, min_size=1, max_size=20),
         profile_name=st.sampled_from(sorted(TestTableDecode.PROFILES)),
         data=st.data(),
     )
@@ -1009,41 +1062,81 @@ class TestFeaturePass:
         assert extract_features(words, gap, chars, prev, profile) == expected
         assert extract_features(tuple(words), gap, chars, prev, profile) == expected
 
+    def test_long_words_format_their_own_lengths(self):
+        words = ("x" * 700, "y" * 700, "z")
+        features = extract_features(words, 1, 0, GapLabel.EOB, PROFILE)
+        assert {"wlen=700", "nlen=700"} <= set(features)
+        assert features == _reference_extract_features(words, 1, 0, GapLabel.EOB, PROFILE)
+
     @settings(max_examples=300, deadline=None)
     @given(
-        words=st.lists(TestTableDecode.WORDS, min_size=1, max_size=30),
+        words=st.lists(WORDS, min_size=1, max_size=30),
         profile_name=st.sampled_from(sorted(TestTableDecode.PROFILES)),
+        rate=st.sampled_from([0.5, 1.0, 2.0]),
         data=st.data(),
     )
-    def test_path_steps_match_the_reference(self, words, profile_name, data):
+    def test_sparse_update_matches_the_dense_reference(self, words, profile_name, rate, data):
         profile = TestTableDecode.PROFILES[profile_name]
-        drawn = data.draw(st.lists(st.sampled_from(_ALL_LABELS), min_size=len(words), max_size=len(words)))
-        # a grammatical path: an <eol> that would pass the line cap becomes an <eob>
-        labels, eols = [], 0
-        for label in drawn:
-            if label is GapLabel.EOL and eols + 2 > profile.max_lines_per_block:
-                label = GapLabel.EOB
-            eols = eols + 1 if label is GapLabel.EOL else 0 if label is GapLabel.EOB else eols
-            labels.append(label)
-        expected = list(_reference_path_steps(words, labels, profile))
-        assert list(_path_steps(words, labels, profile)) == expected
+        max_lines = profile.max_lines_per_block
+        labels = st.sampled_from(_ALL_LABELS)
+        gold = _grammatical(data.draw(st.lists(labels, min_size=len(words), max_size=len(words))), max_lines)
+        # mostly gold's labels, so the paths share stretches, part and meet again
+        edits = data.draw(st.lists(st.one_of(st.none(), labels), min_size=len(words), max_size=len(words)))
+        predicted = _grammatical([g if e is None else e for g, e in zip(gold, edits)], max_lines)
+        features = sorted({
+            feature
+            for path in (gold, predicted)
+            for gap_features, _ in _reference_path_steps(words, path, profile)
+            for feature in gap_features
+        })
+        rows = st.tuples(*[st.integers(-3, 3).map(float)] * 3)
+        initial = data.draw(st.dictionaries(st.sampled_from(features), rows), label="initial")
+        step = data.draw(st.integers(1, 5), label="step")
+
+        dense, sparse = _AveragedWeights(initial), _AveragedWeights(initial)
+        dense.step = sparse.step = step
+        _reference_update(dense, words, gold, predicted, profile, rate)
+        for features, label, sign in _path_differences(words, gold, predicted, profile):
+            sparse.bump(features, label, sign * rate)
+        assert _settled(sparse) == _settled(dense)
+        averaged = sparse.averaged()
+        assert averaged == dense.averaged()
+        assert {f: repr(row) for f, row in averaged.items()} == {
+            f: repr(row) for f, row in dense.averaged().items()
+        }
 
     def test_path_past_the_line_cap_fails(self):
-        labels = (GapLabel.EOL, GapLabel.EOL, GapLabel.EOB)
-        with pytest.raises(ValueError, match="^gap 2: an <eol> past the block's line cap$"):
-            list(_path_steps(("a", "b", "c"), labels, PROFILE))
+        over = (GapLabel.EOL, GapLabel.EOL, GapLabel.EOB)
+        fine = (GapLabel.NONE, GapLabel.EOL, GapLabel.EOB)
+        # on either side, and where the paths agree up to the bad gap
+        for gold, predicted in ((over, fine), (fine, over), (over, over)):
+            with pytest.raises(ValueError, match="^gap 2: an <eol> past the block's line cap$"):
+                list(_path_differences(("a", "b", "c"), gold, predicted, PROFILE))
 
     def test_holds_only_the_latest_sentence(self):
         assert _sentence_pass.cache_info().maxsize == 1
 
     def test_one_fill_serves_a_training_step(self):
         gold = sent("alpha bravo <eol> charlie delta <eob>")
+        predicted = (GapLabel.NONE, GapLabel.NONE, GapLabel.NONE, GapLabel.EOB)
+        # the paths part at gap 2 and stay in different states to the end
+        clamp = _char_clamp(PROFILE)
+        differing = 0
+        mine = theirs = _start(gold.words, clamp, PROFILE.cpl_limit)
+        for gap, (label, guess) in enumerate(zip(gold.labels, predicted), start=1):
+            differing += mine != theirs or label != guess
+            next_len = len(gold.words[gap]) if gap < len(gold.words) else 0
+            mine = _step(mine, next_len, clamp, PROFILE.cpl_limit)[1][label]
+            theirs = _step(theirs, next_len, clamp, PROFILE.cpl_limit)[1][guess]
+        assert differing == 3
         _sentence_pass.cache_clear()
-        # the zero model decodes no <eol>: a mistake, so both paths are walked
+        # the zero model decodes no <eol>: a mistake, and each side of every
+        # gap where the paths differ reads the decode's pass once
         train([gold], TrainingConfig(epochs=1), PROFILE)
         info = _sentence_pass.cache_info()
         assert info.misses == 1
-        assert info.hits == 2 * len(gold.words)
+        assert info.hits == 2 * differing
+        assert _decode(gold.words, {}, PROFILE, {}, _ALL_LABELS, {})[0] == predicted
 
     def test_concurrent_decodes_match_serial(self, gold_model):
         model, corpus = gold_model

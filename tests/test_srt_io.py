@@ -139,6 +139,21 @@ class TestParseSrt:
         with pytest.raises(MalformedTimestamp):
             parse_srt("1\n00:00:00.000 --> 00:00:01,000\nhi\n\n")
 
+    @pytest.mark.parametrize(
+        "timing, reason",
+        [
+            ("00:00:4,000 --> 00:00:05,000", "expected HH:MM:SS,mmm, got '00:00:4,000'"),
+            ("00:00:04,000 --> 00:00:05.000", "expected HH:MM:SS,mmm, got '00:00:05.000'"),
+            ("00:00:04,000 -->", "missing end timestamp"),
+        ],
+        ids=["bad start", "bad end", "no end"],
+    )
+    def test_timestamp_error_names_its_cue(self, timing, reason):
+        # a good first block, so the number counts blocks
+        with pytest.raises(MalformedTimestamp) as err:
+            parse_srt(f"1\n00:00:00,000 --> 00:00:01,000\nok\n\n2\n{timing}\nhi\n")
+        assert str(err.value) == f"cue block 2: {reason}"
+
     def test_non_monotonic_start_warns(self):
         text = (
             "1\n00:00:05,000 --> 00:00:06,000\nlate\n\n"
