@@ -40,6 +40,7 @@ class GapLabel(IntEnum):
 
 _LABEL_OF_SYMBOL = {EOL_SYMBOL: GapLabel.EOL, EOB_SYMBOL: GapLabel.EOB}
 _GAP_LABELS = {label: label for label in GapLabel}  # 0-2 (or a member) -> its member
+_LABEL_OF_BYTE = tuple(GapLabel)  # a label byte of the cue index -> its member
 _TEXT_AFTER = ("", f" {EOL_SYMBOL}", f" {EOB_SYMBOL}")  # indexed by GapLabel
 
 
@@ -104,21 +105,32 @@ class AnnotatedSentence:
         object.__setattr__(self, "labels", labels)
 
     @classmethod
+    def _of(cls, words: tuple[str, ...], labels: tuple[GapLabel, ...]) -> "AnnotatedSentence":
+        """A sentence of words already split from text (non-empty, without
+        whitespace, no break symbol) and one ``GapLabel`` member per word,
+        built without checking them again."""
+        sentence = object.__new__(cls)
+        object.__setattr__(sentence, "words", words)
+        object.__setattr__(sentence, "labels", labels)
+        return sentence
+
+    @classmethod
     def from_text(cls, text: str) -> "AnnotatedSentence":
         """Parse the corpus line format: space-separated tokens with literal
         ``<eol>`` / ``<eob>`` break symbols, each right after a word."""
         words: list[str] = []
-        labels: list[int] = []
+        labels: list[GapLabel] = []
+        none = GapLabel.NONE
         for token in text.split():
             label = _LABEL_OF_SYMBOL.get(token)
             if label is None:
                 words.append(token)
-                labels.append(0)  # GapLabel.NONE, without the enum lookup per word
+                labels.append(none)
             elif not labels or labels[-1]:
                 raise GrammarViolation("a break token must follow a word")
             else:
                 labels[-1] = label
-        return cls(words, labels)
+        return cls._of(tuple(words), tuple(labels))
 
     def to_text(self) -> str:
         """Render as one corpus line (inverse of :meth:`from_text`)."""
@@ -233,7 +245,7 @@ def build_index(docs: Iterable[SubtitleDocument]) -> dict[str, _IndexedTalk]:
             first = len(words)
             for line in sub.lines:
                 split = line.split()
-                words.extend(shared.setdefault(w, w) for w in split)
+                words.extend(map(shared.setdefault, split, split))
                 labels.extend(bytes(len(split) - 1))
                 labels.append(GapLabel.EOL)
             labels[-1] = GapLabel.EOB
@@ -264,7 +276,11 @@ def align_sentence(
         if end <= len(labels) and labels[end - 1] == GapLabel.EOB:
             run = talk.words[first:end]
             if run == words:
-                return AnnotatedSentence(run, labels[first:end])
+                if not _LABEL_OF_SYMBOL.keys().isdisjoint(run):
+                    # a cue word is a break symbol: the checking constructor raises
+                    return AnnotatedSentence(run, labels[first:end])
+                run_labels = tuple(map(_LABEL_OF_BYTE.__getitem__, labels[first:end]))
+                return AnnotatedSentence._of(run, run_labels)
     raise NoAlignment(f"no in-order tiling of talk {talk_id!r} cues reconstructs the sentence")
 
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 from typing import Iterable, NamedTuple
 
-from .annotate import AnnotatedSentence, strip_breaks
+from .annotate import AnnotatedSentence, GapLabel, strip_breaks
 from .srt_io import SegmentDuration
 
 
@@ -42,8 +42,25 @@ class CplCheck(NamedTuple):
 
 
 def _block_line_lengths(sentence: AnnotatedSentence) -> list[list[int]]:
-    """Each block's rendered line lengths, from one walk over the sentence."""
-    return [[len(" ".join(line)) for line in block] for block in sentence.blocks()]
+    """Each block's rendered line lengths, from one walk over the sentence:
+    a line of n words is their lengths plus n - 1 spaces.  Trailing words
+    without a final break form a line and block, as in ``blocks()``."""
+    blocks: list[list[int]] = []
+    block: list[int] = []
+    chars = 0  # the line so far, one space counted after each word
+    for word, label in zip(sentence.words, sentence.labels):
+        chars += len(word) + 1
+        if label:
+            block.append(chars - 1)
+            chars = 0
+            if label is GapLabel.EOB:
+                blocks.append(block)
+                block = []
+    if chars:
+        block.append(chars - 1)
+    if block:
+        blocks.append(block)
+    return blocks
 
 
 def _block_length(line_lengths: list[int]) -> int:

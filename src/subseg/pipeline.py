@@ -21,7 +21,7 @@ from .constraints import (
     conformity_stats,
 )
 from .segmenters import LinearSegmenterModel, TrainingConfig, fine_tune, segment_learned
-from .srt_io import SegmentDuration, SubtitleDocument
+from .srt_io import SegmentDuration, Subtitle, SubtitleDocument
 
 
 @dataclass(frozen=True)
@@ -50,7 +50,7 @@ def preprocess_document(doc: SubtitleDocument) -> SubtitleDocument:
     """
     subtitles = []
     for sub in doc.subtitles:
-        if len(sub.lines) == 1:
+        if len(sub.lines) == 1 and "  " in sub.lines[0]:
             lines = _DOUBLE_SPACE_RE.split(sub.lines[0], maxsplit=1)
             if len(lines) == 2:
                 if more := len(_DOUBLE_SPACE_RE.findall(lines[1])):
@@ -61,7 +61,7 @@ def preprocess_document(doc: SubtitleDocument) -> SubtitleDocument:
                         ),
                         stacklevel=2,
                     )
-                sub = replace(sub, lines=tuple(lines))
+                sub = Subtitle(sub.index, sub.start, sub.end, tuple(lines))
         subtitles.append(sub)
     return replace(doc, subtitles=tuple(subtitles))
 

@@ -246,7 +246,7 @@ def segment_count_char(
         labels.append(label)
         state = table[1 + label][state]
     labels.append(GapLabel.EOB)
-    return AnnotatedSentence(words, labels)
+    return AnnotatedSentence._of(words, tuple(labels))
 
 
 # what the state features see of a state, besides the word's punctuation
@@ -544,12 +544,13 @@ def fine_tune(
 def _plan(
     sentence: str | AnnotatedSentence, profile: ConstraintProfile, mode: str
 ) -> tuple[tuple[str, ...], dict[int, GapLabel], tuple[GapLabel, ...]]:
-    """What a segmenter may do with ``sentence``: its words, the labels of the
-    gaps its breaks freeze, in gap order and never to be moved, and the
-    labels an open gap may take.  In ``full`` mode that is NONE/EOL/EOB and
-    the final gap is EOB; in ``eol_only`` mode the input must already end in
-    ``<eob>`` and open gaps take NONE or EOL, so the block structure is
-    untouched."""
+    """What a segmenter may do with ``sentence``: its words (checked when the
+    sentence was built, so the output sentence reuses them unchecked), the
+    labels of the gaps its breaks freeze, in gap order and never to be
+    moved, and the labels an open gap may take.  In ``full`` mode that is
+    NONE/EOL/EOB and the final gap is EOB; in ``eol_only`` mode the input
+    must already end in ``<eob>`` and open gaps take NONE or EOL, so the
+    block structure is untouched."""
     if mode not in ("full", "eol_only"):
         raise ValueError(f"mode must be 'full' or 'eol_only', got {mode!r}")
     if isinstance(sentence, str):
@@ -587,7 +588,7 @@ def segment_learned(
     """
     words, frozen, open_labels = _plan(sentence, profile, mode)
     labels, _ = _decode(words, model.weights, profile, frozen, open_labels, model._state_rows)
-    return AnnotatedSentence(words, labels)
+    return AnnotatedSentence._of(words, labels)
 
 
 def dump_model(model: LinearSegmenterModel) -> str:

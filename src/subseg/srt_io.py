@@ -40,7 +40,14 @@ class NonMonotonicTiming(UserWarning):
     """Cue start times go backwards; the document keeps file order anyway."""
 
 
-_TIMESTAMP_RE = re.compile(r"^(\d{2,}):([0-5]\d):([0-5]\d),(\d{3})$")
+# HH:MM:SS,mmm in ASCII digits; written as [0-9], since \d also takes other
+# scripts' digits, and without re.ASCII, which would narrow the \s around
+# the arrow in _TIMING_RE to ASCII whitespace
+_TIMESTAMP = r"([0-9]{2,}):([0-5][0-9]):([0-5][0-9]),([0-9]{3})"
+_TIMESTAMP_RE = re.compile(f"^{_TIMESTAMP}$")
+# a timing line parse_srt accepts in one step: the end time's first token is
+# the timestamp itself, and whatever follows it is ignored
+_TIMING_RE = re.compile(rf"\s*{_TIMESTAMP}\s*-->\s*{_TIMESTAMP}(?:\s|$)")
 
 
 @dataclass(frozen=True, order=True, slots=True)
@@ -58,12 +65,16 @@ class Timestamp:
 
 
 def parse_timestamp(text: str) -> Timestamp:
-    """Parse ``HH:MM:SS,mmm`` (zero-padded, comma separator) into a Timestamp."""
+    """Parse ``HH:MM:SS,mmm`` (zero-padded ASCII digits, two or more for the
+    hours, comma separator) into a Timestamp."""
     match = _TIMESTAMP_RE.match(text)
     if match is None:
         raise MalformedTimestamp(f"expected HH:MM:SS,mmm, got {text!r}")
-    hh, mm, ss, ms = (int(group) for group in match.groups())
-    return Timestamp(((hh * 60 + mm) * 60 + ss) * 1000 + ms)
+    return _timestamp(*match.groups())
+
+
+def _timestamp(hh: str, mm: str, ss: str, ms: str) -> Timestamp:
+    return Timestamp(((int(hh) * 60 + int(mm)) * 60 + int(ss)) * 1000 + int(ms))
 
 
 def format_timestamp(ts: Timestamp) -> str:
@@ -147,6 +158,22 @@ def _blocks(text: str) -> Iterable[tuple[int, list[str]]]:
         yield number, current
 
 
+def _parse_timing(line: str, number: int) -> tuple[Timestamp, Timestamp]:
+    """The start and end of a timing line, read step by step, so that a
+    malformed line raises the error that names what is wrong with it."""
+    timing = line.strip()
+    if "-->" not in timing:
+        raise MalformedCue(number, f"missing timing line, got {timing!r}")
+    left, right = timing.split("-->", 1)
+    end_tokens = right.split()
+    if not end_tokens:
+        raise MalformedTimestamp(f"cue block {number}: missing end timestamp")
+    try:  # a timestamp error keeps its class and names the cue
+        return parse_timestamp(left.strip()), parse_timestamp(end_tokens[0])
+    except MalformedTimestamp as exc:
+        raise MalformedTimestamp(f"cue block {number}: {exc}") from None
+
+
 def parse_srt(text: str, talk_id: str = "") -> SubtitleDocument:
     """Parse SubRip text into a SubtitleDocument.
 
@@ -169,18 +196,12 @@ def parse_srt(text: str, talk_id: str = "") -> SubtitleDocument:
             raise MalformedCue(number, f"cue index is not a number: {index_text!r}")
         if len(lines) < 2:
             raise MalformedCue(number, "missing timing line")
-        timing = lines[1].strip()
-        if "-->" not in timing:
-            raise MalformedCue(number, f"missing timing line, got {timing!r}")
-        left, right = timing.split("-->", 1)
-        end_tokens = right.split()
-        if not end_tokens:
-            raise MalformedTimestamp(f"cue block {number}: missing end timestamp")
-        try:  # a timestamp error keeps its class and names the cue
-            start = parse_timestamp(left.strip())
-            end = parse_timestamp(end_tokens[0])
-        except MalformedTimestamp as exc:
-            raise MalformedTimestamp(f"cue block {number}: {exc}") from None
+        timing = _TIMING_RE.match(lines[1])
+        if timing is None:
+            start, end = _parse_timing(lines[1], number)
+        else:
+            groups = timing.groups()
+            start, end = _timestamp(*groups[:4]), _timestamp(*groups[4:])
         try:  # the index, text and time-order rules are the cue's own
             subtitles.append(Subtitle(int(index_text), start, end, tuple(lines[2:])))
         except ValueError as exc:

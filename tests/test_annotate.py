@@ -436,6 +436,70 @@ class TestIndexAndAlign:
         assert got == expected
 
 
+def assert_as_checked(sentence):
+    """``sentence`` equals what the checking constructor builds from its
+    fields, and holds a word tuple and ``GapLabel`` members."""
+    assert sentence == AnnotatedSentence(sentence.words, sentence.labels)
+    assert type(sentence.words) is tuple and type(sentence.labels) is tuple
+    assert all(type(label) is GapLabel for label in sentence.labels)
+
+
+_unicode_spaces = st.text(alphabet=" \t\u00a0\u2003\u3000\x1c\x85", min_size=1, max_size=3)
+_unicode_word = st.text(alphabet="ab\u00e9\u0660<>eolb", min_size=1, max_size=5)
+
+
+class TestUncheckedConstruction:
+    """from_text and align_sentence build their sentences without checking
+    the words again; they must equal the checked construction."""
+
+    @given(st.lists(st.tuples(_unicode_spaces, st.one_of(_unicode_word, _break))))
+    @settings(max_examples=300)
+    def test_from_text(self, parts):
+        line = "".join(space + token for space, token in parts)
+        try:
+            sentence = AnnotatedSentence.from_text(line)
+        except GrammarViolation:
+            return
+        assert_as_checked(sentence)
+        assert sentence.to_text() == normalize_text(line)
+
+    @given(st.data())
+    @settings(max_examples=300)
+    def test_align_sentence(self, data):
+        a_word = st.one_of(_unicode_word, st.sampled_from(["w", "w", "<eob>"]))
+        cue_lines = data.draw(
+            st.lists(
+                st.lists(st.lists(a_word, min_size=1, max_size=3), min_size=1, max_size=2),
+                min_size=1,
+                max_size=8,
+            ),
+            label="cues",
+        )
+        space = data.draw(_unicode_spaces, label="space")
+        doc = SubtitleDocument(
+            "t",
+            tuple(
+                Subtitle(i + 1, Timestamp(i * 10), Timestamp(i * 10 + 10), tuple(map(space.join, ls)))
+                for i, ls in enumerate(cue_lines)
+            ),
+        )
+        first = data.draw(st.integers(0, len(cue_lines) - 1))
+        last = data.draw(st.integers(first, len(cue_lines) - 1))
+        words = [w for ls in cue_lines[first : last + 1] for line in ls for w in line]
+        symbols = [w for w in words if w in ("<eol>", "<eob>")]
+        try:
+            sentence = align_sentence(space.join(words), "t", build_index([doc]))
+        except ValueError as exc:
+            if symbols:  # the word check of the checking constructor
+                assert str(exc) == f"word token {symbols[0]!r} collides with a break symbol"
+            else:
+                assert isinstance(exc, NoAlignment)
+            return
+        assert not symbols
+        assert_as_checked(sentence)
+        assert sentence.words == tuple(words)
+
+
 def _full_scan_tile(words, cues):
     """Reference alignment: every cue position is tried, in order, as the
     start of a run of consecutive cues; returns the positions of the first

@@ -5,6 +5,7 @@ from subseg.annotate import AnnotatedSentence
 from subseg.constraints import (
     ConformityReport,
     ConstraintProfile,
+    _block_line_lengths,
     check_cpl,
     check_cps,
     check_lines,
@@ -14,7 +15,7 @@ from subseg.constraints import (
 from subseg.pipeline import stats
 from subseg.srt_io import SegmentDuration
 
-from test_annotate import strict_sentences
+from test_annotate import lenient_sentences, strict_sentences
 
 PROFILE = ConstraintProfile()
 
@@ -59,6 +60,21 @@ class TestCheckCpl:
     def test_counts_spaces_not_breaks(self):
         with_break = sent("ab cd <eob> ef <eob>")
         assert check_cpl(with_break).line_lengths == (5, 2)
+
+
+class TestBlockLineLengths:
+    @staticmethod
+    def _joined(sentence):
+        return [[len(" ".join(line)) for line in block] for block in sentence.blocks()]
+
+    @given(st.one_of(strict_sentences(), lenient_sentences()))
+    @settings(max_examples=300)
+    def test_matches_the_joined_lines(self, sentence):
+        assert _block_line_lengths(sentence) == self._joined(sentence)
+
+    def test_empty_sentence(self):
+        empty = AnnotatedSentence((), ())
+        assert _block_line_lengths(empty) == self._joined(empty) == []
 
 
 class TestCheckBlockCpl:

@@ -48,6 +48,7 @@ from subseg.segmenters import (
 )
 
 import synth
+from test_annotate import assert_as_checked
 
 PROFILE = ConstraintProfile()
 
@@ -211,6 +212,16 @@ class TestCountCharBaseline:
         eobs = lambda s: [b.gap for b in extract_breaks(s) if b.kind is GapLabel.EOB]
         assert eobs(out) == eobs(source)
         assert segment_count_char(source, profile, other_seed, "eol_only") == out
+
+    @settings(max_examples=200, deadline=None)
+    @given(**CASES, rolls=ROLLS, eol_only=st.booleans())
+    def test_output_equals_the_checked_construction(
+        self, words, seed, cpl_limit, max_lines, rolls, eol_only
+    ):
+        profile = ConstraintProfile(cpl_limit=cpl_limit, max_lines_per_block=max_lines)
+        source = self._with_breaks(words, rolls, max_lines, eol_only)
+        assert_as_checked(segment_count_char(source, profile, seed, "eol_only" if eol_only else "full"))
+        assert_as_checked(segment_count_char(" ".join(words), profile, seed))
 
     def test_an_added_line_break_leaves_room_for_the_frozen_ones(self):
         # the 8th word overflows the line, but the frozen <eol> already gives
@@ -466,6 +477,15 @@ class TestSegmentLearned:
         out = segment_learned(model, "one <eob> two three")
         assert extract_breaks(out)[0].gap == 1
         assert extract_breaks(out)[0].kind is GapLabel.EOB
+
+    def test_output_equals_the_checked_construction(self, gold_model, collapsed_models):
+        model, corpus = gold_model
+        for sentence in corpus[:40]:
+            assert_as_checked(segment_learned(model, " ".join(sentence.words)))
+            assert_as_checked(segment_learned(model, sentence))
+        base, _ = collapsed_models
+        for sentence in corpus[:40]:
+            assert_as_checked(segment_learned(base, sentence, mode="eol_only"))
 
     def test_eol_only_keeps_eobs(self, collapsed_models):
         _, tuned = collapsed_models

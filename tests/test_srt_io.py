@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -53,6 +55,21 @@ class TestParseTimestamp:
     def test_round_trip(self, millis):
         ts = Timestamp(millis)
         assert parse_timestamp(format_timestamp(ts)) == ts
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "\u0660\u0661:0\u0662:0\u0663,\u0664\u0665\u0666",  # Arabic-Indic digits 01:02:03,456
+            "\u0660\u0660:\u0660\u0660:\u0660\u0660,\u0660\u0660\u0660",
+            "00:00:01,\uff10\uff10\uff10",  # fullwidth digits
+        ],
+    )
+    def test_takes_ascii_digits_only(self, text):
+        # format_timestamp writes ASCII digits, so any other digit would not round-trip
+        with pytest.raises(MalformedTimestamp):
+            parse_timestamp(text)
+        with pytest.raises(MalformedTimestamp):
+            parse_srt(f"1\n{text} --> 99:00:00,000\nhi\n")
 
 
 class TestParseSrt:
@@ -154,6 +171,12 @@ class TestParseSrt:
             parse_srt(f"1\n00:00:00,000 --> 00:00:01,000\nok\n\n2\n{timing}\nhi\n")
         assert str(err.value) == f"cue block 2: {reason}"
 
+    @pytest.mark.parametrize("space", [" ", "\t", "\u00a0", "\u3000", "\x1c", "\x85", ""])
+    def test_any_whitespace_around_the_arrow(self, space):
+        line = f"{space}00:00:01,000{space}-->{space}00:00:02,500{space} X1:40 X2:600"
+        cue = parse_srt(f"1\n{line}\nhi\n").subtitles[0]
+        assert (cue.start.millis, cue.end.millis) == (1000, 2500)
+
     def test_non_monotonic_start_warns(self):
         text = (
             "1\n00:00:05,000 --> 00:00:06,000\nlate\n\n"
@@ -170,6 +193,83 @@ class TestParseSrt:
             parse_srt(text)
         except (MalformedCue, MalformedTimestamp):
             pass
+
+
+# Today's steps for a timing line, kept here as the reference for parse_srt's
+# one-match reading: strip, split at the first arrow, take the end time's
+# first token, and parse both timestamps (in ASCII digits).
+_REFERENCE_TIMESTAMP = re.compile(r"^([0-9]{2,}):([0-5][0-9]):([0-5][0-9]),([0-9]{3})$")
+
+
+def _reference_timing(line, number):
+    timing = line.strip()
+    if "-->" not in timing:
+        raise MalformedCue(number, f"missing timing line, got {timing!r}")
+    left, right = timing.split("-->", 1)
+    end_tokens = right.split()
+    if not end_tokens:
+        raise MalformedTimestamp(f"cue block {number}: missing end timestamp")
+
+    def millis(text):
+        match = _REFERENCE_TIMESTAMP.match(text)
+        if match is None:
+            raise MalformedTimestamp(f"cue block {number}: expected HH:MM:SS,mmm, got {text!r}")
+        hh, mm, ss, ms = map(int, match.groups())
+        return ((hh * 60 + mm) * 60 + ss) * 1000 + ms
+
+    return millis(left.strip()), millis(end_tokens[0])
+
+
+_spaces = st.text(alphabet=" \t\u00a0\u2003\u3000\x0b\x1c\x85\u2028", max_size=2)
+_digit_run = st.text(alphabet="0123456789\u0660\u0665\uff11", min_size=1, max_size=4)
+
+
+@st.composite
+def _timestamp_texts(draw):
+    if draw(st.booleans()):  # a well-formed one, hours past 99 included
+        return format_timestamp(Timestamp(draw(st.integers(0, 10**9))))
+    a_part = st.one_of(_digit_run, st.sampled_from(["00", "05", "59", "60", "000"]))
+    parts = [draw(a_part) for _ in range(4)]
+    separators = [draw(st.sampled_from([":", ":", ",", "."])) for _ in range(3)]
+    return "".join(part + sep for part, sep in zip(parts, separators + [""]))
+
+
+@st.composite
+def _timing_lines(draw):
+    pieces = [
+        draw(_spaces),
+        draw(_timestamp_texts()),
+        draw(_spaces),
+        draw(st.sampled_from(["-->", "-->", "-->", "->", "--> -->", ""])),
+        draw(_spaces),
+        draw(_timestamp_texts()),
+        draw(st.sampled_from(["", "", " X1:40", "X1:40", "-->", "0", "\u00a0tail"])),
+    ]
+    return "".join(pieces)
+
+
+class TestTimingLine:
+    @given(_timing_lines())
+    @settings(max_examples=600)
+    def test_accepts_what_the_stepwise_reading_accepts(self, line):
+        line = line.rstrip()  # as parse_srt reads every line
+        if not line:
+            return
+        text = f"1\n{line}\nhi\n"
+        try:
+            expected = _reference_timing(line, 1)
+        except (MalformedCue, MalformedTimestamp) as exc:
+            with pytest.raises(type(exc)) as err:
+                parse_srt(text)
+            assert str(err.value) == str(exc)
+            return
+        start, end = expected
+        if start < end:
+            cue = parse_srt(text).subtitles[0]
+            assert (cue.start.millis, cue.end.millis) == expected
+        else:
+            with pytest.raises(MalformedCue, match="cue ends before it starts"):
+                parse_srt(text)
 
 
 _line = (
