@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import IntEnum
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .srt_io import SegmentDuration, Subtitle, SubtitleDocument, Timestamp
 
@@ -161,17 +161,31 @@ class AnnotatedSentence:
             blocks.append(tuple(lines))
         return tuple(blocks)
 
+    def _block_line_counts(self) -> Iterator[int]:
+        """The number of lines of each block of ``blocks()``, counted from
+        the labels alone: a break ends a line, and words after the last
+        break end a line and a block of their own."""
+        lines = 0
+        for label in self.labels:
+            if label:
+                lines += 1
+                if label is GapLabel.EOB:
+                    yield lines
+                    lines = 0
+        if self.labels and not self.labels[-1]:
+            lines += 1
+        if lines:
+            yield lines
+
     def validate_strict(self, max_lines_per_block: int = 2) -> None:
         """Raise GrammarViolation unless the sentence is fully renderable."""
         if not self.labels:
             raise GrammarViolation("empty sentence")
         if self.labels[-1] is not GapLabel.EOB:
             raise GrammarViolation(f"sentence must end with {EOB_SYMBOL}")
-        for block in self.blocks():
-            if len(block) > max_lines_per_block:
-                raise GrammarViolation(
-                    f"block has {len(block)} lines (max {max_lines_per_block})"
-                )
+        for lines in self._block_line_counts():
+            if lines > max_lines_per_block:
+                raise GrammarViolation(f"block has {lines} lines (max {max_lines_per_block})")
 
 
 def normalize_text(text: str) -> str:

@@ -92,7 +92,7 @@ def check_cps(
 
 def check_lines(sentence: AnnotatedSentence, profile: ConstraintProfile = DEFAULT_PROFILE) -> bool:
     """True iff no block has more lines than the profile allows."""
-    return all(len(block) <= profile.max_lines_per_block for block in sentence.blocks())
+    return all(lines <= profile.max_lines_per_block for lines in sentence._block_line_counts())
 
 
 @dataclass(frozen=True)

@@ -78,6 +78,11 @@ def corpus_bleu(pairs: Iterable[tuple[Sequence[str], Sequence[str]]]) -> float:
 
     Uses the usual brevity penalty; n-gram precisions for n > 1 are add-one
     smoothed so short segments never zero out the score.
+
+    The clipped counts are exact integers, so they may be taken the cheap
+    way where it gives the same count: every n-gram of an identical pair
+    matches, and where the hypothesis repeats no n-gram each of its n-grams
+    that the reference holds at all matches once.
     """
     matches = [0, 0, 0, 0]
     totals = [0, 0, 0, 0]
@@ -87,11 +92,24 @@ def corpus_bleu(pairs: Iterable[tuple[Sequence[str], Sequence[str]]]) -> float:
         ref = list(ref)
         hyp_len += len(hyp)
         ref_len += len(ref)
+        if hyp == ref:
+            for n in range(4):
+                grams = max(len(hyp) - n, 0)
+                matches[n] += grams
+                totals[n] += grams
+            continue
         for n in range(1, 5):
-            hyp_ngrams = Counter(zip(*(hyp[i:] for i in range(n))))
-            ref_ngrams = Counter(zip(*(ref[i:] for i in range(n))))
-            matches[n - 1] += sum(min(count, ref_ngrams[gram]) for gram, count in hyp_ngrams.items())
-            totals[n - 1] += sum(hyp_ngrams.values())
+            hyp_grams = list(zip(*(hyp[i:] for i in range(n))))
+            ref_grams = zip(*(ref[i:] for i in range(n)))
+            distinct = set(hyp_grams)
+            if len(distinct) == len(hyp_grams):
+                matches[n - 1] += len(distinct.intersection(ref_grams))
+            else:
+                ref_counts = Counter(ref_grams)
+                matches[n - 1] += sum(
+                    min(count, ref_counts[gram]) for gram, count in Counter(hyp_grams).items()
+                )
+            totals[n - 1] += len(hyp_grams)
     if hyp_len == 0:
         return 100.0 if ref_len == 0 else 0.0
     log_precision = 0.0

@@ -72,10 +72,12 @@ class LinearSegmenterModel:
     ``GapLabel``), with the settings of the run that trained them.
 
     Features without a row score zero.  Models are immutable once trained
-    and safe to decode with concurrently.  Decoding caches the summed rows
-    of the decoder-state features on the model (``_state_rows``, not a
-    field, so equality and the model file ignore it); a row depends only on
-    the state and the weights, so concurrent fills write identical rows.
+    and safe to decode with concurrently.  Decoding caches on the model
+    (``_state_rows``, not a field, so equality and the model file ignore
+    it) the state features' rows, resolved with ``weights.get(feature,
+    _ZERO_ROW)``, and their sums, and shares the per-profile transition
+    tables of ``_transitions``; an entry depends only on its key and the
+    weights, so concurrent fills write equal entries.
     """
 
     weights: dict[str, tuple[float, float, float]]
@@ -98,17 +100,13 @@ def _length_bucket(chars: int) -> int:
     return min(chars // _BUCKET_CHARS, _BUCKET_CAP)
 
 
-def _char_clamp(profile: ConstraintProfile) -> int:
+def _char_clamp(cpl_limit: int) -> int:
     """Line length past which no feature changes.
 
     From there on the length bucket is capped and every next word overflows
     the line, so the decoder may clamp its character count here.
     """
-    return max(_BUCKET_CHARS * _BUCKET_CAP, profile.cpl_limit)
-
-
-def _tail(word: str) -> str:
-    return word[-1] if word[-1] in _PUNCTUATION else ""
+    return max(_BUCKET_CHARS * _BUCKET_CAP, cpl_limit)
 
 
 # the gap features of small domains, formatted once: bucketed length to the
@@ -124,43 +122,42 @@ _TAIL_FEATURES = {
 _POS = tuple(f"pos={tenth}" for tenth in range(10))
 
 
-def _gap_features(words: Sequence[str], gap: int, to_end: int) -> tuple[tuple[str, ...], str, int]:
-    """The features of the gap after ``words[gap - 1]`` that no decoder state
-    changes, with the word's punctuation tail and the next word's length (0
-    after the last word).  ``to_end`` is the length of ``words[gap:]`` joined.
-
-    The last gap has none: both segmenters force its ``<eob>`` and strict
-    gold ends in one, so they would add the same score to every path."""
-    word = words[gap - 1]
-    tail = _tail(word)
-    if gap == len(words):
-        return (), tail, 0
-    nxt = words[gap]
-    wlen, nlen = len(word), len(nxt)
-    punct, tail_feature = _TAIL_FEATURES[tail]
-    features = (
-        _TO_END[_length_bucket(to_end)],
-        f"w={word}",
-        _WLEN[wlen] if wlen < _LENGTHS else f"wlen={wlen}",
-        f"n={nxt}",
-        _NLEN[nlen] if nlen < _LENGTHS else f"nlen={nlen}",
-        punct,
-        tail_feature,
-        _POS[(10 * gap) // len(words)],
-    )
-    return features, tail, nlen
-
-
 @functools.lru_cache(maxsize=1)  # the latest sentence: one training step's decode and update
 def _sentence_pass(words: tuple[str, ...]) -> tuple[tuple[tuple[str, ...], str, int], ...]:
-    """``_gap_features`` for every gap of ``words``, in gap order.  The decoder
+    """For every gap of ``words``, in gap order: the features of the gap
+    after its word that no decoder state changes, the word's punctuation
+    tail and the next word's length (0 after the last word).  The decoder
     and ``extract_features`` both read it, so one training step builds each
-    gap's features once for its decode and its update."""
+    gap's features once for its decode and its update.
+
+    The last gap has no such features: both segmenters force its ``<eob>``
+    and strict gold ends in one, so they would add the same score to every
+    path."""
+    last = len(words)
     to_end = len(" ".join(words))
+    wlen = len(words[0])
     gaps = []
     for gap, word in enumerate(words, start=1):
-        to_end = max(to_end - len(word) - 1, 0)  # length of words[gap:] joined
-        gaps.append(_gap_features(words, gap, to_end))
+        tail = word[-1] if word[-1] in _PUNCTUATION else ""
+        if gap == last:
+            gaps.append(((), tail, 0))
+            break
+        to_end -= wlen + 1  # the length of words[gap:] joined
+        nxt = words[gap]
+        nlen = len(nxt)
+        punct, tail_feature = _TAIL_FEATURES[tail]
+        features = (
+            _TO_END[_length_bucket(to_end)],
+            "w=" + word,
+            _WLEN[wlen] if wlen < _LENGTHS else f"wlen={wlen}",
+            "n=" + nxt,
+            _NLEN[nlen] if nlen < _LENGTHS else f"nlen={nlen}",
+            punct,
+            tail_feature,
+            _POS[(10 * gap) // last],
+        )
+        gaps.append((features, tail, nlen))
+        wlen = nlen
     return tuple(gaps)
 
 
@@ -198,10 +195,9 @@ def extract_features(
     if chars_since_break < 0:
         raise ValueError(f"chars_since_break must be non-negative, got {chars_since_break}")
     features, tail, next_len = _sentence_pass(tuple(words))[gap - 1]
-    clamp = _char_clamp(profile)
-    max_lines = profile.max_lines_per_block
-    state = _state_id(min(chars_since_break, clamp), prev_break, 0, max_lines)
-    key = _table(min(next_len, clamp), clamp, profile.cpl_limit, max_lines)[0][state]
+    tables = _transitions(profile.cpl_limit, profile.max_lines_per_block)
+    state = _state_id(min(chars_since_break, tables.clamp), prev_break, 0, tables.max_lines)
+    key = tables[min(next_len, tables.clamp)][0][state]
     return [*features, *_tail_keys(tail)[key]]
 
 
@@ -225,12 +221,12 @@ def segment_count_char(
     """
     words, frozen, open_labels = _plan(sentence, profile, mode)
     rng = random.Random(seed)
-    clamp = _char_clamp(profile)
-    max_lines = profile.max_lines_per_block
-    state = _start(words, clamp, profile.cpl_limit, max_lines)
+    tables = _transitions(profile.cpl_limit, profile.max_lines_per_block)
+    max_lines = tables.max_lines
+    state = _start(words, tables)
     labels = []
     for gap, word in enumerate(words[1:], start=1):
-        table = _table(min(len(word), clamp), clamp, profile.cpl_limit, max_lines)
+        table = tables[min(len(word), tables.clamp)]
         _, prev, overflow = _KEYS[table[0][state]]
         label = frozen.get(gap, GapLabel.NONE)
         if overflow and gap not in frozen:
@@ -252,8 +248,10 @@ def segment_count_char(
 # what the state features see of a state, besides the word's punctuation
 # tail: (length bucket, previous break, whether the next word overflows)
 _StateKey = tuple[int, GapLabel, bool]
-# the summed state-feature rows per punctuation tail, indexed by key id
-_StateRows = dict[str, list[tuple[float, float, float] | None]]
+# per punctuation tail, two lists indexed by key id: the summed rows of the
+# key's state features, and those features' weight rows, in feature order
+_StateRows = dict[str, tuple[list, list]]
+_ZERO_ROW = (0.0, 0.0, 0.0)  # the row a state feature without weights resolves to
 
 # every state key; a key's id is its index, (bucket * 3 + prev) * 2 + overflow,
 # the same for every profile, so a model's state rows serve any profile
@@ -267,6 +265,15 @@ def _tail_keys(tail: str) -> tuple[tuple[str, ...], ...]:
     """``_state_features`` of every state key for a punctuation tail,
     indexed by key id."""
     return tuple(_state_features(tail, *key) for key in _KEYS)
+
+
+@functools.lru_cache(maxsize=1)
+def _every_state_feature() -> tuple[str, ...]:
+    """Every state-feature string once, without building ``_tail_keys``
+    for every tail (which would hold each string many times over)."""
+    return tuple(dict.fromkeys(
+        feature for tail in _TAIL_FEATURES for key in _KEYS for feature in _state_features(tail, *key)
+    ))
 
 
 def _state_id(chars: int, prev: GapLabel, eols: int, max_lines: int) -> int:
@@ -288,7 +295,6 @@ def _score(features: Iterable[str], weights: Mapping[str, _Row]) -> tuple[float,
     return none, eol, eob
 
 
-@functools.lru_cache(maxsize=None)  # finite per profile: one per clamped next length
 def _table(next_len: int, clamp: int, cpl_limit: int, max_lines: int) -> tuple[list[int], ...]:
     """The decoder's transition when the next word has ``next_len``
     characters: four lists indexed by state id, giving the state's key id
@@ -296,7 +302,8 @@ def _table(next_len: int, clamp: int, cpl_limit: int, max_lines: int) -> tuple[l
     the block's line cap, a state the profile does not have.
 
     Callers clamp ``next_len`` at ``clamp``: every longer word overflows
-    the line and starts a clamped one, so the result is the same.
+    the line and starts a clamped one, so the result is the same.  They
+    read it through ``_transitions``, which builds each table once.
     """
     table: tuple[list[int], ...] = ([], [], [], [])
     # in state id order
@@ -311,11 +318,49 @@ def _table(next_len: int, clamp: int, cpl_limit: int, max_lines: int) -> tuple[l
     return table
 
 
-def _start(words: Sequence[str], clamp: int, cpl_limit: int, max_lines: int) -> int:
+class _Transitions(dict):
+    """The decoder's transition tables for one line limit and line cap,
+    keyed by the clamped next-word length (0 to ``clamp``).  ``__missing__``
+    builds a table with ``_table`` on its first lookup, so callers index it
+    with no call per gap.  Concurrent first lookups may each build one;
+    they store equal tables."""
+
+    def __init__(self, cpl_limit: int, max_lines: int):
+        super().__init__()
+        self.clamp = _char_clamp(cpl_limit)
+        self.cpl_limit = cpl_limit
+        self.max_lines = max_lines
+
+    def __missing__(self, next_len: int) -> tuple[list[int], ...]:
+        table = self[next_len] = _table(next_len, self.clamp, self.cpl_limit, self.max_lines)
+        return table
+
+
+_transitions = functools.lru_cache(maxsize=None)(_Transitions)  # one per line limit and cap
+
+
+def _start(words: Sequence[str], tables: _Transitions) -> int:
     """A sentence starts on a fresh screen, as if after an ``<eob>``: the
     EOB successor of the state (0, EOB, 0)."""
-    table = _table(min(len(words[0]), clamp), clamp, cpl_limit, max_lines)
-    return table[1 + GapLabel.EOB][_state_id(0, GapLabel.EOB, 0, max_lines)]
+    table = tables[min(len(words[0]), tables.clamp)]
+    return table[1 + GapLabel.EOB][_state_id(0, GapLabel.EOB, 0, tables.max_lines)]
+
+
+def _state_row(
+    tail: str, key: int, resolved: list[tuple[_Row, ...] | None], weights: Mapping[str, _Row]
+) -> tuple[float, float, float]:
+    """``_score`` of the state features of key id ``key`` for a punctuation
+    tail, from their rows, looked up in ``weights`` once and kept in
+    ``resolved``; a ``_ZERO_ROW`` leaves every sum as it was."""
+    rows = resolved[key]
+    if rows is None:
+        rows = resolved[key] = tuple(weights.get(f, _ZERO_ROW) for f in _tail_keys(tail)[key])
+    none = eol = eob = 0.0
+    for row in rows:
+        none += row[0]
+        eol += row[1]
+        eob += row[2]
+    return none, eol, eob
 
 
 def _decode(
@@ -338,26 +383,26 @@ def _decode(
     merges the winners once.  A NONE move that leaves the line unclamped
     lands where no other move does.
 
-    ``state_rows`` caches the summed state-feature rows per punctuation tail,
-    indexed by key id; it is filled here and is valid only for ``weights``.
+    ``state_rows`` caches the state-feature rows (``_StateRows``) for
+    ``weights`` only.  Its sums hold until a weight changes; its resolved
+    rows hold while every row changes in place and no feature gains a row.
     """
-    clamp = _char_clamp(profile)
-    cpl_limit = profile.cpl_limit
-    max_lines = profile.max_lines_per_block
-    clamped = _state_id(clamp, GapLabel.NONE, 0, max_lines)  # the first clamped state id
+    tables = _transitions(profile.cpl_limit, profile.max_lines_per_block)
+    clamp = tables.clamp
+    clamped = _state_id(clamp, GapLabel.NONE, 0, tables.max_lines)  # the first clamped state id
     last = len(words)
     takes = tuple(label in open_labels for label in _ALL_LABELS)  # at an open gap
     # each entry holds (-score, labels), so the smallest entry is the one to
     # keep; the labels are a base-3 code, first label most significant, so
     # of two paths of one length the smaller code is the smaller path
-    frontier: dict[int, tuple[float, int]] = {_start(words, clamp, cpl_limit, max_lines): (0.0, 0)}
+    frontier: dict[int, tuple[float, int]] = {_start(words, tables): (0.0, 0)}
     for gap, (features, tail, next_len) in enumerate(_sentence_pass(tuple(words)), start=1):
         gap_none, gap_eol, gap_eob = _score(features, weights)
-        key_ids, none_ids, eol_ids, eob_ids = _table(min(next_len, clamp), clamp, cpl_limit, max_lines)
-        keys = _tail_keys(tail)
-        rows = state_rows.get(tail)
-        if rows is None:
-            rows = state_rows[tail] = [None] * len(_KEYS)
+        key_ids, none_ids, eol_ids, eob_ids = tables[min(next_len, clamp)]
+        tail_rows = state_rows.get(tail)
+        if tail_rows is None:
+            tail_rows = state_rows[tail] = ([None] * len(_KEYS), [None] * len(_KEYS))
+        rows, resolved = tail_rows
         forced = frozen.get(gap, GapLabel.EOB if gap == last else None)
         take_none, take_eol, take_eob = takes if forced is None else _ONLY[forced]
         expanded: dict[int, tuple[float, int]] = {}
@@ -367,7 +412,7 @@ def _decode(
             key = key_ids[state]
             row = rows[key]
             if row is None:
-                row = rows[key] = _score(keys[key], weights)
+                row = rows[key] = _state_row(tail, key, resolved, weights)
             code *= 3
             if take_none:
                 new_cost = cost - gap_none - row[0]
@@ -410,9 +455,9 @@ def _path_differences(
     sign) triples: both grammatical label paths are walked in lockstep, and
     only a gap where their states or labels differ yields, gold's side (+1)
     first.  Elsewhere both sides bump the same features of the same label."""
-    clamp = _char_clamp(profile)
-    max_lines = profile.max_lines_per_block
-    gold_state = guess_state = _start(words, clamp, profile.cpl_limit, max_lines)
+    tables = _transitions(profile.cpl_limit, profile.max_lines_per_block)
+    clamp, max_lines = tables.clamp, tables.max_lines
+    gold_state = guess_state = _start(words, tables)
     for gap, (gold_label, guess) in enumerate(zip(gold, predicted), start=1):
         if gold_state != guess_state or gold_label is not guess:
             for state, label, sign in ((gold_state, gold_label, 1), (guess_state, guess, -1)):
@@ -420,7 +465,7 @@ def _path_differences(
                 prev = _ALL_LABELS[rest // max_lines]
                 yield extract_features(words, gap, chars, prev, profile), label, sign
         next_len = min(len(words[gap]), clamp) if gap < len(words) else 0
-        successors = _table(next_len, clamp, profile.cpl_limit, max_lines)
+        successors = tables[next_len]
         gold_state = successors[1 + gold_label][gold_state]
         guess_state = successors[1 + guess][guess_state]
         if gold_state < 0 or guess_state < 0:
@@ -457,6 +502,13 @@ class _AveragedWeights:
             row[stamp] = step
             row[weight] = current + delta
 
+    def add_rows(self, features: Iterable[str]) -> None:
+        """Give each feature that has no row the zero row ``bump`` would."""
+        rows = self.rows
+        for feature in features:
+            if feature not in rows:
+                rows[feature] = [0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1, 1, 1]
+
     def averaged(self) -> dict[str, tuple[float, float, float]]:
         """Mean weight rows over the snapshots taken after every step (training
         takes at least one); rows that average to zero are dropped."""
@@ -479,6 +531,9 @@ def _run_perceptron(
     fine_tuned: bool,
 ) -> LinearSegmenterModel:
     state = _AveragedWeights(initial)
+    # the decoder resolves a state feature's row once per run and bump
+    # updates rows in place, so each must have its row before the first decode
+    state.add_rows(_every_state_feature())
     rng = random.Random(config.seed)
     order = list(range(len(sentences)))
     gold_cache = [(s.words, s.labels) for s in sentences]
@@ -496,7 +551,8 @@ def _run_perceptron(
                 mistakes += 1
                 for features, label, sign in _path_differences(words, gold, predicted, profile):
                     state.bump(features, label, sign * config.learning_rate)
-                state_rows = {}  # the rows hold until the weights change
+                for sums, _ in state_rows.values():  # they hold until the weights change
+                    sums[:] = [None] * len(_KEYS)
         if mistakes == 0:
             break  # weights are now fixed points; further epochs cannot change them
 

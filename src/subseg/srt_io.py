@@ -44,7 +44,7 @@ class NonMonotonicTiming(UserWarning):
 # scripts' digits, and without re.ASCII, which would narrow the \s around
 # the arrow in _TIMING_RE to ASCII whitespace
 _TIMESTAMP = r"([0-9]{2,}):([0-5][0-9]):([0-5][0-9]),([0-9]{3})"
-_TIMESTAMP_RE = re.compile(f"^{_TIMESTAMP}$")
+_TIMESTAMP_RE = re.compile(_TIMESTAMP)
 # a timing line parse_srt accepts in one step: the end time's first token is
 # the timestamp itself, and whatever follows it is ignored
 _TIMING_RE = re.compile(rf"\s*{_TIMESTAMP}\s*-->\s*{_TIMESTAMP}(?:\s|$)")
@@ -67,7 +67,7 @@ class Timestamp:
 def parse_timestamp(text: str) -> Timestamp:
     """Parse ``HH:MM:SS,mmm`` (zero-padded ASCII digits, two or more for the
     hours, comma separator) into a Timestamp."""
-    match = _TIMESTAMP_RE.match(text)
+    match = _TIMESTAMP_RE.fullmatch(text)
     if match is None:
         raise MalformedTimestamp(f"expected HH:MM:SS,mmm, got {text!r}")
     return _timestamp(*match.groups())

@@ -179,6 +179,29 @@ def lenient_sentences(draw, max_words=14):
 _break = st.sampled_from(["<eol>", "<eob>"])
 
 
+class TestStrictnessByLabels:
+    @given(st.one_of(strict_sentences(), lenient_sentences()), st.integers(1, 3))
+    @settings(max_examples=300)
+    def test_matches_a_check_of_the_blocks(self, sentence, max_lines):
+        def reference():
+            if not sentence.labels:
+                raise GrammarViolation("empty sentence")
+            if sentence.labels[-1] is not EOB:
+                raise GrammarViolation("sentence must end with <eob>")
+            for block in sentence.blocks():
+                if len(block) > max_lines:
+                    raise GrammarViolation(f"block has {len(block)} lines (max {max_lines})")
+
+        def verdict(check):
+            try:
+                check()
+            except GrammarViolation as exc:
+                return str(exc)
+            return None
+
+        assert verdict(lambda: sentence.validate_strict(max_lines)) == verdict(reference)
+
+
 class TestFromTextGrammar:
     @given(st.lists(st.tuples(st.sampled_from([" ", "  ", "\t", " \n "]), st.one_of(_word, _break))))
     @settings(max_examples=300)

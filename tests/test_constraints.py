@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from subseg.annotate import AnnotatedSentence
 from subseg.constraints import (
@@ -138,6 +138,14 @@ class TestCheckLinesAndBalance:
 
     def test_three_line_block_fails(self):
         assert not check_lines(sent("a <eol> b <eol> c <eob>"))
+
+    @given(st.one_of(strict_sentences(), lenient_sentences()), st.integers(1, 3))
+    @example(sent("a <eol> b"), 1)  # words after the last break make a line
+    @settings(max_examples=300)
+    def test_matches_a_count_of_the_blocks(self, sentence, max_lines):
+        profile = ConstraintProfile(max_lines_per_block=max_lines)
+        expected = all(len(block) <= max_lines for block in sentence.blocks())
+        assert check_lines(sentence, profile) is expected
 
 
 class TestConformityStats:

@@ -1,5 +1,6 @@
 import itertools
 import math
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -212,6 +213,64 @@ class TestBleu:
     def test_corpus_bleu_of_identical_pairs_is_exactly_100(self, sentences):
         # empty and one- to three-token sentences included
         assert corpus_bleu((tokens, list(tokens)) for tokens in sentences) == 100.0
+
+
+def _reference_corpus_bleu(pairs):
+    """Corpus BLEU with every pair's n-grams counted and clipped, as
+    ``corpus_bleu`` did before it took its shortcuts."""
+    matches = [0, 0, 0, 0]
+    totals = [0, 0, 0, 0]
+    hyp_len = ref_len = 0
+    for hyp, ref in pairs:
+        hyp = list(hyp)
+        ref = list(ref)
+        hyp_len += len(hyp)
+        ref_len += len(ref)
+        for n in range(1, 5):
+            hyp_ngrams = Counter(zip(*(hyp[i:] for i in range(n))))
+            ref_ngrams = Counter(zip(*(ref[i:] for i in range(n))))
+            matches[n - 1] += sum(min(count, ref_ngrams[gram]) for gram, count in hyp_ngrams.items())
+            totals[n - 1] += sum(hyp_ngrams.values())
+    if hyp_len == 0:
+        return 100.0 if ref_len == 0 else 0.0
+    log_precision = 0.0
+    for n in range(4):
+        m, t = matches[n], totals[n]
+        if n > 0:
+            m, t = m + 1, t + 1
+        if m == 0 or t == 0:
+            return 0.0
+        log_precision += 0.25 * math.log(m / t)
+    brevity = 1.0 if hyp_len >= ref_len else math.exp(1 - ref_len / hyp_len)
+    return 100.0 * brevity * math.exp(log_precision)
+
+
+# few tokens, so n-grams repeat, break symbols among them, and many, so
+# whole sentences go without a repeat
+_TOKENS = st.one_of(
+    st.sampled_from(["a", "b", "<eol>", "<eob>"]), st.text("cdefghij", min_size=1, max_size=3)
+)
+
+
+@st.composite
+def _bleu_pairs(draw):
+    ref = draw(st.lists(_TOKENS, max_size=12))
+    kind = draw(st.sampled_from(["same", "edited", "other"]))
+    if kind == "same":
+        return list(ref), ref
+    if kind == "other":
+        return draw(st.lists(_TOKENS, max_size=12)), ref
+    # mostly ref's tokens, some replaced or dropped, some appended
+    edits = draw(st.lists(st.one_of(st.none(), st.just(""), _TOKENS), min_size=len(ref), max_size=len(ref)))
+    hyp = [token if edit is None else edit for token, edit in zip(ref, edits) if edit != ""]
+    return hyp + draw(st.lists(_TOKENS, max_size=3)), ref
+
+
+class TestBleuCounts:
+    @given(st.lists(_bleu_pairs(), max_size=6))
+    @settings(max_examples=500)
+    def test_matches_the_fully_counted_reference(self, pairs):
+        assert repr(corpus_bleu(pairs)) == repr(_reference_corpus_bleu(pairs))
 
 
 class TestEvaluate:

@@ -30,7 +30,6 @@ from subseg.segmenters import (
     _KEYS,
     _char_clamp,
     _decode,
-    _gap_features,
     _path_differences,
     _score,
     _sentence_pass,
@@ -738,6 +737,25 @@ class TestDecoderCaches:
             cold = _decode(words, model.weights, profile, {}, open_labels, {})
             assert warm == cold
 
+    def test_training_decodes_see_every_update(self, monkeypatch):
+        # each decode of a training run, whose state rows were resolved by
+        # earlier decodes, must match a decode that looks every row up anew;
+        # the runs start from no row at all and from a model's rows
+        decode = segmenters._decode
+        checked = []
+
+        def checked_decode(words, weights, profile, frozen, open_labels, state_rows):
+            warm = decode(words, weights, profile, frozen, open_labels, state_rows)
+            assert warm == decode(words, weights, profile, frozen, open_labels, {})
+            checked.append(warm)
+            return warm
+
+        corpus, _ = synth.partially_collapsed_corpus(30, seed=3)
+        monkeypatch.setattr(segmenters, "_decode", checked_decode)
+        base = train(corpus, TrainingConfig(epochs=3, seed=4))
+        fine_tune(base, [s for s in corpus if s.has_eol], TrainingConfig(epochs=3, seed=5))
+        assert len(checked) > 2 * len(corpus)
+
     def test_cached_rows_are_not_part_of_the_model(self, gold_model):
         model, corpus = gold_model
         segment_learned(model, strip_breaks(corpus[0]))
@@ -758,17 +776,20 @@ class TestDecoderCaches:
             words = ["a", "bb,", long_word, "cc", "d.", "e", long_word, "f"]
             model = LinearSegmenterModel({}, TrainingConfig(1), fine_tuned=False)
             segment_learned(model, " ".join(words), PROFILE)
+            segment_count_char(" ".join(words), PROFILE)
             train([sent(" ".join(words[:3]) + " <eob> " + " ".join(words[3:]) + " <eob>")],
                   TrainingConfig(epochs=1), PROFILE)
-            return _table.cache_info().currsize
+            extract_features(words, 2, 0, GapLabel.EOB, PROFILE)
+            return sorted(tables)
 
-        _table.cache_clear()
-        tables = run("x" * 500)
-        clamp = _char_clamp(PROFILE)
-        # one decoder table per clamped next-word length
-        assert 0 < tables <= clamp + 1
+        segmenters._transitions.cache_clear()
+        tables = segmenters._transitions(PROFILE.cpl_limit, PROFILE.max_lines_per_block)
+        clamp = _char_clamp(PROFILE.cpl_limit)
+        # one decoder table per clamped next-word length, shared by every
+        # reader of the profile's tables
+        assert run("x" * 500) == [0, 1, 2, 3, clamp]
         # a longer word is clamped to the same line length: no new entries
-        assert run("y" * 700) == tables
+        assert run("y" * 700) == [0, 1, 2, 3, clamp]
 
 
 def _step(state, next_len, clamp, cpl_limit):
@@ -804,7 +825,7 @@ class TestTransitionTables:
     @pytest.mark.parametrize("profile_name", ["default", "narrow", "wide", "one-line"])
     def test_tables_match_the_reference_step(self, profile_name):
         profile = TestTableDecode.PROFILES[profile_name]
-        clamp, cpl_limit = _char_clamp(profile), profile.cpl_limit
+        clamp, cpl_limit = _char_clamp(profile.cpl_limit), profile.cpl_limit
         max_lines = profile.max_lines_per_block
         states = (clamp + 1) * 3 * max_lines
         for next_len in range(clamp + 1):
@@ -822,22 +843,20 @@ class TestTransitionTables:
         # a first word past the clamp starts like a clamped one
         for first_len in range(1, clamp + 3):
             words = ["x" * first_len, "y"]
-            start = segmenters._start(words, clamp, cpl_limit, max_lines)
+            start = segmenters._start(words, segmenters._transitions(cpl_limit, max_lines))
             assert self._unpack(start, max_lines) == _start(words, clamp, cpl_limit)
 
 
 def _dict_decode(words, weights, profile, frozen, open_labels, state_rows):
     """Reference decode over state tuples, with state rows keyed by the state
     key tuple: the decoder as it was before the transition tables."""
-    clamp = _char_clamp(profile)
+    clamp = _char_clamp(profile.cpl_limit)
     cpl_limit = profile.cpl_limit
     max_eols = profile.max_lines_per_block - 1
     last = len(words)
     frontier = {_start(words, clamp, cpl_limit): (0.0, ())}
-    to_end = len(" ".join(words))
-    for gap, word in enumerate(words, start=1):
-        to_end = max(to_end - len(word) - 1, 0)
-        features, tail, next_len = _gap_features(words, gap, to_end)
+    for gap in range(1, last + 1):
+        features, tail, next_len = _reference_gap_features(words, gap)
         next_len = min(next_len, clamp)
         gap_row = _score(features, weights)
         rows = state_rows.setdefault(tail, {})
@@ -961,7 +980,7 @@ class TestTableDecode:
         ],
     )
     def test_a_clamped_none_meets_a_line_break(self, weights, expected):
-        clamp = _char_clamp(PROFILE)
+        clamp = _char_clamp(PROFILE.cpl_limit)
         key_ids, none_ids, eol_ids, eob_ids = _table(clamp, clamp, PROFILE.cpl_limit, 2)
         state = segmenters._state_id
         assert none_ids[state(5, GapLabel.EOL, 1, 2)] == eol_ids[state(16, GapLabel.EOB, 0, 2)]
@@ -988,19 +1007,17 @@ class TestTableDecode:
         assert tuple(label.name for label in labels) == expected
 
 
-def _reference_extract_features(words, gap, chars, prev, profile):
-    """Reference feature extraction, spelled out per call: the gap features
-    from their own f-strings, with ``words[gap:]`` joined for ``to_end``, and
-    the state key from ``_step``."""
+def _reference_gap_features(words, gap):
+    """Reference gap features, spelled out per gap from their own f-strings,
+    with ``words[gap:]`` joined for ``to_end``: the features of the gap
+    after ``words[gap - 1]`` that no decoder state changes (none at the last
+    gap), the word's punctuation tail and the next word's length."""
     word = words[gap - 1]
     tail = word[-1] if word[-1] in ".,;:!?…\"')»]}" else ""
-    next_len = len(words[gap]) if gap < len(words) else 0
-    clamp = _char_clamp(profile)
-    key, _ = _step((min(chars, clamp), prev, 0), min(next_len, clamp), clamp, profile.cpl_limit)
     if gap == len(words):
-        return list(_state_features(tail, *key))
+        return [], tail, 0
     nxt = words[gap]
-    return [
+    features = [
         f"to_end={min(len(' '.join(words[gap:])) // 4, 15)}",
         f"w={word}",
         f"wlen={len(word)}",
@@ -1009,13 +1026,22 @@ def _reference_extract_features(words, gap, chars, prev, profile):
         f"punct={int(bool(tail))}",
         f"tail={tail}",
         f"pos={(10 * gap) // len(words)}",
-        *_state_features(tail, *key),
     ]
+    return features, tail, len(nxt)
+
+
+def _reference_extract_features(words, gap, chars, prev, profile):
+    """Reference feature extraction, spelled out per call: the reference gap
+    features and the state key from ``_step``."""
+    features, tail, next_len = _reference_gap_features(words, gap)
+    clamp = _char_clamp(profile.cpl_limit)
+    key, _ = _step((min(chars, clamp), prev, 0), min(next_len, clamp), clamp, profile.cpl_limit)
+    return [*features, *_state_features(tail, *key)]
 
 
 def _reference_path_steps(words, labels, profile):
     """Reference path walk over state tuples stepped by ``_step``."""
-    clamp = _char_clamp(profile)
+    clamp = _char_clamp(profile.cpl_limit)
     state = _start(words, clamp, profile.cpl_limit)
     for gap, label in enumerate(labels, start=1):
         chars, prev, _ = state
@@ -1076,7 +1102,7 @@ class TestFeaturePass:
         profile = TestTableDecode.PROFILES[profile_name]
         gap = data.draw(st.integers(1, len(words)), label="gap")
         # line characters run past the clamp
-        chars = data.draw(st.integers(0, 2 * _char_clamp(profile)), label="chars")
+        chars = data.draw(st.integers(0, 2 * _char_clamp(profile.cpl_limit)), label="chars")
         prev = data.draw(st.sampled_from(_ALL_LABELS), label="prev")
         expected = _reference_extract_features(words, gap, chars, prev, profile)
         assert extract_features(words, gap, chars, prev, profile) == expected
@@ -1140,7 +1166,7 @@ class TestFeaturePass:
         gold = sent("alpha bravo <eol> charlie delta <eob>")
         predicted = (GapLabel.NONE, GapLabel.NONE, GapLabel.NONE, GapLabel.EOB)
         # the paths part at gap 2 and stay in different states to the end
-        clamp = _char_clamp(PROFILE)
+        clamp = _char_clamp(PROFILE.cpl_limit)
         differing = 0
         mine = theirs = _start(gold.words, clamp, PROFILE.cpl_limit)
         for gap, (label, guess) in enumerate(zip(gold.labels, predicted), start=1):

@@ -43,6 +43,7 @@ class TestParseTimestamp:
             "00:08:57,20",  # short millis
             "00:08:57,0200",
             " 00:08:57,020",
+            "00:08:57,020\n",  # a final newline, which "$" would let through
             "garbage",
             "",
         ],
