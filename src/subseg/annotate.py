@@ -248,6 +248,7 @@ def build_index(docs: Iterable[SubtitleDocument]) -> dict[str, _IndexedTalk]:
     distinct word is one string object, however many cues repeat it.
     """
     index: dict[str, _IndexedTalk] = {}
+    eol, eob = int(GapLabel.EOL), int(GapLabel.EOB)
     for doc in docs:
         if doc.talk_id in index:
             raise DuplicateTalkId(doc.talk_id)
@@ -255,15 +256,17 @@ def build_index(docs: Iterable[SubtitleDocument]) -> dict[str, _IndexedTalk]:
         labels = bytearray()
         starts: dict[str, list[int]] = {}
         shared: dict[str, str] = {}  # each word of the talk -> its one kept copy
+        add_words, add_zeros, add_label = words.extend, labels.extend, labels.append
+        kept, cues_at = shared.setdefault, starts.setdefault
         for sub in doc.subtitles:
             first = len(words)
             for line in sub.lines:
                 split = line.split()
-                words.extend(map(shared.setdefault, split, split))
-                labels.extend(bytes(len(split) - 1))
-                labels.append(GapLabel.EOL)
-            labels[-1] = GapLabel.EOB
-            starts.setdefault(words[first], []).append(first)
+                add_words(map(kept, split, split))
+                add_zeros(bytes(len(split) - 1))
+                add_label(eol)
+            labels[-1] = eob
+            cues_at(words[first], []).append(first)
         index[doc.talk_id] = _IndexedTalk(tuple(words), bytes(labels), starts)
     return index
 
@@ -284,10 +287,10 @@ def align_sentence(
     talk = index.get(talk_id)
     if talk is None or not talk.words:
         raise NoAlignment(f"no subtitles indexed for talk {talk_id!r}")
-    labels = talk.labels
+    labels, length, eob = talk.labels, len(words), int(GapLabel.EOB)
     for first in talk.starts.get(words[0], ()):
-        end = first + len(words)
-        if end <= len(labels) and labels[end - 1] == GapLabel.EOB:
+        end = first + length
+        if end <= len(labels) and labels[end - 1] == eob:
             run = talk.words[first:end]
             if run == words:
                 if not _LABEL_OF_SYMBOL.keys().isdisjoint(run):

@@ -63,11 +63,6 @@ def _block_line_lengths(sentence: AnnotatedSentence) -> list[list[int]]:
     return blocks
 
 
-def _block_length(line_lengths: list[int]) -> int:
-    """A block's length with its lines joined by one space."""
-    return sum(line_lengths) + len(line_lengths) - 1
-
-
 def check_cpl(sentence: AnnotatedSentence, profile: ConstraintProfile = DEFAULT_PROFILE) -> CplCheck:
     """Per-line lengths and whether every line is within the line limit."""
     lengths = tuple(n for block in _block_line_lengths(sentence) for n in block)
@@ -124,24 +119,37 @@ def conformity_stats(
 ) -> ConformityReport:
     """Count sentences conforming at the line limit, at twice the line limit
     (block level), and carrying at least one ``<eol>``, and orphan lines;
-    each sentence's lines are measured once."""
-    limit = profile.cpl_limit
+    each sentence is measured in one walk over its words."""
+    # counted with one space after each word, a line is one longer than its
+    # rendered length, and a block one longer than its lines joined by a space
+    line_bound, orphan_bound = profile.cpl_limit + 1, profile.orphan_threshold
+    block_bound = 2 * profile.cpl_limit + 1
+    eob = GapLabel.EOB
     total = conforming = block_conforming = 0
     total_lines = conforming_lines = with_eol = orphan_lines = 0
     for sentence in corpus:
         total += 1
-        blocks = _block_line_lengths(sentence)
-        lengths = [n for block in blocks for n in block]
-        lines_within = sum(1 for n in lengths if n <= limit)
-        if lines_within == len(lengths):
-            conforming += 1
-        if all(_block_length(block) <= 2 * limit for block in blocks):
-            block_conforming += 1
-        total_lines += len(lengths)
-        conforming_lines += lines_within
-        orphan_lines += sum(1 for n in lengths if n < profile.orphan_threshold)
-        if sentence.has_eol:
-            with_eol += 1
+        labels = sentence.labels
+        if labels and labels[-1] is not eob:  # words after the last break end a line and block
+            labels = labels[:-1] + (eob,)
+        lines = within = chars = block = 0
+        fits = True
+        for word, label in zip(sentence.words, labels):
+            chars += len(word) + 1
+            if label:
+                lines += 1
+                within += chars <= line_bound
+                orphan_lines += chars <= orphan_bound
+                block += chars
+                chars = 0
+                if label is eob:
+                    fits = fits and block <= block_bound
+                    block = 0
+        conforming += within == lines
+        block_conforming += fits
+        total_lines += lines
+        conforming_lines += within
+        with_eol += sentence.has_eol
     return ConformityReport(
         cpl_limit=profile.cpl_limit,
         total_sentences=total,

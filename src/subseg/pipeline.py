@@ -96,7 +96,7 @@ def build_corpus(
         if not tab:
             talk_id, detail = "", "expected 'talk_id<TAB>sentence'"
         else:
-            detail = "empty sentence" if not text.split() else broken_talks.get(talk_id)
+            detail = "empty sentence" if not text.strip() else broken_talks.get(talk_id)
         if detail is not None:
             log.append(AlignmentLogEntry(line_number, talk_id, aligned=False, detail=detail))
             continue

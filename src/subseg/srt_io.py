@@ -60,6 +60,14 @@ class Timestamp:
         if not isinstance(self.millis, int) or self.millis < 0:
             raise ValueError(f"millis must be a non-negative integer, got {self.millis!r}")
 
+    @classmethod
+    def _of(cls, millis: int) -> "Timestamp":
+        """A timestamp of a count already known to be a non-negative int,
+        built without checking it again."""
+        ts = object.__new__(cls)
+        object.__setattr__(ts, "millis", millis)
+        return ts
+
     def __str__(self) -> str:
         return format_timestamp(self)
 
@@ -74,7 +82,8 @@ def parse_timestamp(text: str) -> Timestamp:
 
 
 def _timestamp(hh: str, mm: str, ss: str, ms: str) -> Timestamp:
-    return Timestamp(((int(hh) * 60 + int(mm)) * 60 + int(ss)) * 1000 + int(ms))
+    # ASCII digit groups, so the count is a non-negative int
+    return Timestamp._of(((int(hh) * 60 + int(mm)) * 60 + int(ss)) * 1000 + int(ms))
 
 
 def format_timestamp(ts: Timestamp) -> str:
@@ -110,6 +119,19 @@ class Subtitle:
         for line in self.lines:
             if not line or line != line.rstrip() or "\n" in line or "\r" in line:
                 raise ValueError(f"bad cue line {line!r}")
+
+    @classmethod
+    def _of(
+        cls, index: int, start: Timestamp, end: Timestamp, lines: tuple[str, ...]
+    ) -> "Subtitle":
+        """A cue whose fields already keep every rule above, built without
+        checking them again."""
+        cue = object.__new__(cls)
+        object.__setattr__(cue, "index", index)
+        object.__setattr__(cue, "start", start)
+        object.__setattr__(cue, "end", end)
+        object.__setattr__(cue, "lines", lines)
+        return cue
 
 
 @dataclass(frozen=True)
@@ -202,10 +224,16 @@ def parse_srt(text: str, talk_id: str = "") -> SubtitleDocument:
         else:
             groups = timing.groups()
             start, end = _timestamp(*groups[:4]), _timestamp(*groups[4:])
-        try:  # the index, text and time-order rules are the cue's own
-            subtitles.append(Subtitle(int(index_text), start, end, tuple(lines[2:])))
-        except ValueError as exc:
-            raise MalformedCue(number, str(exc)) from None
+        index, cue_lines = int(index_text), tuple(lines[2:])
+        # _blocks leaves each line non-empty, without trailing whitespace or "\n"
+        if index and cue_lines and start.millis < end.millis and "\r" not in "".join(cue_lines):
+            cue = Subtitle._of(index, start, end, cue_lines)
+        else:
+            try:  # the checking constructor names the first rule the cue breaks
+                cue = Subtitle(index, start, end, cue_lines)
+            except ValueError as exc:
+                raise MalformedCue(number, str(exc)) from None
+        subtitles.append(cue)
 
     backwards = [
         (prev.index, cur.index)

@@ -180,25 +180,30 @@ class TestConformityStats:
         assert set(data) == {"totals", "conforming_37", "conforming_74", "with_eol"}
 
     @given(
-        st.lists(strict_sentences(), max_size=6),
+        st.lists(st.one_of(strict_sentences(), lenient_sentences()), max_size=6),
         st.integers(min_value=1, max_value=60),
         st.integers(min_value=1, max_value=9),
     )
-    @settings(max_examples=100)
+    @example([sent("abc <eol> defgh")], 4, 5)  # words after the last break make a line
+    @settings(max_examples=200)
     def test_counts_agree_with_the_rendered_lines_and_blocks(self, corpus, limit, orphan):
         profile = ConstraintProfile(cpl_limit=limit, orphan_threshold=orphan)
-        report = conformity_stats(corpus, profile)
         lines = [[len(line) for line in sentence_lines(s)] for s in corpus]
         lengths = [n for sentence in lines for n in sentence]
         blocks_fit = [
             all(len(" ".join(" ".join(line) for line in b)) <= 2 * limit for b in s.blocks())
             for s in corpus
         ]
-        assert report.conforming_sentences == sum(max(s, default=0) <= limit for s in lines)
-        assert report.block_conforming_sentences == sum(blocks_fit)
-        assert report.total_lines == len(lengths)
-        assert report.conforming_lines == sum(n <= limit for n in lengths)
-        assert report.orphan_lines == sum(n < orphan for n in lengths)
+        assert conformity_stats(corpus, profile) == ConformityReport(
+            cpl_limit=limit,
+            total_sentences=len(corpus),
+            conforming_sentences=sum(max(s, default=0) <= limit for s in lines),
+            block_conforming_sentences=sum(blocks_fit),
+            total_lines=len(lengths),
+            conforming_lines=sum(n <= limit for n in lengths),
+            sentences_with_eol=sum("<eol>" in s.to_text().split() for s in corpus),
+            orphan_lines=sum(n < orphan for n in lengths),
+        )
 
     @given(strict_sentences(), st.integers(min_value=1, max_value=60))
     @settings(max_examples=150)

@@ -1,4 +1,5 @@
 import re
+import warnings
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -320,6 +321,81 @@ class TestSerializeSrt:
     def test_canonical_serialization_is_stable(self, doc):
         once = serialize_srt(doc)
         assert serialize_srt(parse_srt(once, talk_id=doc.talk_id)) == once
+
+
+def _reference_parse(text):
+    """parse_srt's reading of BOM-free text with every cue built by the
+    checking Subtitle(...), the reference for its inline cue checks."""
+    blocks, block = [], []
+    for raw in text.split("\n") + [""]:
+        line = raw.rstrip()
+        if line:
+            block.append(line)
+        elif block:
+            blocks.append(block)
+            block = []
+    subtitles = []
+    for number, lines in enumerate(blocks, start=1):
+        index_text = lines[0].strip()
+        if not (index_text.isascii() and index_text.isdigit()):
+            raise MalformedCue(number, f"cue index is not a number: {index_text!r}")
+        if len(lines) < 2:
+            raise MalformedCue(number, "missing timing line")
+        start, end = _reference_timing(lines[1], number)
+        try:
+            cue = Subtitle(int(index_text), Timestamp(start), Timestamp(end), tuple(lines[2:]))
+        except ValueError as exc:
+            raise MalformedCue(number, str(exc)) from None
+        subtitles.append(cue)
+    return tuple(subtitles)
+
+
+_BROKEN_RULES = ["index 0", "no text", "end not after start", "carriage return", "index not digits"]
+
+
+@st.composite
+def _cue_blocks(draw):
+    """A well-formed cue block, or one that breaks exactly one cue rule."""
+    rule = draw(st.sampled_from([None] * 5 + _BROKEN_RULES))
+    if rule == "index 0":
+        index = draw(st.sampled_from(["0", "00"]))
+    elif rule == "index not digits":
+        index = "x1"
+    else:
+        index = str(draw(st.integers(1, 10**6)))
+    start = draw(st.integers(0, 10**7))
+    if rule == "end not after start":
+        end = draw(st.integers(max(start - 5000, 0), start))
+    else:
+        end = draw(st.integers(start + 1, start + 60_000))
+    lines = [] if rule == "no text" else draw(st.lists(_line, min_size=1, max_size=3))
+    if rule == "carriage return":
+        at = draw(st.integers(0, len(lines) - 1))
+        lines[at] = "a\r" + lines[at]
+    timing = f"{format_timestamp(Timestamp(start))} --> {format_timestamp(Timestamp(end))}"
+    return "\n".join([index, timing, *lines])
+
+
+class TestCueRules:
+    @given(st.lists(_cue_blocks(), max_size=4))
+    @settings(max_examples=300)
+    def test_parses_as_the_checking_constructor_does(self, blocks):
+        text = "\n\n".join(blocks) + "\n"
+        try:
+            expected = _reference_parse(text)
+        except MalformedCue as exc:
+            with pytest.raises(MalformedCue) as err:
+                parse_srt(text)
+            assert str(err.value) == str(exc)
+            return
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", NonMonotonicTiming)
+            cues = parse_srt(text).subtitles
+        assert cues == expected
+        for cue in cues:
+            assert type(cue.lines) is tuple
+            for ts in (cue.start, cue.end):
+                assert type(ts) is Timestamp and type(ts.millis) is int
 
 
 # every character that str.split() (and so the cue index) separates words on
