@@ -9,18 +9,13 @@ re-annotation loop.
 
 from .annotate import (
     AnnotatedSentence,
-    BreakPosition,
     EOB_SYMBOL,
     EOL_SYMBOL,
     GapLabel,
     GrammarViolation,
-    InvalidGap,
     NoAlignment,
     align_sentence,
-    apply_breaks,
     build_index,
-    extract_breaks,
-    normalize_text,
     render_srt,
     strip_breaks,
 )
@@ -33,7 +28,7 @@ from .constraints import (
     check_lines,
     conformity_stats,
 )
-from .evaluation import EvalReport, PrfScores, break_prf, corpus_bleu, corpus_prf, evaluate
+from .evaluation import EvalReport, PrfScores, corpus_bleu, corpus_prf, evaluate
 from .pipeline import (
     CorpusStats,
     IterationReport,

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import IntEnum
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping
 
 from .srt_io import SegmentDuration, Subtitle, SubtitleDocument, Timestamp
 
@@ -48,31 +48,12 @@ class GrammarViolation(ValueError):
     """An annotated sentence breaks the subtitle-break grammar."""
 
 
-class InvalidGap(ValueError):
-    """A break position is out of range, duplicated, or out of order."""
-
-
 class NoAlignment(ValueError):
     """No run of consecutive cues rebuilds the sentence."""
 
 
 class DuplicateTalkId(ValueError):
     """Two documents with the same talk id were offered to one index."""
-
-
-@dataclass(frozen=True)
-class BreakPosition:
-    """A break after the ``gap``-th word (1-based), with its kind:
-    ``GapLabel.EOL`` or ``GapLabel.EOB``."""
-
-    gap: int
-    kind: GapLabel
-
-    def __post_init__(self):
-        if self.gap < 1:
-            raise InvalidGap(f"gap must be >= 1, got {self.gap}")
-        if self.kind is not GapLabel.EOL and self.kind is not GapLabel.EOB:
-            raise InvalidGap(f"a break is GapLabel.EOL or GapLabel.EOB, got {self.kind!r}")
 
 
 @dataclass(frozen=True)
@@ -188,46 +169,9 @@ class AnnotatedSentence:
                 raise GrammarViolation(f"block has {lines} lines (max {max_lines_per_block})")
 
 
-def normalize_text(text: str) -> str:
-    """Collapse whitespace runs to single spaces and trim the ends."""
-    return " ".join(text.split())
-
-
 def strip_breaks(sentence: AnnotatedSentence) -> str:
     """Plain sentence text: words joined by single spaces, breaks dropped."""
     return " ".join(sentence.words)
-
-
-def extract_breaks(sentence: AnnotatedSentence) -> tuple[BreakPosition, ...]:
-    """Break coordinates as (gap, kind) pairs, in sentence order."""
-    return tuple(
-        BreakPosition(gap, label)
-        for gap, label in enumerate(sentence.labels, start=1)
-        if label
-    )
-
-
-def apply_breaks(text: str, breaks: Sequence[BreakPosition]) -> AnnotatedSentence:
-    """Insert breaks into plain ``text`` at the given gaps.
-
-    Gaps must be strictly increasing and within 1..word count, and the
-    result must satisfy the full grammar.
-    """
-    words = text.split()
-    labels = [GapLabel.NONE] * len(words)
-    last_gap = 0
-    for position in breaks:
-        if position.gap <= last_gap:
-            raise InvalidGap(
-                f"gaps must be strictly increasing, got {position.gap} after {last_gap}"
-            )
-        if position.gap > len(words):
-            raise InvalidGap(f"gap {position.gap} beyond the {len(words)}-word sentence")
-        last_gap = position.gap
-        labels[last_gap - 1] = position.kind
-    sentence = AnnotatedSentence(words, labels)
-    sentence.validate_strict()
-    return sentence
 
 
 @dataclass(frozen=True, slots=True)

@@ -31,42 +31,25 @@ class ConstraintProfile:
 DEFAULT_PROFILE = ConstraintProfile()
 
 
-def sentence_lines(sentence: AnnotatedSentence) -> list[str]:
-    """Rendered display lines: maximal word runs between break symbols."""
-    return [" ".join(line) for block in sentence.blocks() for line in block]
-
-
 class CplCheck(NamedTuple):
     line_lengths: tuple[int, ...]
     conforming: bool
 
 
-def _block_line_lengths(sentence: AnnotatedSentence) -> list[list[int]]:
-    """Each block's rendered line lengths, from one walk over the sentence:
-    a line of n words is their lengths plus n - 1 spaces.  Trailing words
-    without a final break form a line and block, as in ``blocks()``."""
-    blocks: list[list[int]] = []
-    block: list[int] = []
+def check_cpl(sentence: AnnotatedSentence, profile: ConstraintProfile = DEFAULT_PROFILE) -> CplCheck:
+    """Per-line lengths and whether every line is within the line limit.  A
+    line of n words is their lengths plus n - 1 spaces; trailing words
+    without a final break form a line, as in ``blocks()``."""
+    lengths: list[int] = []
     chars = 0  # the line so far, one space counted after each word
     for word, label in zip(sentence.words, sentence.labels):
         chars += len(word) + 1
         if label:
-            block.append(chars - 1)
+            lengths.append(chars - 1)
             chars = 0
-            if label is GapLabel.EOB:
-                blocks.append(block)
-                block = []
     if chars:
-        block.append(chars - 1)
-    if block:
-        blocks.append(block)
-    return blocks
-
-
-def check_cpl(sentence: AnnotatedSentence, profile: ConstraintProfile = DEFAULT_PROFILE) -> CplCheck:
-    """Per-line lengths and whether every line is within the line limit."""
-    lengths = tuple(n for block in _block_line_lengths(sentence) for n in block)
-    return CplCheck(lengths, all(n <= profile.cpl_limit for n in lengths))
+        lengths.append(chars - 1)
+    return CplCheck(tuple(lengths), all(n <= profile.cpl_limit for n in lengths))
 
 
 class CpsCheck(NamedTuple):

@@ -47,11 +47,6 @@ def break_counts(hyp: AnnotatedSentence, ref: AnnotatedSentence) -> BreakCounts:
     return BreakCounts(correct, sum(map(bool, hyp.labels)), sum(map(bool, ref.labels)))
 
 
-def break_prf(hyp: AnnotatedSentence, ref: AnnotatedSentence) -> PrfScores:
-    """Precision, recall and F1 of break placements for one sentence pair."""
-    return corpus_prf([(hyp, ref)])
-
-
 def corpus_prf(pairs: Iterable[tuple[AnnotatedSentence, AnnotatedSentence]]) -> PrfScores:
     """Micro-averaged scores: break counts are summed over the corpus first.
 

@@ -14,17 +14,13 @@ import pytest
 
 from subseg.annotate import (
     AnnotatedSentence,
-    BreakPosition,
     GapLabel,
     align_sentence,
-    apply_breaks,
     build_index,
-    extract_breaks,
-    normalize_text,
     strip_breaks,
 )
 from subseg.constraints import ConstraintProfile, check_cpl, check_cps, conformity_stats
-from subseg.evaluation import break_prf, corpus_prf
+from subseg.evaluation import corpus_prf
 from subseg.pipeline import reannotate
 from subseg.segmenters import (
     TrainingConfig,
@@ -97,7 +93,7 @@ def test_criterion_2_metrics_against_enumeration_oracle():
             sentences = [AnnotatedSentence(words, labels) for labels in assignments]
             for hyp_labels, hyp in zip(assignments, sentences):
                 for ref_labels, ref in zip(assignments, sentences):
-                    scores = break_prf(hyp, ref)
+                    scores = corpus_prf([(hyp, ref)])
                     correct, hyp_n, ref_n = _oracle_counts(hyp_labels, ref_labels)
                     assert tuple(scores.counts) == (correct, hyp_n, ref_n)
                     assert scores[:3] == _oracle_prf(correct, hyp_n, ref_n)
@@ -179,7 +175,7 @@ def test_criterion_6_text_preservation(ordering_experiment):
     with criterion(6, "text preserved for 10K fuzzed sentences, both segmenters"):
         tuned = ordering_experiment["tuned"]
         for i, text in enumerate(synth.make_plain_sentences(10_000, seed=313)):
-            expected = normalize_text(text)
+            expected = " ".join(text.split())
             assert strip_breaks(segment_count_char(text, PROFILE, seed=i)) == expected
             assert strip_breaks(segment_learned(tuned, text, PROFILE)) == expected
 
@@ -227,24 +223,24 @@ def _random_strict_sentence(rng):
         "".join(rng.choice("abcdefghijklmnop") for _ in range(rng.randint(1, 9)))
         for _ in range(rng.randint(1, 14))
     ]
-    breaks = []
+    labels = [GapLabel.NONE] * len(words)
     eols_in_block = 0
-    for gap in range(1, len(words) + 1):
-        if gap == len(words):
-            breaks.append(BreakPosition(gap, EOB))
-        else:
-            roll = rng.random()
-            if roll < 0.15 and eols_in_block == 0:
-                breaks.append(BreakPosition(gap, EOL))
-                eols_in_block = 1
-            elif roll < 0.3:
-                breaks.append(BreakPosition(gap, EOB))
-                eols_in_block = 0
-    return apply_breaks(" ".join(words), breaks)
+    for gap in range(len(words) - 1):
+        roll = rng.random()
+        if roll < 0.15 and eols_in_block == 0:
+            labels[gap] = EOL
+            eols_in_block = 1
+        elif roll < 0.3:
+            labels[gap] = EOB
+            eols_in_block = 0
+    labels[-1] = EOB
+    sentence = AnnotatedSentence(words, labels)
+    sentence.validate_strict()
+    return sentence
 
 
 def test_criterion_8_round_trip_suites():
-    with criterion(8, "SRT byte-identity and break-coordinate inverse pairs"):
+    with criterion(8, "SRT byte-identity and corpus-line inverse pairs"):
         rng = random.Random(808)
         for i in range(200):
             doc = _random_document(rng, f"talk{i}")
@@ -253,9 +249,8 @@ def test_criterion_8_round_trip_suites():
             assert serialize_srt(parse_srt(text, talk_id=doc.talk_id)) == text
         for _ in range(10_000):
             sentence = _random_strict_sentence(rng)
-            breaks = extract_breaks(sentence)
-            assert apply_breaks(strip_breaks(sentence), breaks) == sentence
-            assert extract_breaks(apply_breaks(strip_breaks(sentence), breaks)) == breaks
+            assert AnnotatedSentence.from_text(sentence.to_text()) == sentence
+            assert AnnotatedSentence(sentence.words, sentence.labels) == sentence
 
 
 def test_criterion_9_reading_speed_arithmetic():

@@ -3,17 +3,12 @@ from hypothesis import given, settings, strategies as st
 
 from subseg.annotate import (
     AnnotatedSentence,
-    BreakPosition,
     DuplicateTalkId,
     GapLabel,
     GrammarViolation,
-    InvalidGap,
     NoAlignment,
     align_sentence,
-    apply_breaks,
     build_index,
-    extract_breaks,
-    normalize_text,
     render_srt,
     strip_breaks,
 )
@@ -68,11 +63,6 @@ class TestAnnotatedSentence:
         with pytest.raises(ValueError):
             AnnotatedSentence(words, labels)
 
-    @pytest.mark.parametrize("kind", [NONE, 1, "<eol>"])
-    def test_break_position_kind_must_be_a_break(self, kind):
-        with pytest.raises(InvalidGap):
-            BreakPosition(1, kind)
-
     def test_blocks_of_figure_sentence(self, figure_annotated):
         blocks = sent(figure_annotated).blocks()
         assert len(blocks) == 2
@@ -106,43 +96,28 @@ class TestStripAndBreaks:
         assert plain == figure_sentence
         assert len(plain.split()) == 17
 
-    def test_extract_breaks(self, figure_annotated):
-        assert extract_breaks(sent(figure_annotated)) == (
-            BreakPosition(6, EOB),
-            BreakPosition(12, EOL),
-            BreakPosition(17, EOB),
-        )
-
 
 class TestApplyBreaks:
+    """Labels set on plain words, then checked by ``validate_strict``."""
+
+    WORDS = ("a", "b", "c")
+
     def test_direct_construction(self):
-        out = apply_breaks("a b c", [BreakPosition(1, EOL), BreakPosition(3, EOB)])
+        out = AnnotatedSentence(self.WORDS, (EOL, NONE, EOB))
+        out.validate_strict()
         assert out.to_text() == "a <eol> b c <eob>"
 
     def test_rejects_sentence_without_breaks(self):
         with pytest.raises(GrammarViolation):
-            apply_breaks("a b c", [])
+            AnnotatedSentence(self.WORDS, (NONE, NONE, NONE)).validate_strict()
 
     def test_strict_three_line_block(self):
-        breaks = [BreakPosition(1, EOL), BreakPosition(2, EOL), BreakPosition(3, EOB)]
         with pytest.raises(GrammarViolation):
-            apply_breaks("a b c", breaks)
+            AnnotatedSentence(self.WORDS, (EOL, EOL, EOB)).validate_strict()
 
     def test_strict_missing_terminal_eob(self):
         with pytest.raises(GrammarViolation):
-            apply_breaks("a b c", [BreakPosition(1, EOL)])
-
-    @pytest.mark.parametrize(
-        "breaks",
-        [
-            [BreakPosition(4, EOB)],  # out of range
-            [BreakPosition(2, EOL), BreakPosition(2, EOB)],  # duplicate gap
-            [BreakPosition(3, EOL), BreakPosition(1, EOB)],  # out of order
-        ],
-    )
-    def test_invalid_gaps(self, breaks):
-        with pytest.raises(InvalidGap):
-            apply_breaks("a b c", breaks)
+            AnnotatedSentence(self.WORDS, (EOL, NONE, NONE)).validate_strict()
 
 
 _word = st.text(alphabet="abcdefghijklmnopqrstuvwxyz'.,!?", min_size=1, max_size=9).filter(
@@ -213,16 +188,10 @@ class TestFromTextGrammar:
             with pytest.raises(GrammarViolation, match="a break token must follow a word"):
                 AnnotatedSentence.from_text(line)
         else:
-            assert AnnotatedSentence.from_text(line).to_text() == normalize_text(line)
+            assert AnnotatedSentence.from_text(line).to_text() == " ".join(line.split())
 
 
 class TestInversePairs:
-    @given(strict_sentences())
-    @settings(max_examples=300)
-    def test_apply_extract_strip_round_trip(self, sentence):
-        rebuilt = apply_breaks(strip_breaks(sentence), extract_breaks(sentence))
-        assert rebuilt == sentence
-
     @given(strict_sentences())
     def test_corpus_text_round_trip(self, sentence):
         # break symbols are written as their values, the symbols from_text reads
@@ -252,12 +221,6 @@ class TestInversePairs:
         labels = labels + (NONE,) if longer or not labels else labels[:-1]
         with pytest.raises(ValueError):
             AnnotatedSentence(sentence.words, labels)
-
-    @given(strict_sentences())
-    def test_extract_of_apply(self, sentence):
-        text = strip_breaks(sentence)
-        breaks = extract_breaks(sentence)
-        assert extract_breaks(apply_breaks(text, breaks)) == breaks
 
 
 def restored(line):
@@ -407,7 +370,7 @@ class TestIndexAndAlign:
         index = build_index([parse_srt(figure_srt, talk_id="talk")])
         messy = figure_sentence.replace(" that", "   that")
         assert align_sentence(messy, "talk", index).to_text() == figure_annotated
-        assert strip_breaks(align_sentence(messy, "talk", index)) == normalize_text(messy)
+        assert strip_breaks(align_sentence(messy, "talk", index)) == " ".join(messy.split())
 
     def test_tiling_longer_than_the_recursion_limit(self):
         words = [f"w{i % 7}" for i in range(1200)]
@@ -484,7 +447,7 @@ class TestUncheckedConstruction:
         except GrammarViolation:
             return
         assert_as_checked(sentence)
-        assert sentence.to_text() == normalize_text(line)
+        assert sentence.to_text() == " ".join(line.split())
 
     @given(st.data())
     @settings(max_examples=300)

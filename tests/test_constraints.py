@@ -5,12 +5,10 @@ from subseg.annotate import AnnotatedSentence
 from subseg.constraints import (
     ConformityReport,
     ConstraintProfile,
-    _block_line_lengths,
     check_cpl,
     check_cps,
     check_lines,
     conformity_stats,
-    sentence_lines,
 )
 from subseg.pipeline import stats
 from subseg.srt_io import SegmentDuration
@@ -65,16 +63,16 @@ class TestCheckCpl:
 class TestBlockLineLengths:
     @staticmethod
     def _joined(sentence):
-        return [[len(" ".join(line)) for line in block] for block in sentence.blocks()]
+        return tuple(len(" ".join(line)) for block in sentence.blocks() for line in block)
 
     @given(st.one_of(strict_sentences(), lenient_sentences()))
     @settings(max_examples=300)
     def test_matches_the_joined_lines(self, sentence):
-        assert _block_line_lengths(sentence) == self._joined(sentence)
+        assert check_cpl(sentence).line_lengths == self._joined(sentence)
 
     def test_empty_sentence(self):
         empty = AnnotatedSentence((), ())
-        assert _block_line_lengths(empty) == self._joined(empty) == []
+        assert check_cpl(empty).line_lengths == self._joined(empty) == ()
 
 
 class TestCheckBlockCpl:
@@ -188,7 +186,7 @@ class TestConformityStats:
     @settings(max_examples=200)
     def test_counts_agree_with_the_rendered_lines_and_blocks(self, corpus, limit, orphan):
         profile = ConstraintProfile(cpl_limit=limit, orphan_threshold=orphan)
-        lines = [[len(line) for line in sentence_lines(s)] for s in corpus]
+        lines = [[len(" ".join(line)) for b in s.blocks() for line in b] for s in corpus]
         lengths = [n for sentence in lines for n in sentence]
         blocks_fit = [
             all(len(" ".join(" ".join(line) for line in b)) <= 2 * limit for b in s.blocks())
@@ -227,6 +225,6 @@ class TestConformityStats:
     @settings(max_examples=100)
     def test_breaks_never_count_as_characters(self, sentence):
         total_line_chars = sum(check_cpl(sentence).line_lengths)
-        lines = sentence_lines(sentence)
+        lines = [line for block in sentence.blocks() for line in block]
         plain_chars = len(" ".join(sentence.words))
         assert total_line_chars == plain_chars - (len(lines) - 1 if lines else 0)

@@ -5,13 +5,12 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from subseg.annotate import AnnotatedSentence, GapLabel, extract_breaks
+from subseg.annotate import AnnotatedSentence, GapLabel
 from subseg.constraints import ConstraintProfile
 from subseg.evaluation import (
     BreakCounts,
     TextMismatch,
     break_counts,
-    break_prf,
     corpus_bleu,
     corpus_prf,
     evaluate,
@@ -40,7 +39,7 @@ class TestBreakPrf:
     def test_half_recall(self):
         hyp = with_breaks(TWELVE, [(6, EOB)])
         ref = with_breaks(TWELVE, [(6, EOB), (12, EOL)])
-        scores = break_prf(hyp, ref)
+        scores = corpus_prf([(hyp, ref)])
         assert scores.precision == 1.0
         assert scores.recall == 0.5
         assert scores.f1 == pytest.approx(2 / 3)
@@ -48,29 +47,29 @@ class TestBreakPrf:
 
     def test_identity(self, figure_annotated):
         sentence = AnnotatedSentence.from_text(figure_annotated)
-        assert break_prf(sentence, sentence)[:3] == (1.0, 1.0, 1.0)
+        assert corpus_prf([(sentence, sentence)])[:3] == (1.0, 1.0, 1.0)
 
     def test_kind_mismatch_at_same_gap(self):
         hyp = with_breaks(TWELVE, [(6, EOL)])
         ref = with_breaks(TWELVE, [(6, EOB)])
-        scores = break_prf(hyp, ref)
+        scores = corpus_prf([(hyp, ref)])
         assert scores[:3] == (0.0, 0.0, 0.0)
         assert scores.counts == BreakCounts(0, 1, 1)
 
     def test_zero_zero_convention(self):
         bare = with_breaks("a b", [])
         breaky = with_breaks("a b", [(2, EOB)])
-        assert break_prf(bare, bare)[:3] == (1.0, 1.0, 1.0)
-        assert break_prf(bare, breaky).precision == 0.0
-        assert break_prf(breaky, bare).recall == 0.0
+        assert corpus_prf([(bare, bare)])[:3] == (1.0, 1.0, 1.0)
+        assert corpus_prf([(bare, breaky)]).precision == 0.0
+        assert corpus_prf([(breaky, bare)]).recall == 0.0
 
     def test_text_mismatch(self):
         with pytest.raises(TextMismatch):
-            break_prf(with_breaks("a b", []), with_breaks("a c", []))
+            corpus_prf([(with_breaks("a b", []), with_breaks("a c", []))])
 
     def test_text_mismatch_names_pair_0(self):
         with pytest.raises(TextMismatch) as err:
-            break_prf(with_breaks("a b", []), with_breaks("a c", []))
+            corpus_prf([(with_breaks("a b", []), with_breaks("a c", []))])
         assert err.value.index == 0
         assert str(err.value) == "pair 0: hypothesis and reference text differ"
 
@@ -98,7 +97,7 @@ class TestExhaustiveOracle:
             hyp = AnnotatedSentence(words, hyp_labels)
             for ref_labels in assignments:
                 ref = AnnotatedSentence(words, ref_labels)
-                scores = break_prf(hyp, ref)
+                scores = corpus_prf([(hyp, ref)])
                 counts = _oracle_counts(hyp_labels, ref_labels)
                 assert tuple(scores.counts) == counts
                 assert scores[:3] == _oracle_prf(counts)
@@ -114,8 +113,10 @@ def label_assignments(draw):
 
 
 def _set_counts(hyp, ref):
-    """The counts as sets of ``BreakPosition``s: correct is their intersection."""
-    hyp_set, ref_set = set(extract_breaks(hyp)), set(extract_breaks(ref))
+    """The counts as sets of (gap, label) pairs: correct is their intersection."""
+    hyp_set, ref_set = (
+        {(gap, label) for gap, label in enumerate(s.labels, start=1) if label} for s in (hyp, ref)
+    )
     return len(hyp_set & ref_set), len(hyp_set), len(ref_set)
 
 
@@ -130,14 +131,14 @@ class TestPrfProperties:
     @settings(max_examples=300)
     def test_precision_recall_symmetry(self, pair):
         hyp, ref = pair
-        assert break_prf(hyp, ref).precision == break_prf(ref, hyp).recall
-        assert break_prf(hyp, ref).recall == break_prf(ref, hyp).precision
+        assert corpus_prf([(hyp, ref)]).precision == corpus_prf([(ref, hyp)]).recall
+        assert corpus_prf([(hyp, ref)]).recall == corpus_prf([(ref, hyp)]).precision
 
     @given(label_assignments())
     @settings(max_examples=300)
     def test_f1_swap_invariance(self, pair):
         hyp, ref = pair
-        assert break_prf(hyp, ref).f1 == pytest.approx(break_prf(ref, hyp).f1)
+        assert corpus_prf([(hyp, ref)]).f1 == pytest.approx(corpus_prf([(ref, hyp)]).f1)
 
 
 class TestCorpusPrf:

@@ -4,7 +4,6 @@ from subseg.annotate import (
     AnnotatedSentence,
     GapLabel,
     GrammarViolation,
-    extract_breaks,
     render_srt,
     strip_breaks,
 )
@@ -170,8 +169,8 @@ class TestReannotate:
             if result == original:
                 continue
             changed += 1
-            original_eobs = [b for b in extract_breaks(original) if b.kind is GapLabel.EOB]
-            result_eobs = [b for b in extract_breaks(result) if b.kind is GapLabel.EOB]
+            original_eobs = [g for g, l in enumerate(original.labels, 1) if l is GapLabel.EOB]
+            result_eobs = [g for g, l in enumerate(result.labels, 1) if l is GapLabel.EOB]
             assert result_eobs == original_eobs
             assert strip_breaks(result) == strip_breaks(original)
             assert result.has_eol

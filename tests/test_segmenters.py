@@ -11,8 +11,6 @@ from subseg import segmenters
 from subseg.annotate import (
     AnnotatedSentence,
     GrammarViolation,
-    extract_breaks,
-    normalize_text,
     strip_breaks,
 )
 from subseg.constraints import ConstraintProfile, check_cpl, check_lines
@@ -56,6 +54,11 @@ def sent(text):
     return AnnotatedSentence.from_text(text)
 
 
+def breaks(sentence):
+    """Each break of ``sentence`` as a (gap, label) pair, gaps counted from 1."""
+    return [(gap, label) for gap, label in enumerate(sentence.labels, start=1) if label]
+
+
 class TestCountCharBaseline:
     def test_short_sentence_gets_terminal_eob_only(self):
         out = segment_count_char("C'est donc toujours plus difficile.", seed=0)
@@ -67,10 +70,10 @@ class TestCountCharBaseline:
     def test_first_break_lands_after_last_word_that_fits(self):
         # 17 five-char words: 7 words fill 41 chars, the 8th would hit 47
         out = segment_count_char(" ".join(["abcde"] * 17), seed=4)
-        breaks = extract_breaks(out)
-        assert breaks[0].gap == 7
-        assert breaks[-1] == extract_breaks(out)[-1]
-        assert breaks[-1].kind is GapLabel.EOB
+        found = breaks(out)
+        assert found[0][0] == 7
+        assert found[-1] == breaks(out)[-1]
+        assert found[-1][1] is GapLabel.EOB
         lengths, conforming = check_cpl(out, PROFILE)
         assert conforming
         assert all(n <= 41 for n in lengths)
@@ -78,7 +81,7 @@ class TestCountCharBaseline:
     def test_eol_is_always_followed_by_eob(self):
         for seed in range(30):
             out = segment_count_char(" ".join(["abcde"] * 30), seed=seed)
-            kinds = [b.kind for b in extract_breaks(out)]
+            kinds = [label for _, label in breaks(out)]
             for left, right in zip(kinds, kinds[1:]):
                 assert not (left is GapLabel.EOL and right is GapLabel.EOL)
             assert kinds[-1] is GapLabel.EOB
@@ -125,7 +128,7 @@ class TestCountCharBaseline:
     def _greedy_reference(sentence, profile, seed):
         """The baseline as a private line counter plus a pass that promotes
         every ``<eol>`` that would overfill a block, kept as an oracle."""
-        words = normalize_text(sentence).split()
+        words = sentence.split()
         rng = random.Random(seed)
         labels = [GapLabel.NONE] * len(words)
         prev = GapLabel.EOB
@@ -197,7 +200,7 @@ class TestCountCharBaseline:
         source = self._with_breaks(words, rolls, max_lines, eol_only)
         out = segment_count_char(source, profile, seed, "eol_only" if eol_only else "full")
         assert out.words == source.words
-        assert set(extract_breaks(source)) <= set(extract_breaks(out))
+        assert set(breaks(source)) <= set(breaks(out))
         out.validate_strict(max_lines)
 
     @settings(max_examples=300, deadline=None)
@@ -208,7 +211,7 @@ class TestCountCharBaseline:
         profile = ConstraintProfile(cpl_limit=cpl_limit, max_lines_per_block=max_lines)
         source = self._with_breaks(words, rolls, max_lines, eol_only=True)
         out = segment_count_char(source, profile, seed, "eol_only")
-        eobs = lambda s: [b.gap for b in extract_breaks(s) if b.kind is GapLabel.EOB]
+        eobs = lambda s: [gap for gap, label in breaks(s) if label is GapLabel.EOB]
         assert eobs(out) == eobs(source)
         assert segment_count_char(source, profile, other_seed, "eol_only") == out
 
@@ -247,8 +250,8 @@ class TestCountCharBaseline:
         two = segment_count_char(text, PROFILE, seed=1)
         one = segment_count_char(text, one_line, seed=1)
         assert two.has_eol
-        assert [b.gap for b in extract_breaks(one)] == [b.gap for b in extract_breaks(two)]
-        assert all(b.kind is GapLabel.EOB for b in extract_breaks(one))
+        assert [gap for gap, _ in breaks(one)] == [gap for gap, _ in breaks(two)]
+        assert all(label is GapLabel.EOB for _, label in breaks(one))
         assert one.to_text() == self._greedy_reference(text, one_line, 1)
 
 
@@ -396,8 +399,8 @@ class TestTrain:
         gold_positions = matched = 0
         for reference in corpus:
             decoded = segment_learned(model, strip_breaks(reference))
-            gold = {b.gap for b in extract_breaks(reference)}
-            hyp = {b.gap for b in extract_breaks(decoded)}
+            gold = {gap for gap, _ in breaks(reference)}
+            hyp = {gap for gap, _ in breaks(decoded)}
             gold_positions += len(gold)
             matched += len(gold & hyp)
         assert matched / gold_positions >= 0.95
@@ -474,8 +477,7 @@ class TestSegmentLearned:
     def test_existing_breaks_are_frozen(self, gold_model):
         model, _ = gold_model
         out = segment_learned(model, "one <eob> two three")
-        assert extract_breaks(out)[0].gap == 1
-        assert extract_breaks(out)[0].kind is GapLabel.EOB
+        assert breaks(out)[0] == (1, GapLabel.EOB)
 
     def test_output_equals_the_checked_construction(self, gold_model, collapsed_models):
         model, corpus = gold_model
@@ -490,8 +492,8 @@ class TestSegmentLearned:
         _, tuned = collapsed_models
         collapsed = synth.strip_eols(synth.make_corpus(30, seed=123)[0])
         out = segment_learned(tuned, collapsed, mode="eol_only")
-        assert [b for b in extract_breaks(out) if b.kind is GapLabel.EOB] == [
-            b for b in extract_breaks(collapsed) if b.kind is GapLabel.EOB
+        assert [b for b in breaks(out) if b[1] is GapLabel.EOB] == [
+            b for b in breaks(collapsed) if b[1] is GapLabel.EOB
         ]
         assert strip_breaks(out) == strip_breaks(collapsed)
 
@@ -528,10 +530,10 @@ class TestSegmentLearned:
         _, tuned = collapsed_models
         for i, text in enumerate(synth.make_plain_sentences(150, seed=31)):
             out = segment_learned(tuned, text)
-            assert strip_breaks(out) == normalize_text(text)
+            assert strip_breaks(out) == " ".join(text.split())
             out.validate_strict()
             out_baseline = segment_count_char(text, seed=i)
-            assert strip_breaks(out_baseline) == normalize_text(text)
+            assert strip_breaks(out_baseline) == " ".join(text.split())
 
     def test_outputs_respect_line_cap_even_with_weird_profiles(self, collapsed_models):
         _, tuned = collapsed_models
