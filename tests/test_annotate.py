@@ -96,6 +96,11 @@ class TestStripAndBreaks:
         assert plain == figure_sentence
         assert len(plain.split()) == 17
 
+    def test_extract_breaks(self, figure_annotated):
+        labels = sent(figure_annotated).labels
+        breaks = [(gap, label) for gap, label in enumerate(labels, start=1) if label]
+        assert breaks == [(6, EOB), (12, EOL), (17, EOB)]
+
 
 class TestApplyBreaks:
     """Labels set on plain words, then checked by ``validate_strict``."""
