@@ -51,7 +51,6 @@ from .srt_io import (
     SegmentDuration,
     Subtitle,
     SubtitleDocument,
-    Timestamp,
     format_timestamp,
     load_segments_metadata,
     parse_srt,

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from enum import IntEnum
 from typing import Iterable, Iterator, Mapping
 
-from .srt_io import SegmentDuration, Subtitle, SubtitleDocument, Timestamp
+from .srt_io import SegmentDuration, Subtitle, SubtitleDocument
 
 EOL_SYMBOL = "<eol>"
 EOB_SYMBOL = "<eob>"
@@ -266,6 +266,6 @@ def render_srt(
         boundaries.append(max(raw, boundaries[-1] + 1))  # cues need a positive duration
 
     return [
-        Subtitle(start_index + i, Timestamp(boundaries[i]), Timestamp(boundaries[i + 1]), lines)
+        Subtitle(start_index + i, boundaries[i], boundaries[i + 1], lines)
         for i, lines in enumerate(block_lines)
     ]

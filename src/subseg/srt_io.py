@@ -50,45 +50,22 @@ _TIMESTAMP_RE = re.compile(_TIMESTAMP)
 _TIMING_RE = re.compile(rf"\s*{_TIMESTAMP}\s*-->\s*{_TIMESTAMP}(?:\s|$)")
 
 
-@dataclass(frozen=True, order=True, slots=True)
-class Timestamp:
-    """A point in time as non-negative integer milliseconds."""
-
-    millis: int
-
-    def __post_init__(self):
-        if not isinstance(self.millis, int) or self.millis < 0:
-            raise ValueError(f"millis must be a non-negative integer, got {self.millis!r}")
-
-    @classmethod
-    def _of(cls, millis: int) -> "Timestamp":
-        """A timestamp of a count already known to be a non-negative int,
-        built without checking it again."""
-        ts = object.__new__(cls)
-        object.__setattr__(ts, "millis", millis)
-        return ts
-
-    def __str__(self) -> str:
-        return format_timestamp(self)
-
-
-def parse_timestamp(text: str) -> Timestamp:
+def parse_timestamp(text: str) -> int:
     """Parse ``HH:MM:SS,mmm`` (zero-padded ASCII digits, two or more for the
-    hours, comma separator) into a Timestamp."""
+    hours, comma separator) into integer milliseconds."""
     match = _TIMESTAMP_RE.fullmatch(text)
     if match is None:
         raise MalformedTimestamp(f"expected HH:MM:SS,mmm, got {text!r}")
-    return _timestamp(*match.groups())
+    return _millis(*match.groups())
 
 
-def _timestamp(hh: str, mm: str, ss: str, ms: str) -> Timestamp:
-    # ASCII digit groups, so the count is a non-negative int
-    return Timestamp._of(((int(hh) * 60 + int(mm)) * 60 + int(ss)) * 1000 + int(ms))
+def _millis(hh: str, mm: str, ss: str, ms: str) -> int:
+    return ((int(hh) * 60 + int(mm)) * 60 + int(ss)) * 1000 + int(ms)
 
 
-def format_timestamp(ts: Timestamp) -> str:
-    """Render a Timestamp as zero-padded ``HH:MM:SS,mmm``."""
-    seconds, ms = divmod(ts.millis, 1000)
+def format_timestamp(millis: int) -> str:
+    """Render integer milliseconds as zero-padded ``HH:MM:SS,mmm``."""
+    seconds, ms = divmod(millis, 1000)
     minutes, ss = divmod(seconds, 60)
     hh, mm = divmod(minutes, 60)
     return f"{hh:02d}:{mm:02d}:{ss:02d},{ms:03d}"
@@ -96,7 +73,8 @@ def format_timestamp(ts: Timestamp) -> str:
 
 @dataclass(frozen=True, slots=True)
 class Subtitle:
-    """One timed cue: a positive index, a time window and 1+ display lines.
+    """One timed cue: a positive index, a time window in non-negative
+    integer milliseconds and 1+ display lines.
 
     Lines are stored verbatim except that trailing whitespace is not
     representable; internal runs of spaces are preserved (later stages use
@@ -104,8 +82,8 @@ class Subtitle:
     """
 
     index: int
-    start: Timestamp
-    end: Timestamp
+    start: int
+    end: int
     lines: tuple[str, ...]
 
     def __post_init__(self):
@@ -114,24 +92,15 @@ class Subtitle:
             raise ValueError(f"cue index must be positive, got {self.index}")
         if not self.lines:
             raise ValueError("cue has no text")
-        if self.start.millis >= self.end.millis:
-            raise ValueError(f"cue ends before it starts ({self.start} --> {self.end})")
+        for millis in (self.start, self.end):
+            if not isinstance(millis, int) or millis < 0:
+                raise ValueError(f"cue times are non-negative integer milliseconds, got {millis!r}")
+        if self.start >= self.end:
+            start, end = format_timestamp(self.start), format_timestamp(self.end)
+            raise ValueError(f"cue ends before it starts ({start} --> {end})")
         for line in self.lines:
             if not line or line != line.rstrip() or "\n" in line or "\r" in line:
                 raise ValueError(f"bad cue line {line!r}")
-
-    @classmethod
-    def _of(
-        cls, index: int, start: Timestamp, end: Timestamp, lines: tuple[str, ...]
-    ) -> "Subtitle":
-        """A cue whose fields already keep every rule above, built without
-        checking them again."""
-        cue = object.__new__(cls)
-        object.__setattr__(cue, "index", index)
-        object.__setattr__(cue, "start", start)
-        object.__setattr__(cue, "end", end)
-        object.__setattr__(cue, "lines", lines)
-        return cue
 
 
 @dataclass(frozen=True)
@@ -180,7 +149,7 @@ def _blocks(text: str) -> Iterable[tuple[int, list[str]]]:
         yield number, current
 
 
-def _parse_timing(line: str, number: int) -> tuple[Timestamp, Timestamp]:
+def _parse_timing(line: str, number: int) -> tuple[int, int]:
     """The start and end of a timing line, read step by step, so that a
     malformed line raises the error that names what is wrong with it."""
     timing = line.strip()
@@ -223,22 +192,18 @@ def parse_srt(text: str, talk_id: str = "") -> SubtitleDocument:
             start, end = _parse_timing(lines[1], number)
         else:
             groups = timing.groups()
-            start, end = _timestamp(*groups[:4]), _timestamp(*groups[4:])
-        index, cue_lines = int(index_text), tuple(lines[2:])
-        # _blocks leaves each line non-empty, without trailing whitespace or "\n"
-        if index and cue_lines and start.millis < end.millis and "\r" not in "".join(cue_lines):
-            cue = Subtitle._of(index, start, end, cue_lines)
-        else:
-            try:  # the checking constructor names the first rule the cue breaks
-                cue = Subtitle(index, start, end, cue_lines)
-            except ValueError as exc:
-                raise MalformedCue(number, str(exc)) from None
+            start, end = _millis(*groups[:4]), _millis(*groups[4:])
+        index = int(index_text)
+        try:  # the constructor names the first rule the cue breaks
+            cue = Subtitle(index, start, end, tuple(lines[2:]))
+        except ValueError as exc:
+            raise MalformedCue(number, str(exc)) from None
         subtitles.append(cue)
 
     backwards = [
         (prev.index, cur.index)
         for prev, cur in zip(subtitles, subtitles[1:])
-        if cur.start.millis < prev.start.millis
+        if cur.start < prev.start
     ]
     if backwards:
         first = backwards[0]

@@ -33,7 +33,6 @@ from subseg.srt_io import (
     SegmentDuration,
     Subtitle,
     SubtitleDocument,
-    Timestamp,
     parse_srt,
     serialize_srt,
 )
@@ -213,7 +212,7 @@ def _random_document(rng, talk_id):
                     for _ in range(rng.randint(1, 6))
                 )
             )
-        subtitles.append(Subtitle(index, Timestamp(start), Timestamp(end), tuple(lines)))
+        subtitles.append(Subtitle(index, start, end, tuple(lines)))
         start = end + rng.randint(1, 2_000)
     return SubtitleDocument(talk_id, tuple(subtitles))
 

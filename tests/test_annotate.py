@@ -13,7 +13,7 @@ from subseg.annotate import (
     strip_breaks,
 )
 from subseg.pipeline import AnnotationWarning, preprocess_document
-from subseg.srt_io import SegmentDuration, Subtitle, SubtitleDocument, Timestamp, parse_srt
+from subseg.srt_io import SegmentDuration, Subtitle, SubtitleDocument, parse_srt
 
 NONE = GapLabel.NONE
 EOL = GapLabel.EOL
@@ -71,12 +71,18 @@ class TestAnnotatedSentence:
 
     def test_strictness(self, figure_annotated):
         sent(figure_annotated).validate_strict()
+        labelled = AnnotatedSentence(("a", "b", "c"), (EOL, NONE, EOB))
+        labelled.validate_strict()
+        assert labelled.to_text() == "a <eol> b c <eob>"
         with pytest.raises(GrammarViolation):
             sent("a b c").validate_strict()  # no terminal <eob>
         with pytest.raises(GrammarViolation):
             sent("a <eol> b <eol> c <eob>").validate_strict()  # 3-line block
         with pytest.raises(GrammarViolation):
             sent("").validate_strict()
+        for labels in [(NONE, NONE, NONE), (EOL, EOL, EOB), (EOL, NONE, NONE)]:
+            with pytest.raises(GrammarViolation):
+                AnnotatedSentence(("a", "b", "c"), labels).validate_strict()
 
     def test_lenient_trailing_block(self):
         assert sent("a <eob> b c").blocks() == ((("a",),), (("b", "c"),))
@@ -100,29 +106,6 @@ class TestStripAndBreaks:
         labels = sent(figure_annotated).labels
         breaks = [(gap, label) for gap, label in enumerate(labels, start=1) if label]
         assert breaks == [(6, EOB), (12, EOL), (17, EOB)]
-
-
-class TestApplyBreaks:
-    """Labels set on plain words, then checked by ``validate_strict``."""
-
-    WORDS = ("a", "b", "c")
-
-    def test_direct_construction(self):
-        out = AnnotatedSentence(self.WORDS, (EOL, NONE, EOB))
-        out.validate_strict()
-        assert out.to_text() == "a <eol> b c <eob>"
-
-    def test_rejects_sentence_without_breaks(self):
-        with pytest.raises(GrammarViolation):
-            AnnotatedSentence(self.WORDS, (NONE, NONE, NONE)).validate_strict()
-
-    def test_strict_three_line_block(self):
-        with pytest.raises(GrammarViolation):
-            AnnotatedSentence(self.WORDS, (EOL, EOL, EOB)).validate_strict()
-
-    def test_strict_missing_terminal_eob(self):
-        with pytest.raises(GrammarViolation):
-            AnnotatedSentence(self.WORDS, (EOL, NONE, NONE)).validate_strict()
 
 
 _word = st.text(alphabet="abcdefghijklmnopqrstuvwxyz'.,!?", min_size=1, max_size=9).filter(
@@ -230,7 +213,7 @@ class TestInversePairs:
 
 def restored(line):
     """The lines ``preprocess_document`` makes of a one-cue document holding ``line``."""
-    doc = SubtitleDocument("t", (Subtitle(1, Timestamp(0), Timestamp(1000), (line,)),))
+    doc = SubtitleDocument("t", (Subtitle(1, 0, 1000, (line,)),))
     return list(preprocess_document(doc).subtitles[0].lines)
 
 
@@ -321,7 +304,7 @@ class TestIndexAndAlign:
 
     def test_single_cue_identity(self):
         doc = SubtitleDocument(
-            "t", (Subtitle(1, Timestamp(0), Timestamp(1000), ("hello there friend",)),)
+            "t", (Subtitle(1, 0, 1000, ("hello there friend",)),)
         )
         aligned = align_sentence("hello there friend", "t", build_index([doc]))
         assert aligned.to_text() == "hello there friend <eob>"
@@ -332,7 +315,7 @@ class TestIndexAndAlign:
             align_sentence(figure_sentence.replace("design", "designs"), "talk", index)
 
     def test_partial_overlap_fails(self):
-        doc = SubtitleDocument("t", (Subtitle(1, Timestamp(0), Timestamp(1000), ("c d",)),))
+        doc = SubtitleDocument("t", (Subtitle(1, 0, 1000, ("c d",)),))
         with pytest.raises(NoAlignment):
             align_sentence("a b c", "t", build_index([doc]))
 
@@ -340,9 +323,9 @@ class TestIndexAndAlign:
         doc = SubtitleDocument(
             "t",
             (
-                Subtitle(1, Timestamp(0), Timestamp(1000), ("a",)),  # decoy from another sentence
-                Subtitle(2, Timestamp(1000), Timestamp(2000), ("a b",)),
-                Subtitle(3, Timestamp(2000), Timestamp(3000), ("c",)),
+                Subtitle(1, 0, 1000, ("a",)),  # decoy from another sentence
+                Subtitle(2, 1000, 2000, ("a b",)),
+                Subtitle(3, 2000, 3000, ("c",)),
             ),
         )
         aligned = align_sentence("a b c", "t", build_index([doc]))
@@ -352,7 +335,7 @@ class TestIndexAndAlign:
         doc = SubtitleDocument(
             "t",
             tuple(
-                Subtitle(i + 1, Timestamp(i * 1000), Timestamp(i * 1000 + 1000), (text,))
+                Subtitle(i + 1, i * 1000, i * 1000 + 1000, (text,))
                 for i, text in enumerate(("uan", "zz", "gobalh.", "uan gobalh."))
             ),
         )
@@ -363,9 +346,9 @@ class TestIndexAndAlign:
         doc = SubtitleDocument(
             "t",
             (
-                Subtitle(1, Timestamp(0), Timestamp(1000), ("a b",)),
-                Subtitle(2, Timestamp(1000), Timestamp(2000), ("x",)),
-                Subtitle(3, Timestamp(2000), Timestamp(3000), ("c",)),
+                Subtitle(1, 0, 1000, ("a b",)),
+                Subtitle(2, 1000, 2000, ("x",)),
+                Subtitle(3, 2000, 3000, ("c",)),
             ),
         )
         with pytest.raises(NoAlignment):
@@ -382,7 +365,7 @@ class TestIndexAndAlign:
         doc = SubtitleDocument(
             "t",
             tuple(
-                Subtitle(i + 1, Timestamp(i * 10), Timestamp(i * 10 + 10), (word,))
+                Subtitle(i + 1, i * 10, i * 10 + 10, (word,))
                 for i, word in enumerate(words)
             ),
         )
@@ -405,7 +388,7 @@ class TestIndexAndAlign:
         doc = SubtitleDocument(
             "t",
             tuple(
-                Subtitle(i + 1, Timestamp(i * 10), Timestamp(i * 10 + 10), tuple(map(" ".join, ls)))
+                Subtitle(i + 1, i * 10, i * 10 + 10, tuple(map(" ".join, ls)))
                 for i, ls in enumerate(cue_lines)
             ),
         )
@@ -470,7 +453,7 @@ class TestUncheckedConstruction:
         doc = SubtitleDocument(
             "t",
             tuple(
-                Subtitle(i + 1, Timestamp(i * 10), Timestamp(i * 10 + 10), tuple(map(space.join, ls)))
+                Subtitle(i + 1, i * 10, i * 10 + 10, tuple(map(space.join, ls)))
                 for i, ls in enumerate(cue_lines)
             ),
         )
@@ -513,17 +496,17 @@ class TestRenderSrt:
         # independently counted block sizes: 30 and 25 + 1 + 30 = 56 characters
         assert len(cues[0].lines[0]) == 30
         assert sum(len(line) for line in cues[1].lines) + 1 == 56
-        d0 = cues[0].end.millis - cues[0].start.millis
-        d1 = cues[1].end.millis - cues[1].start.millis
-        assert cues[0].start.millis == 537020
-        assert cues[1].end.millis == 542060
+        d0 = cues[0].end - cues[0].start
+        d1 = cues[1].end - cues[1].start
+        assert cues[0].start == 537020
+        assert cues[1].end == 542060
         assert d0 == pytest.approx(5040 * 30 / 86, abs=1)
         assert d1 == pytest.approx(5040 * 56 / 86, abs=1)
 
     def test_single_block_spans_window(self):
         cues = render_srt(sent("short one <eob>"), SegmentDuration("w", 1.0, 2.0))
         assert len(cues) == 1
-        assert (cues[0].start.millis, cues[0].end.millis) == (1000, 3000)
+        assert (cues[0].start, cues[0].end) == (1000, 3000)
 
     def test_rejects_lenient_sentence(self):
         with pytest.raises(GrammarViolation):
@@ -534,7 +517,7 @@ class TestRenderSrt:
             sent("a <eob> b <eob> c <eob>"), SegmentDuration("w", 0.0, 0.001)
         )
         for cue in cues:
-            assert cue.start.millis < cue.end.millis
+            assert cue.start < cue.end
 
     @given(strict_sentences(max_words=10))
     @settings(max_examples=200)

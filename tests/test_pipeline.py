@@ -19,7 +19,7 @@ from subseg.pipeline import (
     stats,
 )
 from subseg.segmenters import DEFAULT_FINE_TUNE_EPOCHS, TrainingConfig, fine_tune, train
-from subseg.srt_io import SegmentDuration, Subtitle, SubtitleDocument, Timestamp, parse_srt
+from subseg.srt_io import SegmentDuration, Subtitle, SubtitleDocument, parse_srt
 
 import synth
 
@@ -37,8 +37,8 @@ class TestPreprocessDocument:
             (
                 Subtitle(
                     1,
-                    Timestamp(0),
-                    Timestamp(1000),
+                    0,
+                    1000,
                     ("that design is but a tool  to create function and beauty.",),
                 ),
             ),
@@ -51,7 +51,7 @@ class TestPreprocessDocument:
 
     def test_leaves_two_line_cues_alone(self):
         doc = SubtitleDocument(
-            "t", (Subtitle(1, Timestamp(0), Timestamp(1000), ("has  double", "spaces  too")),)
+            "t", (Subtitle(1, 0, 1000, ("has  double", "spaces  too")),)
         )
         assert preprocess_document(doc) == doc
 

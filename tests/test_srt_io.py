@@ -12,7 +12,6 @@ from subseg.srt_io import (
     SegmentDuration,
     Subtitle,
     SubtitleDocument,
-    Timestamp,
     format_timestamp,
     load_segments_metadata,
     parse_srt,
@@ -32,7 +31,7 @@ class TestParseTimestamp:
         ],
     )
     def test_values(self, text, millis):
-        assert parse_timestamp(text).millis == millis
+        assert parse_timestamp(text) == millis
 
     @pytest.mark.parametrize(
         "text",
@@ -55,8 +54,7 @@ class TestParseTimestamp:
 
     @given(st.integers(min_value=0, max_value=99 * 3600 * 1000 + 59 * 60 * 1000 + 59 * 1000 + 999))
     def test_round_trip(self, millis):
-        ts = Timestamp(millis)
-        assert parse_timestamp(format_timestamp(ts)) == ts
+        assert parse_timestamp(format_timestamp(millis)) == millis
 
     @pytest.mark.parametrize(
         "text",
@@ -79,11 +77,11 @@ class TestParseSrt:
         doc = parse_srt(figure_srt, talk_id="talk")
         assert doc.talk_id == "talk"
         assert doc.subtitles == (
-            Subtitle(164, Timestamp(537020), Timestamp(538476), ("I wanted to challenge the idea",)),
+            Subtitle(164, 537020, 538476, ("I wanted to challenge the idea",)),
             Subtitle(
                 165,
-                Timestamp(538500),
-                Timestamp(542060),
+                538500,
+                542060,
                 ("that design is but a tool", "to create function and beauty."),
             ),
         )
@@ -132,6 +130,10 @@ class TestParseSrt:
                 "2\n00:00:02,000 --> 00:00:01,000\nhi",
                 "cue ends before it starts (00:00:02,000 --> 00:00:01,000)",
             ),
+            (
+                "2\n00:00:01,000 --> 00:00:01,000\nhi",
+                "cue ends before it starts (00:00:01,000 --> 00:00:01,000)",
+            ),
             ("2\njust text", "missing timing line, got 'just text'"),
             ("2", "missing timing line"),
             ("x\n00:00:00,000 --> 00:00:01,000\nhi", "cue index is not a number: 'x'"),
@@ -140,8 +142,9 @@ class TestParseSrt:
             ("0\nno timing\nhi", "missing timing line, got 'no timing'"),
         ],
         ids=[
-            "index 0", "no text", "end before start", "text for timing", "no timing line",
-            "index not a number", "bare carriage return", "index 0 and text for timing",
+            "index 0", "no text", "end before start", "end at start", "text for timing",
+            "no timing line", "index not a number", "bare carriage return",
+            "index 0 and text for timing",
         ],
     )
     def test_malformed_cue_message(self, block, reason):
@@ -177,7 +180,7 @@ class TestParseSrt:
     def test_any_whitespace_around_the_arrow(self, space):
         line = f"{space}00:00:01,000{space}-->{space}00:00:02,500{space} X1:40 X2:600"
         cue = parse_srt(f"1\n{line}\nhi\n").subtitles[0]
-        assert (cue.start.millis, cue.end.millis) == (1000, 2500)
+        assert (cue.start, cue.end) == (1000, 2500)
 
     def test_non_monotonic_start_warns(self):
         text = (
@@ -229,7 +232,7 @@ _digit_run = st.text(alphabet="0123456789\u0660\u0665\uff11", min_size=1, max_si
 @st.composite
 def _timestamp_texts(draw):
     if draw(st.booleans()):  # a well-formed one, hours past 99 included
-        return format_timestamp(Timestamp(draw(st.integers(0, 10**9))))
+        return format_timestamp(draw(st.integers(0, 10**9)))
     a_part = st.one_of(_digit_run, st.sampled_from(["00", "05", "59", "60", "000"]))
     parts = [draw(a_part) for _ in range(4)]
     separators = [draw(st.sampled_from([":", ":", ",", "."])) for _ in range(3)]
@@ -268,7 +271,7 @@ class TestTimingLine:
         start, end = expected
         if start < end:
             cue = parse_srt(text).subtitles[0]
-            assert (cue.start.millis, cue.end.millis) == expected
+            assert (cue.start, cue.end) == expected
         else:
             with pytest.raises(MalformedCue, match="cue ends before it starts"):
                 parse_srt(text)
@@ -293,7 +296,7 @@ def documents(draw):
     for i, start in enumerate(starts):
         duration = draw(st.integers(min_value=1, max_value=60_000))
         lines = tuple(draw(st.lists(_line, min_size=1, max_size=3)))
-        subtitles.append(Subtitle(i + 1, Timestamp(start), Timestamp(start + duration), lines))
+        subtitles.append(Subtitle(i + 1, start, start + duration, lines))
     talk_id = draw(st.text(max_size=10))
     return SubtitleDocument(talk_id, tuple(subtitles))
 
@@ -302,7 +305,7 @@ class TestSerializeSrt:
     def test_single_cue(self):
         doc = SubtitleDocument(
             "t",
-            (Subtitle(164, Timestamp(537020), Timestamp(538476), ("I wanted to challenge the idea",)),),
+            (Subtitle(164, 537020, 538476, ("I wanted to challenge the idea",)),),
         )
         assert serialize_srt(doc) == (
             "164\n00:08:57,020 --> 00:08:58,476\nI wanted to challenge the idea\n\n"
@@ -324,8 +327,9 @@ class TestSerializeSrt:
 
 
 def _reference_parse(text):
-    """parse_srt's reading of BOM-free text with every cue built by the
-    checking Subtitle(...), the reference for its inline cue checks."""
+    """parse_srt's reading of BOM-free text, each timing line read step by
+    step and each cue built by Subtitle(...): the reference for its
+    one-match timing read and for the cue errors it raises."""
     blocks, block = [], []
     for raw in text.split("\n") + [""]:
         line = raw.rstrip()
@@ -343,7 +347,7 @@ def _reference_parse(text):
             raise MalformedCue(number, "missing timing line")
         start, end = _reference_timing(lines[1], number)
         try:
-            cue = Subtitle(int(index_text), Timestamp(start), Timestamp(end), tuple(lines[2:]))
+            cue = Subtitle(int(index_text), start, end, tuple(lines[2:]))
         except ValueError as exc:
             raise MalformedCue(number, str(exc)) from None
         subtitles.append(cue)
@@ -372,7 +376,7 @@ def _cue_blocks(draw):
     if rule == "carriage return":
         at = draw(st.integers(0, len(lines) - 1))
         lines[at] = "a\r" + lines[at]
-    timing = f"{format_timestamp(Timestamp(start))} --> {format_timestamp(Timestamp(end))}"
+    timing = f"{format_timestamp(start)} --> {format_timestamp(end)}"
     return "\n".join([index, timing, *lines])
 
 
@@ -394,8 +398,7 @@ class TestCueRules:
         assert cues == expected
         for cue in cues:
             assert type(cue.lines) is tuple
-            for ts in (cue.start, cue.end):
-                assert type(ts) is Timestamp and type(ts.millis) is int
+            assert type(cue.start) is int and type(cue.end) is int
 
 
 # every character that str.split() (and so the cue index) separates words on
@@ -405,25 +408,32 @@ WHITESPACE = "".join(c for c in map(chr, range(0x110000)) if c.isspace())
 class TestSubtitleInvariants:
     def test_rejects_equal_start_end(self):
         with pytest.raises(ValueError):
-            Subtitle(1, Timestamp(5), Timestamp(5), ("x",))
+            Subtitle(1, 5, 5, ("x",))
+
+    @pytest.mark.parametrize("bad", [-1, 0.0, 1.5, "0"])
+    @pytest.mark.parametrize("field", ["start", "end"])
+    def test_rejects_a_time_that_is_not_non_negative_int_millis(self, field, bad):
+        times = {"start": 0, "end": 1000, field: bad}
+        with pytest.raises(ValueError, match="cue times are non-negative integer milliseconds"):
+            Subtitle(1, times["start"], times["end"], ("x",))
 
     def test_rejects_empty_lines(self):
         with pytest.raises(ValueError):
-            Subtitle(1, Timestamp(0), Timestamp(1), ())
+            Subtitle(1, 0, 1, ())
 
     def test_rejects_newline_in_line(self):
         with pytest.raises(ValueError):
-            Subtitle(1, Timestamp(0), Timestamp(1), ("a\nb",))
+            Subtitle(1, 0, 1, ("a\nb",))
 
     def test_rejects_non_positive_index(self):
         with pytest.raises(ValueError):
-            Subtitle(0, Timestamp(0), Timestamp(1), ("x",))
+            Subtitle(0, 0, 1, ("x",))
 
     @given(st.text(alphabet=WHITESPACE))
     def test_rejects_a_line_without_words(self, line):
         assert not line.split()
         with pytest.raises(ValueError):
-            Subtitle(1, Timestamp(0), Timestamp(1), ("x", line))
+            Subtitle(1, 0, 1, ("x", line))
 
 
 class TestSegmentsMetadata:
