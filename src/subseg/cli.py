@@ -20,7 +20,6 @@ from .constraints import ConstraintProfile
 from .evaluation import evaluate
 from .pipeline import build_corpus, reannotate, stats
 from .segmenters import (
-    DEFAULT_EPOCHS,
     DEFAULT_FINE_TUNE_EPOCHS,
     TrainingConfig,
     load_model,
@@ -96,10 +95,10 @@ def _picked(values: Mapping[str, object], keys: Iterable[str]) -> dict[str, obje
     return {key: values[key] for key in keys if values.get(key) is not None}
 
 
-def _training_config(settings: _Settings, epochs_key: str, default_epochs: int) -> TrainingConfig:
-    """The training settings, which give the epochs under ``epochs_key``."""
+def _training_config(settings: _Settings) -> TrainingConfig:
+    """The fine-tuning settings, which give the epochs under ``fine_tune_epochs``."""
     return TrainingConfig(
-        epochs=settings.get(epochs_key, default_epochs),
+        epochs=settings.get("fine_tune_epochs", DEFAULT_FINE_TUNE_EPOCHS),
         **_picked(settings, ("learning_rate", "seed")),
     )
 
@@ -163,7 +162,7 @@ def _cmd_build_corpus(args: Namespace, profile: ConstraintProfile, settings: _Se
 
 
 def _cmd_train(args: Namespace, profile: ConstraintProfile, settings: _Settings) -> int:
-    config = _training_config(settings, "epochs", DEFAULT_EPOCHS)
+    config = TrainingConfig(**_picked(settings, ("epochs", "seed")))
     corpus = _read_corpus(args.corpus, lambda s: s.validate_strict(profile.max_lines_per_block))
     model = train(corpus, config, profile)
     save_model(model, args.out)
@@ -172,7 +171,7 @@ def _cmd_train(args: Namespace, profile: ConstraintProfile, settings: _Settings)
 
 
 def _cmd_fine_tune(args: Namespace, profile: ConstraintProfile, settings: _Settings) -> int:
-    config = _training_config(settings, "fine_tune_epochs", DEFAULT_FINE_TUNE_EPOCHS)
+    config = _training_config(settings)
     # only the <eol> sentences are fine-tuned on, so only they must be strict
     max_lines = profile.max_lines_per_block
     corpus = _read_corpus(args.corpus, lambda s: s.has_eol and s.validate_strict(max_lines))
@@ -238,7 +237,7 @@ def _cmd_stats(args: Namespace, profile: ConstraintProfile, settings: _Settings)
 
 
 def _cmd_reannotate(args: Namespace, profile: ConstraintProfile, settings: _Settings) -> int:
-    config = _training_config(settings, "fine_tune_epochs", DEFAULT_FINE_TUNE_EPOCHS)
+    config = _training_config(settings)
     corpus, model, reports = reannotate(
         _read_corpus(args.corpus, lambda s: s.validate_strict(profile.max_lines_per_block)),
         load_model(args.model),
@@ -287,7 +286,6 @@ def build_parser() -> ArgumentParser:
     p.add_argument("--corpus", required=True, help="annotated training corpus")
     p.add_argument("--out", required=True, help="model file to write")
     p.add_argument("--epochs", type=int, default=None)
-    p.add_argument("--learning-rate", dest="learning_rate", type=float, default=None)
     p.set_defaults(func=_cmd_train)
 
     p = commands.add_parser("fine-tune", parents=[common], help="fine-tune on <eol> sentences")

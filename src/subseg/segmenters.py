@@ -473,51 +473,46 @@ def _path_differences(
 
 
 class _AveragedWeights:
-    """Sparse weight rows with lazily accumulated per-step averages.
+    """Sparse weight rows and the sums their mean over every step needs.
 
-    A snapshot of every weight is (conceptually) taken after each step; the
-    stamp of a weight is the first snapshot its current value covers, so sums
-    only need touching when a weight actually changes.  Each feature has one
-    row of nine: its weights, sums and stamps, three of each and indexed by
-    ``GapLabel`` from 0, 3 and 6.  The first three score like a model row.
+    A snapshot of every weight is (conceptually) taken after each step.  An
+    update ``delta`` at step ``s`` is in the last ``T - s + 1`` of ``T``
+    snapshots, so they sum to ``T * w - u``, where ``u`` sums ``(s - 1) *
+    delta``.  Each feature has one row of six, its weights ``w`` and sums
+    ``u`` indexed by ``GapLabel`` from 0 and 3; it scores like a model row.
     """
 
     def __init__(self, initial: Mapping[str, _Row]):
         self.rows: dict[str, list[float]] = {
-            feature: [*row, 0.0, 0.0, 0.0, 1, 1, 1] for feature, row in initial.items()
+            feature: [*row, 0.0, 0.0, 0.0] for feature, row in initial.items()
         }
         self.step = 0
 
     def bump(self, features: Iterable[str], label: GapLabel, delta: float) -> None:
         """Add ``delta`` to the ``label`` weight of each feature, in order."""
-        step = self.step
-        weight, total, stamp = int(label), label + 3, label + 6
+        weight, total = int(label), label + 3
+        weighted = (self.step - 1) * delta  # by the steps before this one
         rows = self.rows
         for feature in features:
             row = rows.get(feature)
             if row is None:
-                row = rows[feature] = [0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1, 1, 1]
-            current = row[weight]
-            row[total] += (step - row[stamp]) * current
-            row[stamp] = step
-            row[weight] = current + delta
+                row = rows[feature] = [0.0, 0.0, 0.0, 0.0, 0.0, 0.0]
+            row[weight] += delta
+            row[total] += weighted
 
     def add_rows(self, features: Iterable[str]) -> None:
         """Give each feature that has no row the zero row ``bump`` would."""
         rows = self.rows
         for feature in features:
             if feature not in rows:
-                rows[feature] = [0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1, 1, 1]
+                rows[feature] = [0.0, 0.0, 0.0, 0.0, 0.0, 0.0]
 
     def averaged(self) -> dict[str, tuple[float, float, float]]:
         """Mean weight rows over the snapshots taken after every step (training
         takes at least one); rows that average to zero are dropped."""
         averages: dict[str, tuple[float, float, float]] = {}
         for feature, row in self.rows.items():
-            mean = tuple(
-                (row[label + 3] + (self.step - row[label + 6] + 1) * row[label]) / self.step
-                for label in _ALL_LABELS
-            )
+            mean = tuple((self.step * row[label] - row[label + 3]) / self.step for label in _ALL_LABELS)
             if any(mean):
                 averages[feature] = mean
         return averages
@@ -569,7 +564,11 @@ def train(
     Every sentence must be strict; each epoch decodes every sentence with
     the current weights and updates toward the gold path on mistakes.
     Deterministic under a fixed config (shuffling uses ``config.seed``).
+    From zero weights a rate would only scale the model, so updates are
+    unit steps and ``config.learning_rate`` must be 1.0.
     """
+    if config.learning_rate != 1.0:
+        raise ValueError(f"train takes no learning rate, got {config.learning_rate}")
     sentences = list(corpus)
     if not sentences:
         raise EmptyCorpus("training corpus is empty")

@@ -60,7 +60,10 @@ def parse_timestamp(text: str) -> int:
 
 
 def _millis(hh: str, mm: str, ss: str, ms: str) -> int:
-    return ((int(hh) * 60 + int(mm)) * 60 + int(ss)) * 1000 + int(ms)
+    try:
+        return ((int(hh) * 60 + int(mm)) * 60 + int(ss)) * 1000 + int(ms)
+    except ValueError as exc:  # only the hours may pass int()'s digit limit
+        raise MalformedTimestamp(f"hours field: {exc}") from None
 
 
 def format_timestamp(millis: int) -> str:
@@ -158,11 +161,8 @@ def _parse_timing(line: str, number: int) -> tuple[int, int]:
     left, right = timing.split("-->", 1)
     end_tokens = right.split()
     if not end_tokens:
-        raise MalformedTimestamp(f"cue block {number}: missing end timestamp")
-    try:  # a timestamp error keeps its class and names the cue
-        return parse_timestamp(left.strip()), parse_timestamp(end_tokens[0])
-    except MalformedTimestamp as exc:
-        raise MalformedTimestamp(f"cue block {number}: {exc}") from None
+        raise MalformedTimestamp("missing end timestamp")
+    return parse_timestamp(left.strip()), parse_timestamp(end_tokens[0])
 
 
 def parse_srt(text: str, talk_id: str = "") -> SubtitleDocument:
@@ -188,14 +188,16 @@ def parse_srt(text: str, talk_id: str = "") -> SubtitleDocument:
         if len(lines) < 2:
             raise MalformedCue(number, "missing timing line")
         timing = _TIMING_RE.match(lines[1])
-        if timing is None:
-            start, end = _parse_timing(lines[1], number)
-        else:
-            groups = timing.groups()
-            start, end = _millis(*groups[:4]), _millis(*groups[4:])
-        index = int(index_text)
-        try:  # the constructor names the first rule the cue breaks
-            cue = Subtitle(index, start, end, tuple(lines[2:]))
+        try:  # a timestamp error keeps its class and names the cue
+            if timing is None:
+                start, end = _parse_timing(lines[1], number)
+            else:
+                groups = timing.groups()
+                start, end = _millis(*groups[:4]), _millis(*groups[4:])
+        except MalformedTimestamp as exc:
+            raise MalformedTimestamp(f"cue block {number}: {exc}") from None
+        try:  # int() or the constructor names the first rule the cue breaks
+            cue = Subtitle(int(index_text), start, end, tuple(lines[2:]))
         except ValueError as exc:
             raise MalformedCue(number, str(exc)) from None
         subtitles.append(cue)

@@ -44,6 +44,13 @@ class TestUsageErrors:
             main(["segment", "--out", "x"])
         assert err.value.code == 2
 
+    def test_train_has_no_learning_rate_flag(self, capsys):
+        # from zero weights a rate would only scale the model; fine-tune keeps the flag
+        with pytest.raises(SystemExit) as err:
+            main(["train", "--corpus", "c.txt", "--out", "m.tsv", "--learning-rate", "0.5"])
+        assert err.value.code == 2
+        assert "unrecognized arguments: --learning-rate 0.5" in capsys.readouterr().err
+
 
 class TestOperationalErrors:
     def test_missing_input_file(self, tmp_path, capsys):
@@ -867,14 +874,13 @@ class TestSettings:
             ("train", "epochs = 1", ["--epochs", "2"], []),
             ("fine-tune", "fine_tune_epochs = 1", ["--epochs", "2"], []),
             ("reannotate", "fine_tune_epochs = 1", ["--epochs", "2"], []),
-            ("train", "learning_rate = 0.5", ["--learning-rate", "2.0"], ["--epochs", "1"]),
             ("fine-tune", "learning_rate = 0.5", ["--learning-rate", "2.0"], ["--epochs", "1"]),
             ("segment --count-char", "seed = 1", ["--seed", "2"], []),
             ("reannotate", "iterations = 1", ["--iterations", "2"], ["--epochs", "1"]),
         ],
         ids=[
             "epochs-train", "fine_tune_epochs-fine-tune", "fine_tune_epochs-reannotate",
-            "learning_rate-train", "learning_rate-fine-tune", "seed-segment", "iterations-reannotate",
+            "learning_rate-fine-tune", "seed-segment", "iterations-reannotate",
         ],
     )
     def test_a_flag_overrides_its_config_key(
@@ -886,12 +892,19 @@ class TestSettings:
         assert both != self.run(tmp_path, capsys, inputs, command, config, fast)
 
     @pytest.mark.parametrize(
-        "command, other_key", [("train", "fine_tune_epochs"), ("fine-tune", "epochs")]
+        "command, ignored_line",
+        [
+            ("train", "fine_tune_epochs = 1"),
+            ("fine-tune", "epochs = 1"),
+            ("train", "learning_rate = 0.5"),
+        ],
+        ids=["train-fine_tune_epochs", "fine-tune-epochs", "train-learning_rate"],
     )
     def test_each_trainer_ignores_the_other_epochs_key(
-        self, tmp_path, capsys, inputs, command, other_key
+        self, tmp_path, capsys, inputs, command, ignored_line
     ):
-        ignored = self.run(tmp_path, capsys, inputs, command, f"{other_key} = 1\n", [])
+        # and train ignores the learning rate, which only fine-tuning reads
+        ignored = self.run(tmp_path, capsys, inputs, command, f"{ignored_line}\n", [])
         assert ignored == self.run(tmp_path, capsys, inputs, command, None, [])
 
 
@@ -957,11 +970,13 @@ class TestBadSettings:
         assert capsys.readouterr().err == f"error: {settings}:{error}\n"
 
     @pytest.mark.parametrize("value", ["nan", "inf"])
-    def test_train_rejects_a_non_finite_learning_rate(self, tmp_path, capsys, value):
-        corpus_file = write(tmp_path / "corpus.txt", "a b <eob>\n")
+    def test_fine_tune_rejects_a_non_finite_learning_rate(
+        self, tmp_path, capsys, tiny_model_file, value
+    ):
+        corpus_file = write(tmp_path / "corpus.txt", "a b <eol> c <eob>\n")
         status = main(
-            ["train", "--corpus", str(corpus_file), "--out", str(tmp_path / "m.tsv"),
-             "--learning-rate", value]
+            ["fine-tune", "--model", str(tiny_model_file), "--corpus", str(corpus_file),
+             "--out", str(tmp_path / "m.tsv"), "--learning-rate", value]
         )
         assert status == 1
         assert "learning rate must be finite" in capsys.readouterr().err

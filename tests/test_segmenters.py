@@ -424,6 +424,11 @@ class TestTrain:
         with pytest.raises(GrammarViolation):
             train([sent("a b c")])
 
+    def test_takes_no_learning_rate(self):
+        # from zero weights a rate would only scale the model
+        with pytest.raises(ValueError, match="train takes no learning rate, got 0.5"):
+            train(synth.make_corpus(5, seed=8), TrainingConfig(learning_rate=0.5))
+
     def test_meta_recorded(self, gold_model):
         model, _ = gold_model
         assert model.config == TrainingConfig(epochs=8, learning_rate=1.0, seed=2)
@@ -1066,7 +1071,7 @@ def _settled(weights):
     current step, bit for bit; rows that hold only zeros are left out."""
     settled = {}
     for feature, row in weights.rows.items():
-        sums = [row[label + 3] + (weights.step - row[label + 6]) * row[label] for label in _ALL_LABELS]
+        sums = [(weights.step - 1) * row[label] - row[label + 3] for label in _ALL_LABELS]
         if any(row[:3]) or any(sums):
             settled[feature] = repr((*row[:3], *sums))
     return settled

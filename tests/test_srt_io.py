@@ -176,6 +176,27 @@ class TestParseSrt:
             parse_srt(f"1\n00:00:00,000 --> 00:00:01,000\nok\n\n2\n{timing}\nhi\n")
         assert str(err.value) == f"cue block 2: {reason}"
 
+    # int() reads at most sys.get_int_max_str_digits() digits, 4300 by default
+    LONG = "1" * 5000
+
+    @pytest.mark.parametrize(
+        "block, error",
+        [
+            (f"{LONG}\n00:00:04,000 --> 00:00:05,000\nhi", MalformedCue),
+            (f"2\n{LONG}:00:04,000 --> 00:00:05,000\nhi", MalformedTimestamp),
+            (f"2\n00:00:04,000 --> {LONG}:00:05,000\nhi", MalformedTimestamp),
+        ],
+        ids=["index", "start hours", "end hours"],
+    )
+    def test_an_over_long_number_names_its_cue(self, block, error):
+        # a good first block, so the number counts blocks
+        with pytest.raises(error) as err:
+            parse_srt(f"1\n00:00:00,000 --> 00:00:01,000\nok\n\n{block}\n")
+        assert str(err.value).startswith("cue block 2: ")
+        assert "5000 digits" in str(err.value)
+        with pytest.raises(MalformedTimestamp, match="^hours field: .*5000 digits"):
+            parse_timestamp(f"{self.LONG}:00:04,000")
+
     @pytest.mark.parametrize("space", [" ", "\t", "\u00a0", "\u3000", "\x1c", "\x85", ""])
     def test_any_whitespace_around_the_arrow(self, space):
         line = f"{space}00:00:01,000{space}-->{space}00:00:02,500{space} X1:40 X2:600"
