@@ -126,9 +126,9 @@ _POS = tuple(f"pos={tenth}" for tenth in range(10))
 def _sentence_pass(words: tuple[str, ...]) -> tuple[tuple[tuple[str, ...], str, int], ...]:
     """For every gap of ``words``, in gap order: the features of the gap
     after its word that no decoder state changes, the word's punctuation
-    tail and the next word's length (0 after the last word).  The decoder
-    and ``extract_features`` both read it, so one training step builds each
-    gap's features once for its decode and its update.
+    tail and the next word's length (0 after the last word).  The decoder,
+    the update's walk and ``extract_features`` read it, so one training
+    step builds each gap's features once for its decode and its update.
 
     The last gap has no such features: both segmenters force its ``<eob>``
     and strict gold ends in one, so they would add the same score to every
@@ -355,12 +355,14 @@ def _state_row(
     rows = resolved[key]
     if rows is None:
         rows = resolved[key] = tuple(weights.get(f, _ZERO_ROW) for f in _tail_keys(tail)[key])
-    none = eol = eob = 0.0
-    for row in rows:
-        none += row[0]
-        eol += row[1]
-        eob += row[2]
-    return none, eol, eob
+    # left to right, as _score adds; not sum(), which compensates float
+    # sums from Python 3.12 and would change decodes across interpreters
+    a, b, c, d, e, f = rows
+    return (
+        a[0] + b[0] + c[0] + d[0] + e[0] + f[0],
+        a[1] + b[1] + c[1] + d[1] + e[1] + f[1],
+        a[2] + b[2] + c[2] + d[2] + e[2] + f[2],
+    )
 
 
 def _decode(
@@ -450,22 +452,29 @@ def _path_differences(
     gold: Sequence[GapLabel],
     predicted: Sequence[GapLabel],
     profile: ConstraintProfile,
-) -> Iterable[tuple[list[str], GapLabel, int]]:
+) -> Iterable[tuple[Sequence[str], GapLabel, int]]:
     """The perceptron update Phi(gold) - Phi(predicted) as (features, label,
     sign) triples: both grammatical label paths are walked in lockstep, and
     only a gap where their states or labels differ yields, gold's side (+1)
-    first.  Elsewhere both sides bump the same features of the same label."""
+    first.  Elsewhere both sides bump the same features of the same label.
+    Where only the states differ, the gap features cancel too, so each side
+    yields its six state features alone."""
     tables = _transitions(profile.cpl_limit, profile.max_lines_per_block)
     clamp, max_lines = tables.clamp, tables.max_lines
     gold_state = guess_state = _start(words, tables)
-    for gap, (gold_label, guess) in enumerate(zip(gold, predicted), start=1):
-        if gold_state != guess_state or gold_label is not guess:
+    for gap, (gold_label, guess, (_, tail, next_len)) in enumerate(
+        zip(gold, predicted, _sentence_pass(tuple(words))), start=1
+    ):
+        successors = tables[min(next_len, clamp)]
+        if gold_label is not guess:
             for state, label, sign in ((gold_state, gold_label, 1), (guess_state, guess, -1)):
                 chars, rest = divmod(state, len(_ALL_LABELS) * max_lines)  # unpacks _state_id
                 prev = _ALL_LABELS[rest // max_lines]
                 yield extract_features(words, gap, chars, prev, profile), label, sign
-        next_len = min(len(words[gap]), clamp) if gap < len(words) else 0
-        successors = tables[next_len]
+        elif gold_state != guess_state:
+            keys, key_ids = _tail_keys(tail), successors[0]
+            yield keys[key_ids[gold_state]], gold_label, 1
+            yield keys[key_ids[guess_state]], guess, -1
         gold_state = successors[1 + gold_label][gold_state]
         guess_state = successors[1 + guess][guess_state]
         if gold_state < 0 or guess_state < 0:

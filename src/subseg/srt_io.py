@@ -40,10 +40,14 @@ class NonMonotonicTiming(UserWarning):
     """Cue start times go backwards; the document keeps file order anyway."""
 
 
+# the most digits a cue index or an hours field may have: the smallest
+# integer-string limit Python allows (sys.set_int_max_str_digits), so int()
+# reads every accepted number under any limit
+_MAX_DIGITS = 640
 # HH:MM:SS,mmm in ASCII digits; written as [0-9], since \d also takes other
 # scripts' digits, and without re.ASCII, which would narrow the \s around
 # the arrow in _TIMING_RE to ASCII whitespace
-_TIMESTAMP = r"([0-9]{2,}):([0-5][0-9]):([0-5][0-9]),([0-9]{3})"
+_TIMESTAMP = rf"([0-9]{{2,{_MAX_DIGITS}}}):([0-5][0-9]):([0-5][0-9]),([0-9]{{3}})"
 _TIMESTAMP_RE = re.compile(_TIMESTAMP)
 # a timing line parse_srt accepts in one step: the end time's first token is
 # the timestamp itself, and whatever follows it is ignored
@@ -51,7 +55,7 @@ _TIMING_RE = re.compile(rf"\s*{_TIMESTAMP}\s*-->\s*{_TIMESTAMP}(?:\s|$)")
 
 
 def parse_timestamp(text: str) -> int:
-    """Parse ``HH:MM:SS,mmm`` (zero-padded ASCII digits, two or more for the
+    """Parse ``HH:MM:SS,mmm`` (zero-padded ASCII digits, two to 640 for the
     hours, comma separator) into integer milliseconds."""
     match = _TIMESTAMP_RE.fullmatch(text)
     if match is None:
@@ -60,10 +64,7 @@ def parse_timestamp(text: str) -> int:
 
 
 def _millis(hh: str, mm: str, ss: str, ms: str) -> int:
-    try:
-        return ((int(hh) * 60 + int(mm)) * 60 + int(ss)) * 1000 + int(ms)
-    except ValueError as exc:  # only the hours may pass int()'s digit limit
-        raise MalformedTimestamp(f"hours field: {exc}") from None
+    return ((int(hh) * 60 + int(mm)) * 60 + int(ss)) * 1000 + int(ms)
 
 
 def format_timestamp(millis: int) -> str:
@@ -185,6 +186,8 @@ def parse_srt(text: str, talk_id: str = "") -> SubtitleDocument:
         index_text = lines[0].strip()
         if not (index_text.isascii() and index_text.isdigit()):
             raise MalformedCue(number, f"cue index is not a number: {index_text!r}")
+        if len(index_text) > _MAX_DIGITS:
+            raise MalformedCue(number, f"cue index has more than {_MAX_DIGITS} digits")
         if len(lines) < 2:
             raise MalformedCue(number, "missing timing line")
         timing = _TIMING_RE.match(lines[1])
@@ -196,7 +199,7 @@ def parse_srt(text: str, talk_id: str = "") -> SubtitleDocument:
                 start, end = _millis(*groups[:4]), _millis(*groups[4:])
         except MalformedTimestamp as exc:
             raise MalformedTimestamp(f"cue block {number}: {exc}") from None
-        try:  # int() or the constructor names the first rule the cue breaks
+        try:  # the constructor names the first rule the cue breaks
             cue = Subtitle(int(index_text), start, end, tuple(lines[2:]))
         except ValueError as exc:
             raise MalformedCue(number, str(exc)) from None

@@ -1158,6 +1158,50 @@ class TestFeaturePass:
             f: repr(row) for f, row in dense.averaged().items()
         }
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        words=st.lists(WORDS, min_size=1, max_size=30),
+        profile_name=st.sampled_from(sorted(TestTableDecode.PROFILES)),
+        data=st.data(),
+    )
+    def test_unit_updates_do_not_depend_on_their_order(self, words, profile_name, data):
+        # integer weights and sums stay exact, so a trained model does not
+        # depend on which of an update's features the walk yields first
+        profile = TestTableDecode.PROFILES[profile_name]
+        paths = st.lists(st.sampled_from(_ALL_LABELS), min_size=len(words), max_size=len(words))
+        gold = _grammatical(data.draw(paths, label="gold"), profile.max_lines_per_block)
+        predicted = _grammatical(data.draw(paths, label="predicted"), profile.max_lines_per_block)
+        triples = list(_path_differences(words, gold, predicted, profile))
+        permuted = data.draw(st.permutations(triples), label="permuted")
+        features = sorted({feature for gap_features, _, _ in triples for feature in gap_features})
+        keys = st.sampled_from(features) if features else st.nothing()
+        rows = st.tuples(*[st.integers(-(10**6), 10**6).map(float)] * 3)
+        initial = data.draw(st.dictionaries(keys, rows), label="initial")
+        step = data.draw(st.integers(1, 10**6), label="step")
+
+        ordered, shuffled = _AveragedWeights(initial), _AveragedWeights(initial)
+        ordered.step = shuffled.step = step
+        for weights, update in ((ordered, triples), (shuffled, permuted)):
+            for features, label, sign in update:
+                weights.bump(features, label, sign)
+        assert _settled(shuffled) == _settled(ordered)
+
+    def test_agreeing_labels_yield_only_the_state_features(self):
+        words = sent("alpha bravo <eol> charlie delta <eob>").words
+        gold = (GapLabel.NONE, GapLabel.EOL, GapLabel.NONE, GapLabel.EOB)
+        predicted = (GapLabel.NONE, GapLabel.NONE, GapLabel.NONE, GapLabel.EOB)
+        steps = {path: list(_reference_path_steps(words, path, PROFILE)) for path in (gold, predicted)}
+        # the paths part at gap 2 and keep different states; gap 3 has gap
+        # features, which cancel on its one label
+        assert len(steps[gold][2][0]) == 14
+        triples = list(_path_differences(words, gold, predicted, PROFILE))
+        expected = [(steps[gold][1][0], GapLabel.EOL, 1), (steps[predicted][1][0], GapLabel.NONE, -1)]
+        for gap, label in ((3, GapLabel.NONE), (4, GapLabel.EOB)):
+            for path, sign in ((gold, 1), (predicted, -1)):
+                expected.append((tuple(steps[path][gap - 1][0][-6:]), label, sign))
+        assert triples == expected
+        assert triples[2][0] != triples[3][0]
+
     def test_path_past_the_line_cap_fails(self):
         over = (GapLabel.EOL, GapLabel.EOL, GapLabel.EOB)
         fine = (GapLabel.NONE, GapLabel.EOL, GapLabel.EOB)
@@ -1172,23 +1216,26 @@ class TestFeaturePass:
     def test_one_fill_serves_a_training_step(self):
         gold = sent("alpha bravo <eol> charlie delta <eob>")
         predicted = (GapLabel.NONE, GapLabel.NONE, GapLabel.NONE, GapLabel.EOB)
-        # the paths part at gap 2 and stay in different states to the end
+        # the paths part at gap 2 and stay in different states to the end,
+        # but only gap 2 has two labels
         clamp = _char_clamp(PROFILE.cpl_limit)
-        differing = 0
+        differing = relabelled = 0
         mine = theirs = _start(gold.words, clamp, PROFILE.cpl_limit)
         for gap, (label, guess) in enumerate(zip(gold.labels, predicted), start=1):
             differing += mine != theirs or label != guess
+            relabelled += label != guess
             next_len = len(gold.words[gap]) if gap < len(gold.words) else 0
             mine = _step(mine, next_len, clamp, PROFILE.cpl_limit)[1][label]
             theirs = _step(theirs, next_len, clamp, PROFILE.cpl_limit)[1][guess]
-        assert differing == 3
+        assert (differing, relabelled) == (3, 1)
         _sentence_pass.cache_clear()
-        # the zero model decodes no <eol>: a mistake, and each side of every
-        # gap where the paths differ reads the decode's pass once
+        # the zero model decodes no <eol>: a mistake; the update's walk reads
+        # the decode's pass once, and extract_features once more for each
+        # side of every gap where the labels differ
         train([gold], TrainingConfig(epochs=1), PROFILE)
         info = _sentence_pass.cache_info()
         assert info.misses == 1
-        assert info.hits == 2 * differing
+        assert info.hits == 1 + 2 * relabelled
         assert _decode(gold.words, {}, PROFILE, {}, _ALL_LABELS, {})[0] == predicted
 
     def test_concurrent_decodes_match_serial(self, gold_model):

@@ -1,4 +1,5 @@
 import re
+import sys
 import warnings
 
 import pytest
@@ -176,26 +177,63 @@ class TestParseSrt:
             parse_srt(f"1\n00:00:00,000 --> 00:00:01,000\nok\n\n2\n{timing}\nhi\n")
         assert str(err.value) == f"cue block 2: {reason}"
 
-    # int() reads at most sys.get_int_max_str_digits() digits, 4300 by default
-    LONG = "1" * 5000
+    # one digit more than a cue index or an hours field may have
+    LONG = "1" * 641
 
     @pytest.mark.parametrize(
-        "block, error",
+        "block, error, reason",
         [
-            (f"{LONG}\n00:00:04,000 --> 00:00:05,000\nhi", MalformedCue),
-            (f"2\n{LONG}:00:04,000 --> 00:00:05,000\nhi", MalformedTimestamp),
-            (f"2\n00:00:04,000 --> {LONG}:00:05,000\nhi", MalformedTimestamp),
+            (f"{LONG}\n00:00:04,000 --> 00:00:05,000\nhi", MalformedCue, "cue index has more than 640 digits"),
+            (
+                f"2\n{LONG}:00:04,000 --> 00:00:05,000\nhi",
+                MalformedTimestamp,
+                f"expected HH:MM:SS,mmm, got '{LONG}:00:04,000'",
+            ),
+            (
+                f"2\n00:00:04,000 --> {LONG}:00:05,000\nhi",
+                MalformedTimestamp,
+                f"expected HH:MM:SS,mmm, got '{LONG}:00:05,000'",
+            ),
         ],
         ids=["index", "start hours", "end hours"],
     )
-    def test_an_over_long_number_names_its_cue(self, block, error):
+    def test_an_over_long_number_names_its_cue(self, block, error, reason):
         # a good first block, so the number counts blocks
         with pytest.raises(error) as err:
             parse_srt(f"1\n00:00:00,000 --> 00:00:01,000\nok\n\n{block}\n")
-        assert str(err.value).startswith("cue block 2: ")
-        assert "5000 digits" in str(err.value)
-        with pytest.raises(MalformedTimestamp, match="^hours field: .*5000 digits"):
+        assert str(err.value) == f"cue block 2: {reason}"
+        with pytest.raises(MalformedTimestamp, match="^expected HH:MM:SS,mmm"):
             parse_timestamp(f"{self.LONG}:00:04,000")
+
+    @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no integer-string limit")
+    @pytest.mark.parametrize("digits", [640, 641])
+    def test_the_integer_string_limit_does_not_change_a_parse(self, digits):
+        number = "9" * digits
+        texts = [
+            f"{number}\n00:00:04,000 --> 00:00:05,000\nhi\n",
+            f"2\n00:00:04,000 --> {number}:00:05,000\nhi\n",
+            f"2\n{number}:00:04,000 --> {number}:00:05,000\nhi\n",
+        ]
+
+        def outcomes():
+            results = []
+            for text in texts:
+                try:
+                    results.append(parse_srt(text))
+                except ValueError as exc:
+                    results.append((type(exc), str(exc)))
+            return results
+
+        default = outcomes()
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            limited = outcomes()
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert limited == default
+        accepted = [not isinstance(result, tuple) for result in default]
+        assert accepted == [digits == 640] * 3
 
     @pytest.mark.parametrize("space", [" ", "\t", "\u00a0", "\u3000", "\x1c", "\x85", ""])
     def test_any_whitespace_around_the_arrow(self, space):
