@@ -54,6 +54,15 @@ _TIMESTAMP_RE = re.compile(_TIMESTAMP)
 _TIMING_RE = re.compile(rf"\s*{_TIMESTAMP}\s*-->\s*{_TIMESTAMP}(?:\s|$)")
 
 
+# the two- and three-digit field texts, '00'-'99' and '000'-'999', by value
+# and back: format_timestamp indexes the tuples, _millis looks texts up in the
+# dicts, so neither calls int() or formats a number for a field of that size
+_TWO_DIGITS = tuple(f"{n:02d}" for n in range(100))
+_THREE_DIGITS = tuple(f"{n:03d}" for n in range(1000))
+_TWO_DIGIT_VALUE = {text: n for n, text in enumerate(_TWO_DIGITS)}
+_THREE_DIGIT_VALUE = {text: n for n, text in enumerate(_THREE_DIGITS)}
+
+
 def parse_timestamp(text: str) -> int:
     """Parse ``HH:MM:SS,mmm`` (zero-padded ASCII digits, two to 640 for the
     hours, comma separator) into integer milliseconds."""
@@ -64,7 +73,12 @@ def parse_timestamp(text: str) -> int:
 
 
 def _millis(hh: str, mm: str, ss: str, ms: str) -> int:
-    return ((int(hh) * 60 + int(mm)) * 60 + int(ss)) * 1000 + int(ms)
+    """The milliseconds of one matched timestamp's fields; only an hours
+    field of three or more digits goes through int()."""
+    hours = _TWO_DIGIT_VALUE.get(hh)
+    if hours is None:
+        hours = int(hh)
+    return ((hours * 60 + _TWO_DIGIT_VALUE[mm]) * 60 + _TWO_DIGIT_VALUE[ss]) * 1000 + _THREE_DIGIT_VALUE[ms]
 
 
 def format_timestamp(millis: int) -> str:
@@ -72,13 +86,14 @@ def format_timestamp(millis: int) -> str:
     seconds, ms = divmod(millis, 1000)
     minutes, ss = divmod(seconds, 60)
     hh, mm = divmod(minutes, 60)
-    return f"{hh:02d}:{mm:02d}:{ss:02d},{ms:03d}"
+    hours = _TWO_DIGITS[hh] if 0 <= hh < 100 else str(hh)
+    return f"{hours}:{_TWO_DIGITS[mm]}:{_TWO_DIGITS[ss]},{_THREE_DIGITS[ms]}"
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Subtitle:
-    """One timed cue: a positive index, a time window in non-negative
-    integer milliseconds and 1+ display lines.
+    """One timed cue: a positive int index, a time window in non-negative
+    int milliseconds and 1+ display lines.  A bool is not an int here.
 
     Lines are stored verbatim except that trailing whitespace is not
     representable; internal runs of spaces are preserved (later stages use
@@ -90,21 +105,40 @@ class Subtitle:
     end: int
     lines: tuple[str, ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "lines", tuple(self.lines))
-        if self.index < 1:
-            raise ValueError(f"cue index must be positive, got {self.index}")
-        if not self.lines:
+    def __init__(self, index: int, start: int, end: int, lines: tuple[str, ...]):
+        # parse_srt, preprocess_document and render_srt build every cue
+        # here; the order of the checks decides which fault is reported for
+        # a cue with several
+        if type(lines) is not tuple:
+            lines = tuple(lines)
+        if type(index) is not int and (isinstance(index, bool) or not isinstance(index, int)):
+            raise ValueError(f"cue index is not an integer, got {index!r}")
+        if index < 1:
+            raise ValueError(f"cue index must be positive, got {index}")
+        if not lines:
             raise ValueError("cue has no text")
-        for millis in (self.start, self.end):
-            if not isinstance(millis, int) or millis < 0:
+        for millis in (start, end):
+            if type(millis) is not int and (isinstance(millis, bool) or not isinstance(millis, int)) or millis < 0:
                 raise ValueError(f"cue times are non-negative integer milliseconds, got {millis!r}")
-        if self.start >= self.end:
-            start, end = format_timestamp(self.start), format_timestamp(self.end)
-            raise ValueError(f"cue ends before it starts ({start} --> {end})")
-        for line in self.lines:
+        if start >= end:
+            raise ValueError(
+                f"cue ends before it starts ({format_timestamp(start)} --> {format_timestamp(end)})"
+            )
+        for line in lines:
             if not line or line != line.rstrip() or "\n" in line or "\r" in line:
                 raise ValueError(f"bad cue line {line!r}")
+        _SET_INDEX(self, index)
+        _SET_START(self, start)
+        _SET_END(self, end)
+        _SET_LINES(self, lines)
+
+
+# the slots' own setters, which a frozen class's __init__ needs: each is a
+# direct call, where object.__setattr__ looks the slot up by name first
+_SET_INDEX = Subtitle.__dict__["index"].__set__
+_SET_START = Subtitle.__dict__["start"].__set__
+_SET_END = Subtitle.__dict__["end"].__set__
+_SET_LINES = Subtitle.__dict__["lines"].__set__
 
 
 @dataclass(frozen=True)
@@ -231,9 +265,8 @@ def serialize_srt(doc: SubtitleDocument) -> str:
     """
     parts: list[str] = []
     for sub in doc.subtitles:
-        parts.append(f"{sub.index}\n{format_timestamp(sub.start)} --> {format_timestamp(sub.end)}\n")
-        parts.append("\n".join(sub.lines))
-        parts.append("\n\n")
+        text = "\n".join(sub.lines)
+        parts.append(f"{sub.index}\n{format_timestamp(sub.start)} --> {format_timestamp(sub.end)}\n{text}\n\n")
     return "".join(parts)
 
 

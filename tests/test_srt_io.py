@@ -1,3 +1,4 @@
+import dataclasses
 import re
 import sys
 import warnings
@@ -6,6 +7,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from subseg.srt_io import (
+    _THREE_DIGIT_VALUE,
+    _THREE_DIGITS,
+    _TWO_DIGIT_VALUE,
+    _TWO_DIGITS,
     MalformedCue,
     MalformedMetadata,
     MalformedTimestamp,
@@ -53,9 +58,30 @@ class TestParseTimestamp:
         with pytest.raises(MalformedTimestamp):
             parse_timestamp(text)
 
-    @given(st.integers(min_value=0, max_value=99 * 3600 * 1000 + 59 * 60 * 1000 + 59 * 1000 + 999))
+    @given(
+        st.one_of(
+            st.integers(min_value=0, max_value=99 * 3600 * 1000 + 59 * 60 * 1000 + 59 * 1000 + 999),
+            st.integers(min_value=0, max_value=10**12),  # hours of three or more digits
+        )
+    )
     def test_round_trip(self, millis):
         assert parse_timestamp(format_timestamp(millis)) == millis
+
+    @pytest.mark.parametrize(
+        "millis,text",
+        [
+            (0, "00:00:00,000"),
+            (((99 * 60 + 59) * 60 + 59) * 1000 + 999, "99:59:59,999"),
+            (100 * 3600 * 1000, "100:00:00,000"),
+            (10**15, "277777777:46:40,000"),
+        ],
+    )
+    def test_format_values(self, millis, text):
+        assert format_timestamp(millis) == text
+
+    @pytest.mark.parametrize("hours", ["99", "100", "9" * 640, "0" * 639 + "1"])
+    def test_hours_of_any_length_read_as_int(self, hours):
+        assert parse_timestamp(f"{hours}:59:58,123") == ((int(hours) * 60 + 59) * 60 + 58) * 1000 + 123
 
     @pytest.mark.parametrize(
         "text",
@@ -71,6 +97,28 @@ class TestParseTimestamp:
             parse_timestamp(text)
         with pytest.raises(MalformedTimestamp):
             parse_srt(f"1\n{text} --> 99:00:00,000\nhi\n")
+
+
+class TestFieldTables:
+    def test_every_two_and_three_digit_text_has_its_int(self):
+        for digits, texts, values in ((2, _TWO_DIGITS, _TWO_DIGIT_VALUE), (3, _THREE_DIGITS, _THREE_DIGIT_VALUE)):
+            every = [str(n).zfill(digits) for n in range(10**digits)]
+            assert list(texts) == every
+            assert values == {text: int(text) for text in every}
+
+    def test_every_field_value_reads_and_writes_back(self):
+        for hours in range(100):
+            text = f"{hours:02d}:00:00,000"
+            assert parse_timestamp(text) == hours * 3_600_000
+            assert format_timestamp(hours * 3_600_000) == text
+        for value in range(60):
+            text = f"00:{value:02d}:{value:02d},000"
+            assert parse_timestamp(text) == value * 61_000
+            assert format_timestamp(value * 61_000) == text
+        for ms in range(1000):
+            text = f"00:00:00,{ms:03d}"
+            assert parse_timestamp(text) == ms
+            assert format_timestamp(ms) == text
 
 
 class TestParseSrt:
@@ -469,7 +517,7 @@ class TestSubtitleInvariants:
         with pytest.raises(ValueError):
             Subtitle(1, 5, 5, ("x",))
 
-    @pytest.mark.parametrize("bad", [-1, 0.0, 1.5, "0"])
+    @pytest.mark.parametrize("bad", [-1, 0.0, 1.5, "0", True, False])
     @pytest.mark.parametrize("field", ["start", "end"])
     def test_rejects_a_time_that_is_not_non_negative_int_millis(self, field, bad):
         times = {"start": 0, "end": 1000, field: bad}
@@ -493,6 +541,79 @@ class TestSubtitleInvariants:
         assert not line.split()
         with pytest.raises(ValueError):
             Subtitle(1, 0, 1, ("x", line))
+
+    @pytest.mark.parametrize("index", [True, False, 1.5, 1.0, "3", None])
+    def test_rejects_an_index_that_is_not_an_int(self, index):
+        # a bool or float index would be written as "True" or "1.5", which
+        # parse_srt rejects, so serialize_srt's output would not read back
+        with pytest.raises(ValueError, match=re.escape(f"cue index is not an integer, got {index!r}")):
+            Subtitle(index, 0, 1, ("x",))
+
+    @pytest.mark.parametrize(
+        "fields,message",
+        [
+            ((0, 0, 1, ("x",)), "cue index must be positive, got 0"),
+            ((-3, 0, 1, ("x",)), "cue index must be positive, got -3"),
+            ((True, 0, 1, ("x",)), "cue index is not an integer, got True"),
+            ((1, 0, 1, ()), "cue has no text"),
+            ((1, -1, 1, ("x",)), "cue times are non-negative integer milliseconds, got -1"),
+            ((1, 0, 1.5, ("x",)), "cue times are non-negative integer milliseconds, got 1.5"),
+            ((1, 0, True, ("x",)), "cue times are non-negative integer milliseconds, got True"),
+            ((1, 5000, 5000, ("x",)), "cue ends before it starts (00:00:05,000 --> 00:00:05,000)"),
+            ((1, 0, 1, ("x", "")), "bad cue line ''"),
+            ((1, 0, 1, ("x ",)), "bad cue line 'x '"),
+            ((1, 0, 1, ("a\nb",)), "bad cue line 'a\\nb'"),
+            ((1, 0, 1, ("a\rb",)), "bad cue line 'a\\rb'"),
+        ],
+    )
+    def test_message_names_the_broken_rule(self, fields, message):
+        with pytest.raises(ValueError) as err:
+            Subtitle(*fields)
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize(
+        "fields,message",
+        [
+            ((0, 0, 1, ()), "cue index must be positive, got 0"),
+            ((0, -1, 1, ("x",)), "cue index must be positive, got 0"),
+            ((1, -1, 1, ()), "cue has no text"),
+            ((1, 5, 5, ()), "cue has no text"),
+            ((1, -1, -2, ("x",)), "cue times are non-negative integer milliseconds, got -1"),
+            ((1, 0, -1, ("",)), "cue times are non-negative integer milliseconds, got -1"),
+            ((1, 9, 5, ("",)), "cue ends before it starts (00:00:00,009 --> 00:00:00,005)"),
+            ((1, 0, 1, ("a\r", "")), "bad cue line 'a\\r'"),
+        ],
+    )
+    def test_a_cue_with_two_faults_names_the_first_rule(self, fields, message):
+        with pytest.raises(ValueError) as err:
+            Subtitle(*fields)
+        assert str(err.value) == message
+
+    def test_replace_runs_the_checks(self):
+        cue = Subtitle(1, 0, 1000, ("one", "two"))
+        assert dataclasses.replace(cue, lines=("one  two",)) == Subtitle(1, 0, 1000, ("one  two",))
+        with pytest.raises(ValueError, match="^cue has no text$"):
+            dataclasses.replace(cue, lines=())
+        with pytest.raises(ValueError, match="^cue index must be positive, got 0$"):
+            dataclasses.replace(cue, index=0)
+
+    def test_lines_are_stored_as_a_tuple(self):
+        lines = ["one", "two"]
+        cue = Subtitle(index=2, start=0, end=1000, lines=lines)
+        assert type(cue.lines) is tuple and cue.lines == ("one", "two")
+        lines.append("three")
+        assert cue.lines == ("one", "two")
+        assert cue == Subtitle(2, 0, 1000, ("one", "two"))
+
+    def test_equality_hash_and_repr(self):
+        cue = Subtitle(2, 0, 1000, ("one",))
+        assert cue == Subtitle(2, 0, 1000, ("one",))
+        assert cue != Subtitle(3, 0, 1000, ("one",))
+        assert cue != (2, 0, 1000, ("one",))
+        assert hash(cue) == hash((2, 0, 1000, ("one",)))
+        assert repr(cue) == "Subtitle(index=2, start=0, end=1000, lines=('one',))"
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cue.index = 3
 
 
 class TestSegmentsMetadata:
