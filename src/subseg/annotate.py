@@ -121,6 +121,15 @@ class AnnotatedSentence:
     def has_eol(self) -> bool:
         return GapLabel.EOL in self.labels
 
+    def _closed_labels(self) -> tuple[GapLabel, ...]:
+        """The labels with the last one an ``<eob>``: a sentence's end ends a
+        line and a block, so words after its last break form a line and a
+        block of their own.  A strict sentence's labels are returned as is."""
+        labels = self.labels
+        if labels and labels[-1] is not GapLabel.EOB:
+            return labels[:-1] + (GapLabel.EOB,)
+        return labels
+
     def blocks(self) -> tuple[tuple[tuple[str, ...], ...], ...]:
         """Block structure: a tuple of blocks, each a tuple of lines, each a
         tuple of words.  Trailing words without a final break still form a
@@ -128,7 +137,7 @@ class AnnotatedSentence:
         blocks: list[tuple[tuple[str, ...], ...]] = []
         lines: list[tuple[str, ...]] = []
         words: list[str] = []
-        for word, label in zip(self.words, self.labels):
+        for word, label in zip(self.words, self._closed_labels()):
             words.append(word)
             if label:
                 lines.append(tuple(words))
@@ -136,27 +145,18 @@ class AnnotatedSentence:
                 if label is GapLabel.EOB:
                     blocks.append(tuple(lines))
                     lines = []
-        if words:
-            lines.append(tuple(words))
-        if lines:
-            blocks.append(tuple(lines))
         return tuple(blocks)
 
     def _block_line_counts(self) -> Iterator[int]:
         """The number of lines of each block of ``blocks()``, counted from
-        the labels alone: a break ends a line, and words after the last
-        break end a line and a block of their own."""
+        the labels alone: a break ends a line, and an ``<eob>`` a block."""
         lines = 0
-        for label in self.labels:
+        for label in self._closed_labels():
             if label:
                 lines += 1
                 if label is GapLabel.EOB:
                     yield lines
                     lines = 0
-        if self.labels and not self.labels[-1]:
-            lines += 1
-        if lines:
-            yield lines
 
     def validate_strict(self, max_lines_per_block: int = 2) -> None:
         """Raise GrammarViolation unless the sentence is fully renderable."""

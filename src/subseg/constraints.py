@@ -38,17 +38,15 @@ class CplCheck(NamedTuple):
 
 def check_cpl(sentence: AnnotatedSentence, profile: ConstraintProfile = DEFAULT_PROFILE) -> CplCheck:
     """Per-line lengths and whether every line is within the line limit.  A
-    line of n words is their lengths plus n - 1 spaces; trailing words
-    without a final break form a line, as in ``blocks()``."""
+    line of n words is their lengths plus n - 1 spaces; the lines are those
+    of ``blocks()``."""
     lengths: list[int] = []
     chars = 0  # the line so far, one space counted after each word
-    for word, label in zip(sentence.words, sentence.labels):
+    for word, label in zip(sentence.words, sentence._closed_labels()):
         chars += len(word) + 1
         if label:
             lengths.append(chars - 1)
             chars = 0
-    if chars:
-        lengths.append(chars - 1)
     return CplCheck(tuple(lengths), all(n <= profile.cpl_limit for n in lengths))
 
 
@@ -112,12 +110,9 @@ def conformity_stats(
     total_lines = conforming_lines = with_eol = orphan_lines = 0
     for sentence in corpus:
         total += 1
-        labels = sentence.labels
-        if labels and labels[-1] is not eob:  # words after the last break end a line and block
-            labels = labels[:-1] + (eob,)
         lines = within = chars = block = 0
         fits = True
-        for word, label in zip(sentence.words, labels):
+        for word, label in zip(sentence.words, sentence._closed_labels()):
             chars += len(word) + 1
             if label:
                 lines += 1

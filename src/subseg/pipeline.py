@@ -17,7 +17,6 @@ from .constraints import (
     DEFAULT_PROFILE,
     check_cpl,
     check_cps,
-    check_lines,
     conformity_stats,
 )
 from .segmenters import LinearSegmenterModel, TrainingConfig, fine_tune, segment_learned
@@ -108,16 +107,6 @@ def build_corpus(
     return corpus, log
 
 
-def reannotation_filter(candidate: AnnotatedSentence, profile: ConstraintProfile) -> bool:
-    """Accept a re-annotation only if it is length-conforming, gained at
-    least one line break, and no block exceeds the allowed line count."""
-    return (
-        candidate.has_eol
-        and check_cpl(candidate, profile).conforming
-        and check_lines(candidate, profile)
-    )
-
-
 @dataclass(frozen=True)
 class IterationReport:
     iteration: int
@@ -143,11 +132,15 @@ def reannotate(
     Each iteration fine-tunes the base ``model`` on the pool of sentences
     that carry ``<eol>`` (initially those already in the corpus), segments
     every sentence failing the per-line length check with the block
-    structure frozen, keeps only outputs accepted by
-    :func:`reannotation_filter`, and folds them back into both the corpus
-    and the pool.  The loop stops early once nothing is selected or
-    accepted, and corpus line conformity never decreases.  ``config`` is
-    passed to :func:`fine_tune` as it is (None keeps its default).
+    structure frozen, keeps only the outputs that pass it, and folds them
+    back into both the corpus and the pool.  The loop stops early once
+    nothing is selected or accepted, and corpus line conformity never
+    decreases.  ``config`` is passed to :func:`fine_tune` as it is (None
+    keeps its default).
+
+    A kept output has an added ``<eol>`` and no block over the line cap:
+    the ``eol_only`` decode never breaks past the cap and only turns open
+    gaps into ``<eol>``, and a kept output passes the check its input failed.
 
     Every sentence must be strict, as for :func:`train`, so each selected
     one can be segmented; one that is not raises GrammarViolation before
@@ -179,7 +172,7 @@ def reannotate(
         fresh: list[AnnotatedSentence] = []
         for i in selected:
             candidate = segment_learned(current_model, sentences[i], profile, mode="eol_only")
-            if reannotation_filter(candidate, profile):
+            if check_cpl(candidate, profile).conforming:
                 sentences[i] = candidate
                 fresh.append(candidate)
             else:

@@ -146,7 +146,8 @@ class SubtitleDocument:
     """The ordered cues of one talk / one .srt file.
 
     Well-formed files have strictly increasing indices and non-decreasing
-    start times; ``parse_srt`` warns instead of failing when they do not.
+    start times.  ``parse_srt`` keeps indices as written, in any order and
+    repeated, and warns instead of failing when start times go backwards.
     """
 
     talk_id: str

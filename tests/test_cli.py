@@ -1,6 +1,7 @@
 import json
 import warnings
 import weakref
+from pathlib import Path
 
 import pytest
 
@@ -981,3 +982,28 @@ class TestBadSettings:
         assert status == 1
         assert "learning rate must be finite" in capsys.readouterr().err
         assert not (tmp_path / "m.tsv").exists()
+
+
+class TestReadme:
+    """The README's command lines and config table follow the parser."""
+
+    README = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+
+    def test_every_command_line_parses(self):
+        section = self.README[self.README.index("\n## Command line\n"):]
+        block = section.split("```")[1]
+        lines = [line.split() for line in block.splitlines() if line.startswith("subseg ")]
+        assert lines
+        parser = cli.build_parser()
+        for argv in lines:
+            assert parser.parse_args(argv[1:]).command == argv[1]
+
+    def test_config_table_lists_the_config_keys(self):
+        section = self.README[self.README.index("**Pipeline config**"):].splitlines()
+        start = next(i for i, line in enumerate(section) if line.startswith("|"))
+        rows = []
+        for line in section[start + 2:]:  # past the header and its rule
+            if not line.startswith("|"):
+                break
+            rows.append(line.split("|")[1].strip().strip("`"))
+        assert sorted(rows) == sorted(cli._CONFIG_KEYS)

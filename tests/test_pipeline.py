@@ -15,7 +15,6 @@ from subseg.pipeline import (
     build_corpus,
     preprocess_document,
     reannotate,
-    reannotation_filter,
     stats,
 )
 from subseg.segmenters import DEFAULT_FINE_TUNE_EPOCHS, TrainingConfig, fine_tune, train
@@ -115,22 +114,6 @@ class TestBuildCorpus:
         assert corpus == sentences
 
 
-class TestReannotationFilter:
-    def test_accepts_conforming_with_eol(self):
-        assert reannotation_filter(sent("a tool <eol> of beauty <eob>"), PROFILE)
-
-    def test_rejects_missing_eol(self):
-        assert not reannotation_filter(sent("a tool of beauty <eob>"), PROFILE)
-
-    def test_rejects_consecutive_eols(self):
-        candidate = sent("a <eol> b <eol> c <eob>")
-        assert not reannotation_filter(candidate, PROFILE)
-
-    def test_rejects_overlong_line(self):
-        candidate = AnnotatedSentence(("x" * 43, "y"), (GapLabel.EOL, GapLabel.EOB))
-        assert not reannotation_filter(candidate, PROFILE)
-
-
 @pytest.fixture(scope="module")
 def collapsed_setup():
     corpus, gold = synth.partially_collapsed_corpus(160, seed=61, keep_eol_fraction=0.3)
@@ -213,7 +196,7 @@ class TestReannotate:
         assert [(r.selected, r.accepted) for r in reports] == [(247, 247), (0, 0)]
         # once up front, then once after the one iteration that fine-tuned
         assert len(walked) == 2 * len(corpus)
-        # selection once per sentence, then the filter once per candidate
+        # selection once per sentence, then acceptance once per candidate
         assert len(checked) == len(corpus) + 247
 
     @pytest.mark.parametrize(

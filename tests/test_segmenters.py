@@ -719,6 +719,46 @@ class TestExactDecode:
         assert out.to_text() == "one two <eol> three four five <eob>"
 
 
+class TestEolOnlyOnOverlongSentences:
+    """What ``reannotate`` relies on to accept a candidate on the line limit
+    alone: on a strict sentence with a line over the limit, the ``eol_only``
+    decode keeps every block within the line cap, and a decode whose lines
+    all fit has an ``<eol>`` at a gap the input left open."""
+
+    # (profile, fewest words, shortest word, longest word), sized so that
+    # many sentences overflow a line and many decodes can still fit
+    PROFILES = {
+        "default": (PROFILE, 5, 4, 12),
+        "narrow": (ConstraintProfile(cpl_limit=12), 5, 2, 6),
+        "wide": (ConstraintProfile(cpl_limit=70, max_lines_per_block=3), 5, 10, 20),
+    }
+
+    @pytest.mark.parametrize("profile_name", sorted(PROFILES))
+    def test_a_conforming_decode_added_an_eol(self, profile_name):
+        profile, min_words, min_len, max_len = self.PROFILES[profile_name]
+        rng = random.Random(f"overlong-{profile_name}")
+        decoded_count = conforming = 0
+        for seed in range(60):
+            words, frozen, source = TestExactDecode._case(
+                rng, profile, min_words, min_len, max_len, "eol_only"
+            )
+            if check_cpl(source, profile).conforming:
+                continue  # reannotate segments only the sentences that fail the limit
+            source.validate_strict(profile.max_lines_per_block)
+            model = _random_model([words], seed, profile)
+            decoded = segment_learned(model, source, profile, mode="eol_only")
+            decoded_count += 1
+            assert check_lines(decoded, profile)
+            if check_cpl(decoded, profile).conforming:
+                conforming += 1
+                assert any(
+                    label is GapLabel.EOL and gap not in frozen
+                    for gap, label in enumerate(decoded.labels, start=1)
+                )
+        assert decoded_count >= 10
+        assert conforming >= 1
+
+
 class TestDecoderCaches:
     """The decoder's caches change no result: state rows kept on a model
     score like fresh ones, and the transition cache stays bounded."""
