@@ -96,10 +96,10 @@ def _picked(values: Mapping[str, object], keys: Iterable[str]) -> dict[str, obje
 
 
 def _training_config(settings: _Settings) -> TrainingConfig:
-    """The fine-tuning settings, which give the epochs under ``fine_tune_epochs``."""
+    """The fine-tuning config, which gives the epochs under ``fine_tune_epochs``."""
     return TrainingConfig(
         epochs=settings.get("fine_tune_epochs", DEFAULT_FINE_TUNE_EPOCHS),
-        **_picked(settings, ("learning_rate", "seed")),
+        **_picked(settings, ("seed",)),
     )
 
 
@@ -178,7 +178,8 @@ def _cmd_fine_tune(args: Namespace, profile: ConstraintProfile, settings: _Setti
     subset = [sentence for sentence in corpus if sentence.has_eol]
     if len(subset) < len(corpus):
         print(f"using the {len(subset)}/{len(corpus)} sentences containing <eol>", file=sys.stderr)
-    model = fine_tune(load_model(args.model), subset, config, profile)
+    rate = _picked(settings, ("learning_rate",))  # checked by fine_tune
+    model = fine_tune(load_model(args.model), subset, config, profile, **rate)
     save_model(model, args.out)
     print(f"fine-tuned {args.model}, wrote {args.out}")
     return 0
@@ -243,7 +244,7 @@ def _cmd_reannotate(args: Namespace, profile: ConstraintProfile, settings: _Sett
         load_model(args.model),
         profile,
         config,
-        **_picked(settings, ("iterations",)),
+        **_picked(settings, ("iterations", "learning_rate")),
     )
     _write_lines(args.out, (sentence.to_text() for sentence in corpus))
     if args.model_out:
@@ -325,7 +326,10 @@ def build_parser() -> ArgumentParser:
     p.add_argument("--corpus", required=True, help="annotated corpus with <eob> structure")
     p.add_argument("--model", required=True, help="base (non-fine-tuned) model file")
     p.add_argument("--out", required=True, help="re-annotated corpus output")
-    p.add_argument("--model-out", dest="model_out", help="write the last fine-tuned model here")
+    p.add_argument(
+        "--model-out", dest="model_out",
+        help="write the last fine-tuned model here (the base model if no iteration fine-tunes)",
+    )
     p.add_argument("--iterations", type=int, default=None)
     p.add_argument(
         "--epochs", dest="fine_tune_epochs", metavar="EPOCHS", type=int,

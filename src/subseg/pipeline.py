@@ -19,7 +19,7 @@ from .constraints import (
     check_cps,
     conformity_stats,
 )
-from .segmenters import LinearSegmenterModel, TrainingConfig, fine_tune, segment_learned
+from .segmenters import LinearSegmenterModel, TrainingConfig, _checked_rate, fine_tune, segment_learned
 from .srt_io import SegmentDuration, Subtitle, SubtitleDocument
 
 
@@ -126,6 +126,7 @@ def reannotate(
     profile: ConstraintProfile = DEFAULT_PROFILE,
     config: TrainingConfig | None = None,
     iterations: int = 1,
+    learning_rate: float = 1.0,
 ) -> tuple[list[AnnotatedSentence], LinearSegmenterModel, list[IterationReport]]:
     """Iteratively re-annotate over-long sentences with missing line breaks.
 
@@ -135,8 +136,8 @@ def reannotate(
     structure frozen, keeps only the outputs that pass it, and folds them
     back into both the corpus and the pool.  The loop stops early once
     nothing is selected or accepted, and corpus line conformity never
-    decreases.  ``config`` is passed to :func:`fine_tune` as it is (None
-    keeps its default).
+    decreases.  ``config`` and ``learning_rate`` go to :func:`fine_tune`
+    (a None config keeps its default); the rate is checked on entry.
 
     A kept output has an added ``<eol>`` and no block over the line cap:
     the ``eol_only`` decode never breaks past the cap and only turns open
@@ -152,6 +153,7 @@ def reannotate(
     """
     if iterations < 0:
         raise ValueError(f"iterations must be >= 0, got {iterations}")
+    _checked_rate(learning_rate)  # even when no iteration fine-tunes
     sentences = list(corpus)
     for sentence in sentences:
         sentence.validate_strict(profile.max_lines_per_block)
@@ -167,7 +169,7 @@ def reannotate(
                 IterationReport(iteration, len(selected), 0, before, before, len(pool))
             )
             break
-        current_model = fine_tune(model, pool, config, profile)
+        current_model = fine_tune(model, pool, config, profile, learning_rate)
         rejected: list[int] = []
         fresh: list[AnnotatedSentence] = []
         for i in selected:

@@ -16,6 +16,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import numbers
 import random
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
@@ -50,16 +51,22 @@ _ONLY = {label: tuple(other is label for other in _ALL_LABELS) for label in _ALL
 @dataclass(frozen=True)
 class TrainingConfig:
     epochs: int = DEFAULT_EPOCHS
-    learning_rate: float = 1.0
     seed: int = 0
 
     def __post_init__(self):
+        for name, value in (("epochs", self.epochs), ("seed", self.seed)):
+            if isinstance(value, bool) or not isinstance(value, int):  # a bool is not an int here
+                raise ValueError(f"{name} is not an integer, got {value!r}")
         if self.epochs < 1:
             raise ValueError(f"epochs must be >= 1, got {self.epochs}")
-        if not 0 <= self.learning_rate < math.inf:  # NaN fails every comparison
-            raise ValueError(
-                f"learning rate must be finite and non-negative, got {self.learning_rate}"
-            )
+
+
+def _checked_rate(learning_rate: float) -> float:
+    """A fine-tuning rate as a float; it must be a finite non-negative real, not a bool."""
+    real = isinstance(learning_rate, numbers.Real) and not isinstance(learning_rate, bool)
+    if not (real and 0 <= learning_rate < math.inf):  # NaN fails every comparison
+        raise ValueError(f"learning rate must be finite and non-negative, got {learning_rate!r}")
+    return float(learning_rate)
 
 
 # one weight per gap label, indexed by ``GapLabel``: (NONE, EOL, EOB)
@@ -69,7 +76,8 @@ _Row = Sequence[float]
 @dataclass(frozen=True)
 class LinearSegmenterModel:
     """Sparse multiclass weights, one row of three per feature (indexed by
-    ``GapLabel``), with the settings of the run that trained them.
+    ``GapLabel``), with the config of the run that trained them and its
+    fine-tuning rate (``learning_rate``, None for training from zero weights).
 
     Features without a row score zero.  Models are immutable once trained
     and safe to decode with concurrently.  Decoding caches on the model
@@ -82,7 +90,7 @@ class LinearSegmenterModel:
 
     weights: dict[str, tuple[float, float, float]]
     config: TrainingConfig
-    fine_tuned: bool
+    learning_rate: float | None
 
     @functools.cached_property
     def _state_rows(self) -> _StateRows:
@@ -532,8 +540,9 @@ def _run_perceptron(
     sentences: Sequence[AnnotatedSentence],
     config: TrainingConfig,
     profile: ConstraintProfile,
-    fine_tuned: bool,
+    learning_rate: float | None,
 ) -> LinearSegmenterModel:
+    rate = 1.0 if learning_rate is None else learning_rate  # None: unit steps
     state = _AveragedWeights(initial)
     # the decoder resolves a state feature's row once per run and bump
     # updates rows in place, so each must have its row before the first decode
@@ -554,13 +563,13 @@ def _run_perceptron(
             if predicted != gold:
                 mistakes += 1
                 for features, label, sign in _path_differences(words, gold, predicted, profile):
-                    state.bump(features, label, sign * config.learning_rate)
+                    state.bump(features, label, sign * rate)
                 for sums, _ in state_rows.values():  # they hold until the weights change
                     sums[:] = [None] * len(_KEYS)
         if mistakes == 0:
             break  # weights are now fixed points; further epochs cannot change them
 
-    return LinearSegmenterModel(state.averaged(), config, fine_tuned)
+    return LinearSegmenterModel(state.averaged(), config, learning_rate)
 
 
 def train(
@@ -574,16 +583,14 @@ def train(
     the current weights and updates toward the gold path on mistakes.
     Deterministic under a fixed config (shuffling uses ``config.seed``).
     From zero weights a rate would only scale the model, so updates are
-    unit steps and ``config.learning_rate`` must be 1.0.
+    unit steps.
     """
-    if config.learning_rate != 1.0:
-        raise ValueError(f"train takes no learning rate, got {config.learning_rate}")
     sentences = list(corpus)
     if not sentences:
         raise EmptyCorpus("training corpus is empty")
     for sentence in sentences:
         sentence.validate_strict(profile.max_lines_per_block)
-    return _run_perceptron({}, sentences, config, profile, fine_tuned=False)
+    return _run_perceptron({}, sentences, config, profile, None)
 
 
 def fine_tune(
@@ -591,8 +598,10 @@ def fine_tune(
     eol_subset: Iterable[AnnotatedSentence],
     config: TrainingConfig | None = None,
     profile: ConstraintProfile = DEFAULT_PROFILE,
+    learning_rate: float = 1.0,
 ) -> LinearSegmenterModel:
     """Continue training from ``model`` on sentences that all contain ``<eol>``."""
+    learning_rate = _checked_rate(learning_rate)
     sentences = list(eol_subset)
     if not sentences:
         raise EmptyCorpus("fine-tuning subset is empty")
@@ -602,7 +611,7 @@ def fine_tune(
         sentence.validate_strict(profile.max_lines_per_block)
     if config is None:
         config = TrainingConfig(epochs=DEFAULT_FINE_TUNE_EPOCHS)
-    return _run_perceptron(model.weights, sentences, config, profile, fine_tuned=True)
+    return _run_perceptron(model.weights, sentences, config, profile, learning_rate)
 
 
 def _plan(
@@ -661,9 +670,9 @@ def dump_model(model: LinearSegmenterModel) -> str:
     lines = [
         f"version\t{MODEL_FORMAT_VERSION}",
         f"epochs\t{model.config.epochs}",
-        f"learning_rate\t{model.config.learning_rate!r}",
+        f"learning_rate\t{1.0 if model.learning_rate is None else model.learning_rate!r}",
         f"seed\t{model.config.seed}",
-        f"fine_tuned\t{'true' if model.fine_tuned else 'false'}",
+        f"fine_tuned\t{'false' if model.learning_rate is None else 'true'}",
         "weights",
     ]
     records = sorted(
@@ -706,12 +715,9 @@ def parse_model(text: str) -> LinearSegmenterModel:
     if header.get("version") != str(MODEL_FORMAT_VERSION):
         raise ModelFormatError(f"unknown model version {header.get('version')!r}")
     try:
-        config = TrainingConfig(
-            epochs=int(header["epochs"]),
-            learning_rate=float(header["learning_rate"]),
-            seed=int(header["seed"]),
-        )
-        fine_tuned = _FLAGS[header["fine_tuned"]]
+        config = TrainingConfig(epochs=int(header["epochs"]), seed=int(header["seed"]))
+        rate = _checked_rate(float(header["learning_rate"]))  # a base model's is dropped
+        learning_rate = rate if _FLAGS[header["fine_tuned"]] else None
     except (KeyError, ValueError) as exc:
         raise ModelFormatError(f"bad header: {exc}") from None
 
@@ -732,7 +738,7 @@ def parse_model(text: str) -> LinearSegmenterModel:
             raise ModelFormatError(f"model line {number}: repeated weight record {line!r}")
         row[label] = value
     weights = {f: tuple([0.0 if w is None else w for w in row]) for f, row in rows.items()}
-    return LinearSegmenterModel(weights, config, fine_tuned)
+    return LinearSegmenterModel(weights, config, learning_rate)
 
 
 def save_model(model: LinearSegmenterModel, path) -> None:

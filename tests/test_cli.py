@@ -1,3 +1,4 @@
+import inspect
 import json
 import warnings
 import weakref
@@ -826,6 +827,16 @@ class TestReannotateCommand:
         assert status == 0
         assert "learning_rate\t0.5\n" in model_out.read_text(encoding="utf-8")
 
+    def test_model_out_is_the_base_model_when_no_iteration_fine_tunes(self, tmp_path, tiny_model_file):
+        corpus_file = write(tmp_path / "corpus.txt", "a <eol> b <eob>\nc d <eob>\n")
+        model_out = tmp_path / "out.tsv"
+        status = main(
+            ["reannotate", "--corpus", str(corpus_file), "--model", str(tiny_model_file),
+             "--out", str(tmp_path / "out.txt"), "--model-out", str(model_out), "--iterations", "0"]
+        )
+        assert status == 0
+        assert model_out.read_bytes() == tiny_model_file.read_bytes()
+
 
 class TestSettings:
     """A flag overrides the --config key it is named after, and each command
@@ -1007,3 +1018,31 @@ class TestReadme:
                 break
             rows.append(line.split("|")[1].strip().strip("`"))
         assert sorted(rows) == sorted(cli._CONFIG_KEYS)
+
+    def test_config_table_defaults_are_the_code_defaults(self):
+        section = self.README[self.README.index("**Pipeline config**"):].splitlines()
+        start = next(i for i, line in enumerate(section) if line.startswith("|"))
+        header = [cell.strip() for cell in section[start].split("|")]
+        key_column, default_column = header.index("Key"), header.index("Default")
+        defaults = {}
+        for line in section[start + 2:]:  # past the header and its rule
+            if not line.startswith("|"):
+                break
+            cells = [cell.strip() for cell in line.split("|")]
+            defaults[cells[key_column].strip("`")] = cells[default_column]
+
+        def default(function, name):
+            return inspect.signature(function).parameters[name].default
+
+        rates = {
+            default(segmenters.fine_tune, "learning_rate"),
+            default(pipeline.reannotate, "learning_rate"),
+        }
+        assert len(rates) == 1  # the library's two readers of the key agree
+        assert defaults == {
+            "epochs": str(segmenters.TrainingConfig().epochs),
+            "fine_tune_epochs": str(segmenters.DEFAULT_FINE_TUNE_EPOCHS),
+            "learning_rate": str(rates.pop()),
+            "seed": str(segmenters.TrainingConfig().seed),
+            "iterations": str(default(pipeline.reannotate, "iterations")),
+        }

@@ -141,7 +141,7 @@ class TestReannotate:
             assert report.conformity_after >= report.conformity_before
         for left, right in zip(reports, reports[1:]):
             assert right.conformity_before == left.conformity_after
-        assert model.fine_tuned
+        assert model.learning_rate == 1.0
 
     def test_rejected_sentences_unchanged_and_eobs_preserved(self, collapsed_setup):
         corpus, _, base = collapsed_setup
@@ -229,7 +229,21 @@ class TestReannotate:
         config = TrainingConfig(epochs=1, seed=3)
         _, model, _ = reannotate(corpus, base, PROFILE, config)
         assert model.config == config
-        assert model.fine_tuned
+        assert model.learning_rate == 1.0
+
+    def test_learning_rate_reaches_fine_tuning_unchanged(self, collapsed_setup):
+        corpus, _, base = collapsed_setup
+        config = TrainingConfig(epochs=1, seed=3)
+        _, model, _ = reannotate(corpus, base, PROFILE, config, learning_rate=0.5)
+        pool = [s for s in corpus if s.has_eol]
+        assert model == fine_tune(base, pool, config, PROFILE, learning_rate=0.5)
+        assert model.learning_rate == 0.5
+
+    @pytest.mark.parametrize("rate", [float("nan"), float("inf"), -1.0, True, "0.5"])
+    def test_a_bad_learning_rate_fails_even_without_an_iteration(self, collapsed_setup, rate):
+        corpus, _, base = collapsed_setup
+        with pytest.raises(ValueError, match="learning rate must be finite and non-negative"):
+            reannotate(corpus, base, PROFILE, iterations=0, learning_rate=rate)
 
 
 class TestStats:

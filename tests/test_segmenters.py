@@ -1,7 +1,9 @@
 import functools
 import random
+import re
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -424,15 +426,24 @@ class TestTrain:
         with pytest.raises(GrammarViolation):
             train([sent("a b c")])
 
-    def test_takes_no_learning_rate(self):
-        # from zero weights a rate would only scale the model
-        with pytest.raises(ValueError, match="train takes no learning rate, got 0.5"):
-            train(synth.make_corpus(5, seed=8), TrainingConfig(learning_rate=0.5))
-
     def test_meta_recorded(self, gold_model):
         model, _ = gold_model
-        assert model.config == TrainingConfig(epochs=8, learning_rate=1.0, seed=2)
-        assert not model.fine_tuned
+        assert model.config == TrainingConfig(epochs=8, seed=2)
+        assert model.learning_rate is None
+
+    @pytest.mark.parametrize(
+        "fields, error",
+        [
+            ({"seed": 1.5}, "seed is not an integer, got 1.5"),
+            ({"epochs": True}, "epochs is not an integer, got True"),
+            ({"seed": True}, "seed is not an integer, got True"),
+            ({"epochs": "3"}, "epochs is not an integer, got '3'"),
+        ],
+    )
+    def test_config_takes_only_int_epochs_and_seed(self, fields, error):
+        # each of these once trained a model whose file load_model rejected
+        with pytest.raises(ValueError, match=re.escape(error)):
+            TrainingConfig(**fields)
 
 
 class TestFineTune:
@@ -447,11 +458,28 @@ class TestFineTune:
     def test_zero_learning_rate_is_noop(self, gold_model):
         model, corpus = gold_model
         subset = [s for s in corpus if s.has_eol][:20]
-        tuned = fine_tune(model, subset, TrainingConfig(epochs=2, learning_rate=0.0, seed=1))
+        tuned = fine_tune(model, subset, TrainingConfig(epochs=2, seed=1), learning_rate=0.0)
         assert set(tuned.weights) == set(model.weights)
         for key, value in model.weights.items():
             assert tuned.weights[key] == pytest.approx(value)
-        assert tuned.fine_tuned
+        assert tuned.learning_rate == 0.0
+
+    @pytest.mark.parametrize(
+        "rate", [True, False, float("nan"), float("inf"), -0.5, "0.5", None, 1j],
+    )
+    def test_rejects_a_rate_that_is_not_a_finite_non_negative_real(self, gold_model, rate):
+        # checked on entry, before the subset; a bool is not a number here
+        error = f"learning rate must be finite and non-negative, got {rate!r}"
+        with pytest.raises(ValueError, match=re.escape(error)):
+            fine_tune(gold_model[0], [], learning_rate=rate)
+
+    def test_any_real_rate_is_kept_as_a_float(self, gold_model):
+        model, corpus = gold_model
+        subset, config = [s for s in corpus if s.has_eol][:5], TrainingConfig(epochs=1)
+        half = fine_tune(model, subset, config, learning_rate=Fraction(1, 2))
+        assert half == fine_tune(model, subset, config, learning_rate=0.5)
+        assert type(half.learning_rate) is float
+        assert type(fine_tune(model, subset, config, learning_rate=2).learning_rate) is float
 
     def test_fine_tuning_raises_eol_recall(self, collapsed_models):
         base, tuned = collapsed_models
@@ -518,7 +546,7 @@ class TestSegmentLearned:
     def test_frozen_line_break_counts_toward_the_block(self):
         # an added <eol> before the frozen one would make a three-line block
         model = LinearSegmenterModel(
-            weights={"w=alpha": (0.0, 5.0, 0.0)}, config=TrainingConfig(1), fine_tuned=False
+            weights={"w=alpha": (0.0, 5.0, 0.0)}, config=TrainingConfig(1), learning_rate=None
         )
         source = "alpha bravo <eol> charlie <eob>"
         assert segment_learned(model, source, mode="eol_only").to_text() == source
@@ -622,7 +650,7 @@ def _random_model(words_sets, seed, profile=PROFILE, integer=False):
         feature: tuple(rng.randint(-1, 1) if integer else rng.uniform(-1, 1) for _ in GapLabel)
         for feature in sorted(features)
     }
-    return LinearSegmenterModel(weights, TrainingConfig(1, 1.0, seed), fine_tuned=False)
+    return LinearSegmenterModel(weights, TrainingConfig(1, seed), learning_rate=None)
 
 
 class TestDecodeAgainstEnumeration:
@@ -714,7 +742,7 @@ class TestExactDecode:
             assert check_lines(decoded, profile)
 
     def test_zero_model_takes_smallest_labels(self):
-        empty = LinearSegmenterModel(weights={}, config=TrainingConfig(1), fine_tuned=False)
+        empty = LinearSegmenterModel(weights={}, config=TrainingConfig(1), learning_rate=None)
         out = segment_learned(empty, "one two <eol> three four five")
         assert out.to_text() == "one two <eol> three four five <eob>"
 
@@ -821,7 +849,7 @@ class TestDecoderCaches:
     def test_transition_cache_is_bounded_by_the_profile(self):
         def run(long_word):
             words = ["a", "bb,", long_word, "cc", "d.", "e", long_word, "f"]
-            model = LinearSegmenterModel({}, TrainingConfig(1), fine_tuned=False)
+            model = LinearSegmenterModel({}, TrainingConfig(1), learning_rate=None)
             segment_learned(model, " ".join(words), PROFILE)
             segment_count_char(" ".join(words), PROFILE)
             train([sent(" ".join(words[:3]) + " <eob> " + " ".join(words[3:]) + " <eob>")],
@@ -1283,7 +1311,7 @@ class TestFeaturePass:
         sentences = [strip_breaks(sentence) for sentence in corpus[:40]]
 
         def fresh():  # cold state rows, filled by the decodes themselves
-            return LinearSegmenterModel(model.weights, model.config, model.fine_tuned)
+            return LinearSegmenterModel(model.weights, model.config, model.learning_rate)
 
         serial_model, shared = fresh(), fresh()
         serial = [segment_learned(serial_model, sentence) for sentence in sentences]
@@ -1303,7 +1331,7 @@ class TestModelPersistence:
         loaded = parse_model(dump_model(model))
         assert loaded.weights == model.weights
         assert loaded.config == model.config
-        assert loaded.fine_tuned == model.fine_tuned
+        assert loaded.learning_rate == model.learning_rate
 
     def test_file_round_trip(self, tmp_path, gold_model):
         model, corpus = gold_model
@@ -1331,22 +1359,40 @@ class TestModelPersistence:
         with pytest.raises(ModelFormatError, match="epochs must be >= 1"):
             parse_model(dumped)
 
+    @pytest.mark.parametrize("fine_tuned", ["false", "true"])
     @pytest.mark.parametrize("value", ["nan", "inf"])
-    def test_header_rejects_a_non_finite_learning_rate(self, gold_model, value):
+    def test_header_rejects_a_non_finite_learning_rate(self, gold_model, value, fine_tuned):
+        # a base model's rate is dropped on loading, but it is checked all the same
         dumped = dump_model(gold_model[0]).replace(
             "learning_rate\t1.0\n", f"learning_rate\t{value}\n", 1
-        )
+        ).replace("fine_tuned\tfalse\n", f"fine_tuned\t{fine_tuned}\n", 1)
         assert f"learning_rate\t{value}\n" in dumped
+        assert f"fine_tuned\t{fine_tuned}\n" in dumped
         with pytest.raises(ModelFormatError, match="learning rate must be finite"):
             parse_model(dumped)
+
+    @given(
+        epochs=st.integers(min_value=1, max_value=10**30),
+        seed=st.integers(min_value=-(10**30), max_value=10**30),
+        rate=st.none()
+        | st.integers(min_value=0, max_value=10**9)
+        | st.floats(min_value=0, allow_nan=False, allow_infinity=False)
+        | st.fractions(min_value=0, max_value=10**9),
+    )
+    def test_header_round_trips_every_accepted_config_and_rate(self, epochs, seed, rate):
+        learning_rate = None if rate is None else segmenters._checked_rate(rate)
+        model = LinearSegmenterModel({"w=a": (0.0, 1.0, 0.0)}, TrainingConfig(epochs, seed), learning_rate)
+        loaded = parse_model(dump_model(model))
+        assert (loaded.config, loaded.learning_rate) == (model.config, model.learning_rate)
+        assert dump_model(loaded) == dump_model(model)
 
     V1_MODEL = Path(__file__).parent / "data" / "model_v1.tsv"
 
     def test_version_1_file_still_loads_and_decodes(self):
         text = self.V1_MODEL.read_text(encoding="utf-8")
         model = parse_model(text)
-        assert model.config == TrainingConfig(epochs=2, learning_rate=1.0, seed=1)
-        assert not model.fine_tuned
+        assert model.config == TrainingConfig(epochs=2, seed=1)
+        assert model.learning_rate is None
         assert len(model.weights) == 115  # features, holding 230 (feature, label) weights
         assert len(_pairs(model.weights)) == 230
         assert dump_model(model) == text
@@ -1423,6 +1469,29 @@ class TestGoldenTraining:
         golden = (self.DATA / f"golden_{name}.tsv").read_text(encoding="utf-8")
         assert dump_model(models[name]) == golden
         assert parse_model(golden).weights == models[name].weights
+
+    def test_a_base_header_with_another_rate_loads_and_is_written_back_with_1_0(self):
+        # a version-1 base model from a trainer that still took a rate
+        golden = (self.DATA / "golden_train.tsv").read_text(encoding="utf-8")
+        model = parse_model(golden.replace("learning_rate\t1.0\n", "learning_rate\t0.5\n", 1))
+        twin = parse_model(golden)
+        assert model == twin
+        assert model.learning_rate is None
+        assert dump_model(model) == golden
+        records = (self.DATA / "golden_decodes.tsv").read_text(encoding="utf-8").splitlines()
+        for i, reference in enumerate(synth.make_corpus(20, seed=9)):
+            name, mode, expected = records[3 * i].split("\t")
+            assert (name, mode) == ("train", "full")
+            decoded = segment_learned(model, strip_breaks(reference)).to_text()
+            assert decoded == segment_learned(twin, strip_breaks(reference)).to_text() == expected
+
+    def test_a_fine_tuned_header_keeps_its_rate(self):
+        golden = (self.DATA / "golden_fine_tune.tsv").read_text(encoding="utf-8")
+        text = golden.replace("learning_rate\t1.0\n", "learning_rate\t0.25\n", 1)
+        assert text != golden
+        model = parse_model(text)
+        assert model.learning_rate == 0.25
+        assert dump_model(model) == text
 
     def test_decodes_held_out_sentences_as_before(self, models):
         records = (self.DATA / "golden_decodes.tsv").read_text(encoding="utf-8").splitlines()
