@@ -38,7 +38,10 @@ class GapLabel(IntEnum):
     EOB = 2
 
 
-_LABEL_OF_SYMBOL = {EOL_SYMBOL: GapLabel.EOL, EOB_SYMBOL: GapLabel.EOB}
+# bound once: per-sentence code reads module names, not ``GapLabel`` attributes
+_NONE, _EOL, _EOB = GapLabel
+_EOB_BYTE = int(_EOB)  # the label byte of a cue's last word in the cue index
+_LABEL_OF_SYMBOL = {EOL_SYMBOL: _EOL, EOB_SYMBOL: _EOB}
 _GAP_LABELS = {label: label for label in GapLabel}  # 0-2 (or a member) -> its member
 _LABEL_OF_BYTE = tuple(GapLabel)  # a label byte of the cue index -> its member
 _TEXT_AFTER = ("", f" {EOL_SYMBOL}", f" {EOB_SYMBOL}")  # indexed by GapLabel
@@ -101,12 +104,11 @@ class AnnotatedSentence:
         ``<eol>`` / ``<eob>`` break symbols, each right after a word."""
         words: list[str] = []
         labels: list[GapLabel] = []
-        none = GapLabel.NONE
         for token in text.split():
             label = _LABEL_OF_SYMBOL.get(token)
             if label is None:
                 words.append(token)
-                labels.append(none)
+                labels.append(_NONE)
             elif not labels or labels[-1]:
                 raise GrammarViolation("a break token must follow a word")
             else:
@@ -119,15 +121,15 @@ class AnnotatedSentence:
 
     @property
     def has_eol(self) -> bool:
-        return GapLabel.EOL in self.labels
+        return _EOL in self.labels
 
     def _closed_labels(self) -> tuple[GapLabel, ...]:
         """The labels with the last one an ``<eob>``: a sentence's end ends a
         line and a block, so words after its last break form a line and a
         block of their own.  A strict sentence's labels are returned as is."""
         labels = self.labels
-        if labels and labels[-1] is not GapLabel.EOB:
-            return labels[:-1] + (GapLabel.EOB,)
+        if labels and labels[-1] is not _EOB:
+            return labels[:-1] + (_EOB,)
         return labels
 
     def blocks(self) -> tuple[tuple[tuple[str, ...], ...], ...]:
@@ -142,7 +144,7 @@ class AnnotatedSentence:
             if label:
                 lines.append(tuple(words))
                 words = []
-                if label is GapLabel.EOB:
+                if label is _EOB:
                     blocks.append(tuple(lines))
                     lines = []
         return tuple(blocks)
@@ -154,7 +156,7 @@ class AnnotatedSentence:
         for label in self._closed_labels():
             if label:
                 lines += 1
-                if label is GapLabel.EOB:
+                if label is _EOB:
                     yield lines
                     lines = 0
 
@@ -162,7 +164,7 @@ class AnnotatedSentence:
         """Raise GrammarViolation unless the sentence is fully renderable."""
         if not self.labels:
             raise GrammarViolation("empty sentence")
-        if self.labels[-1] is not GapLabel.EOB:
+        if self.labels[-1] is not _EOB:
             raise GrammarViolation(f"sentence must end with {EOB_SYMBOL}")
         for lines in self._block_line_counts():
             if lines > max_lines_per_block:
@@ -192,7 +194,7 @@ def build_index(docs: Iterable[SubtitleDocument]) -> dict[str, _IndexedTalk]:
     distinct word is one string object, however many cues repeat it.
     """
     index: dict[str, _IndexedTalk] = {}
-    eol, eob = int(GapLabel.EOL), int(GapLabel.EOB)
+    eol, eob = int(_EOL), _EOB_BYTE
     for doc in docs:
         if doc.talk_id in index:
             raise DuplicateTalkId(doc.talk_id)
@@ -231,7 +233,7 @@ def align_sentence(
     talk = index.get(talk_id)
     if talk is None or not talk.words:
         raise NoAlignment(f"no subtitles indexed for talk {talk_id!r}")
-    labels, length, eob = talk.labels, len(words), int(GapLabel.EOB)
+    labels, length, eob = talk.labels, len(words), _EOB_BYTE
     for first in talk.starts.get(words[0], ()):
         end = first + length
         if end <= len(labels) and labels[end - 1] == eob:

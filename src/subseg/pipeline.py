@@ -151,6 +151,8 @@ def reannotate(
     iteration after the first selects the previous one's rejects and starts
     from its conformity: every sentence is measured once up front.
     """
+    if isinstance(iterations, bool) or not isinstance(iterations, int):  # as in TrainingConfig
+        raise ValueError(f"iterations is not an integer, got {iterations!r}")
     if iterations < 0:
         raise ValueError(f"iterations must be >= 0, got {iterations}")
     _checked_rate(learning_rate)  # even when no iteration fine-tunes

@@ -42,10 +42,15 @@ class ModelFormatError(ValueError):
     """A persisted model has an unknown version or a broken record."""
 
 
-_ALL_LABELS = (GapLabel.NONE, GapLabel.EOL, GapLabel.EOB)
-_EOL_ONLY_LABELS = (GapLabel.NONE, GapLabel.EOL)
+# bound once: hot loops read module names, not ``GapLabel`` attributes
+_ALL_LABELS = _NONE, _EOL, _EOB = tuple(GapLabel)
+_EOL_ONLY_LABELS = (_NONE, _EOL)
 # which labels a gap frozen at a label may take, indexed like _ALL_LABELS
 _ONLY = {label: tuple(other is label for other in _ALL_LABELS) for label in _ALL_LABELS}
+# per label: its name in model files, and its weight and sum slots in a training row
+_LABEL_NAMES = tuple(label.name for label in _ALL_LABELS)
+_INDEX_OF_NAME = {name: index for index, name in enumerate(_LABEL_NAMES)}
+_SLOTS = tuple((label, label + 3) for label in range(len(_ALL_LABELS)))
 
 
 @dataclass(frozen=True)
@@ -77,7 +82,9 @@ _Row = Sequence[float]
 class LinearSegmenterModel:
     """Sparse multiclass weights, one row of three per feature (indexed by
     ``GapLabel``), with the config of the run that trained them and its
-    fine-tuning rate (``learning_rate``, None for training from zero weights).
+    fine-tuning rate (``learning_rate``, None for training from zero weights),
+    checked as ``fine_tune`` checks it and kept as a float, so that the model
+    file can hold it.
 
     Features without a row score zero.  Models are immutable once trained
     and safe to decode with concurrently.  Decoding caches on the model
@@ -92,6 +99,10 @@ class LinearSegmenterModel:
     config: TrainingConfig
     learning_rate: float | None
 
+    def __post_init__(self):
+        if self.learning_rate is not None:
+            object.__setattr__(self, "learning_rate", _checked_rate(self.learning_rate))
+
     @functools.cached_property
     def _state_rows(self) -> _StateRows:
         return {}
@@ -102,6 +113,7 @@ _PUNCTUATION = set(".,;:!?…\"')»]}")
 
 _BUCKET_CHARS = 4
 _BUCKET_CAP = 15
+_CAPPED_CHARS = _BUCKET_CHARS * _BUCKET_CAP  # the first length whose bucket is capped
 
 
 def _length_bucket(chars: int) -> int:
@@ -114,14 +126,15 @@ def _char_clamp(cpl_limit: int) -> int:
     From there on the length bucket is capped and every next word overflows
     the line, so the decoder may clamp its character count here.
     """
-    return max(_BUCKET_CHARS * _BUCKET_CAP, cpl_limit)
+    return max(_CAPPED_CHARS, cpl_limit)
 
 
-# the gap features of small domains, formatted once: bucketed length to the
-# sentence end, word lengths up to _LENGTHS (longer ones are formatted per
-# gap), the punctuation pair per tail, and the tenth of the sentence
+# the gap features of small domains, formatted once: the bucketed length to
+# the sentence end, indexed by the length up to _CAPPED_CHARS, word lengths
+# up to _LENGTHS (longer ones are formatted per gap), the punctuation pair
+# per tail, and the tenth of the sentence
 _LENGTHS = 64
-_TO_END = tuple(f"to_end={bucket}" for bucket in range(_BUCKET_CAP + 1))
+_TO_END = tuple(f"to_end={_length_bucket(chars)}" for chars in range(_CAPPED_CHARS + 1))
 _WLEN = tuple(f"wlen={n}" for n in range(_LENGTHS))
 _NLEN = tuple(f"nlen={n}" for n in range(_LENGTHS))
 _TAIL_FEATURES = {
@@ -155,7 +168,7 @@ def _sentence_pass(words: tuple[str, ...]) -> tuple[tuple[tuple[str, ...], str, 
         nlen = len(nxt)
         punct, tail_feature = _TAIL_FEATURES[tail]
         features = (
-            _TO_END[_length_bucket(to_end)],
+            _TO_END[to_end if to_end < _CAPPED_CHARS else _CAPPED_CHARS],
             "w=" + word,
             _WLEN[wlen] if wlen < _LENGTHS else f"wlen={wlen}",
             "n=" + nxt,
@@ -205,7 +218,7 @@ def extract_features(
     features, tail, next_len = _sentence_pass(tuple(words))[gap - 1]
     tables = _transitions(profile.cpl_limit, profile.max_lines_per_block)
     state = _state_id(min(chars_since_break, tables.clamp), prev_break, 0, tables.max_lines)
-    key = tables[min(next_len, tables.clamp)][0][state]
+    key = tables[next_len][0][state]
     return [*features, *_tail_keys(tail)[key]]
 
 
@@ -234,22 +247,22 @@ def segment_count_char(
     state = _start(words, tables)
     labels = []
     for gap, word in enumerate(words[1:], start=1):
-        table = tables[min(len(word), tables.clamp)]
+        table = tables[len(word)]
         _, prev, overflow = _KEYS[table[0][state]]
-        label = frozen.get(gap, GapLabel.NONE)
+        label = frozen.get(gap, _NONE)
         if overflow and gap not in frozen:
             # the block's frozen <eol>s after this gap, up to its frozen <eob>
-            ahead = itertools.takewhile(GapLabel.EOL.__eq__, (f for g, f in frozen.items() if g > gap))
+            ahead = itertools.takewhile(_EOL.__eq__, (f for g, f in frozen.items() if g > gap))
             roomy = state % max_lines + 1 + len(list(ahead)) < max_lines
-            if GapLabel.EOB not in open_labels:
-                label = GapLabel.EOL if roomy else GapLabel.NONE
-            elif prev is GapLabel.EOB and roomy:
-                label = rng.choice((GapLabel.EOB, GapLabel.EOL))
+            if _EOB not in open_labels:
+                label = _EOL if roomy else _NONE
+            elif prev is _EOB and roomy:
+                label = rng.choice((_EOB, _EOL))
             else:
-                label = GapLabel.EOB
+                label = _EOB
         labels.append(label)
         state = table[1 + label][state]
-    labels.append(GapLabel.EOB)
+    labels.append(_EOB)
     return AnnotatedSentence._of(words, tuple(labels))
 
 
@@ -309,9 +322,10 @@ def _table(next_len: int, clamp: int, cpl_limit: int, max_lines: int) -> tuple[l
     and its NONE, EOL and EOB successor ids; -1 stands for an ``<eol>`` past
     the block's line cap, a state the profile does not have.
 
-    Callers clamp ``next_len`` at ``clamp``: every longer word overflows
-    the line and starts a clamped one, so the result is the same.  They
-    read it through ``_transitions``, which builds each table once.
+    ``next_len`` is at most ``clamp``: every longer word overflows the
+    line and starts a clamped one, so ``_Transitions`` answers it with the
+    clamp's table.  Callers read it through ``_transitions``, which builds
+    each table once.
     """
     table: tuple[list[int], ...] = ([], [], [], [])
     # in state id order
@@ -320,18 +334,20 @@ def _table(next_len: int, clamp: int, cpl_limit: int, max_lines: int) -> tuple[l
         table[0].append((_length_bucket(chars) * 3 + prev) * 2 + overflow)
         table[1].append(_state_id(min(chars + 1 + next_len, clamp), prev, eols, max_lines))
         table[2].append(
-            _state_id(next_len, GapLabel.EOL, eols + 1, max_lines) if eols + 1 < max_lines else -1
+            _state_id(next_len, _EOL, eols + 1, max_lines) if eols + 1 < max_lines else -1
         )
-        table[3].append(_state_id(next_len, GapLabel.EOB, 0, max_lines))
+        table[3].append(_state_id(next_len, _EOB, 0, max_lines))
     return table
 
 
 class _Transitions(dict):
     """The decoder's transition tables for one line limit and line cap,
-    keyed by the clamped next-word length (0 to ``clamp``).  ``__missing__``
-    builds a table with ``_table`` on its first lookup, so callers index it
-    with no call per gap.  Concurrent first lookups may each build one;
-    they store equal tables."""
+    indexed by any next-word length.  ``__missing__`` builds a table with
+    ``_table`` on its first lookup, so callers index it with no call per
+    gap, and answers a length past ``clamp`` with the clamp's table without
+    storing it again, so the dict holds one entry per clamped length.  This
+    is the one place a next-word length is clamped.  Concurrent first
+    lookups may each build one; they store equal tables."""
 
     def __init__(self, cpl_limit: int, max_lines: int):
         super().__init__()
@@ -340,6 +356,8 @@ class _Transitions(dict):
         self.max_lines = max_lines
 
     def __missing__(self, next_len: int) -> tuple[list[int], ...]:
+        if next_len > self.clamp:
+            return self[self.clamp]
         table = self[next_len] = _table(next_len, self.clamp, self.cpl_limit, self.max_lines)
         return table
 
@@ -349,9 +367,9 @@ _transitions = functools.lru_cache(maxsize=None)(_Transitions)  # one per line l
 
 def _start(words: Sequence[str], tables: _Transitions) -> int:
     """A sentence starts on a fresh screen, as if after an ``<eob>``: the
-    EOB successor of the state (0, EOB, 0)."""
-    table = tables[min(len(words[0]), tables.clamp)]
-    return table[1 + GapLabel.EOB][_state_id(0, GapLabel.EOB, 0, tables.max_lines)]
+    EOB successor of the state (0, EOB, 0), read from the first word's
+    table, which ``tables`` clamps like any other."""
+    return tables[len(words[0])][1 + _EOB][_state_id(0, _EOB, 0, tables.max_lines)]
 
 
 def _state_row(
@@ -398,8 +416,7 @@ def _decode(
     rows hold while every row changes in place and no feature gains a row.
     """
     tables = _transitions(profile.cpl_limit, profile.max_lines_per_block)
-    clamp = tables.clamp
-    clamped = _state_id(clamp, GapLabel.NONE, 0, tables.max_lines)  # the first clamped state id
+    clamped = _state_id(tables.clamp, _NONE, 0, tables.max_lines)  # the first clamped state id
     last = len(words)
     takes = tuple(label in open_labels for label in _ALL_LABELS)  # at an open gap
     # each entry holds (-score, labels), so the smallest entry is the one to
@@ -408,12 +425,12 @@ def _decode(
     frontier: dict[int, tuple[float, int]] = {_start(words, tables): (0.0, 0)}
     for gap, (features, tail, next_len) in enumerate(_sentence_pass(tuple(words)), start=1):
         gap_none, gap_eol, gap_eob = _score(features, weights)
-        key_ids, none_ids, eol_ids, eob_ids = tables[min(next_len, clamp)]
+        key_ids, none_ids, eol_ids, eob_ids = tables[next_len]
         tail_rows = state_rows.get(tail)
         if tail_rows is None:
             tail_rows = state_rows[tail] = ([None] * len(_KEYS), [None] * len(_KEYS))
         rows, resolved = tail_rows
-        forced = frozen.get(gap, GapLabel.EOB if gap == last else None)
+        forced = frozen.get(gap, _EOB if gap == last else None)
         take_none, take_eol, take_eob = takes if forced is None else _ONLY[forced]
         expanded: dict[int, tuple[float, int]] = {}
         breaks: dict[int, tuple[float, int]] = {}  # the best <eol> per successor
@@ -468,12 +485,12 @@ def _path_differences(
     Where only the states differ, the gap features cancel too, so each side
     yields its six state features alone."""
     tables = _transitions(profile.cpl_limit, profile.max_lines_per_block)
-    clamp, max_lines = tables.clamp, tables.max_lines
+    max_lines = tables.max_lines
     gold_state = guess_state = _start(words, tables)
     for gap, (gold_label, guess, (_, tail, next_len)) in enumerate(
         zip(gold, predicted, _sentence_pass(tuple(words))), start=1
     ):
-        successors = tables[min(next_len, clamp)]
+        successors = tables[next_len]
         if gold_label is not guess:
             for state, label, sign in ((gold_state, gold_label, 1), (guess_state, guess, -1)):
                 chars, rest = divmod(state, len(_ALL_LABELS) * max_lines)  # unpacks _state_id
@@ -507,7 +524,7 @@ class _AveragedWeights:
 
     def bump(self, features: Iterable[str], label: GapLabel, delta: float) -> None:
         """Add ``delta`` to the ``label`` weight of each feature, in order."""
-        weight, total = int(label), label + 3
+        weight, total = _SLOTS[label]
         weighted = (self.step - 1) * delta  # by the steps before this one
         rows = self.rows
         for feature in features:
@@ -529,7 +546,7 @@ class _AveragedWeights:
         takes at least one); rows that average to zero are dropped."""
         averages: dict[str, tuple[float, float, float]] = {}
         for feature, row in self.rows.items():
-            mean = tuple((self.step * row[label] - row[label + 3]) / self.step for label in _ALL_LABELS)
+            mean = tuple((self.step * row[weight] - row[total]) / self.step for weight, total in _SLOTS)
             if any(mean):
                 averages[feature] = mean
         return averages
@@ -638,11 +655,11 @@ def _plan(
         # frozen breaks must not already violate the grammar we guarantee
         if not check_lines(sentence, profile):
             raise GrammarViolation(f"an input block has more than {profile.max_lines_per_block} lines")
-        if labels[-1] is GapLabel.EOL:
+        if labels[-1] is _EOL:
             raise GrammarViolation(f"input must not end with {EOL_SYMBOL}")
 
     if mode == "eol_only":
-        if labels[-1] is not GapLabel.EOB:
+        if labels[-1] is not _EOB:
             raise GrammarViolation("eol_only input must already end with <eob>")
         return words, frozen, _EOL_ONLY_LABELS
     return words, frozen, _ALL_LABELS
@@ -676,9 +693,9 @@ def dump_model(model: LinearSegmenterModel) -> str:
         "weights",
     ]
     records = sorted(
-        (feature, label.name, value)
+        (feature, label, value)
         for feature, row in model.weights.items()
-        for label, value in zip(_ALL_LABELS, row)
+        for label, value in zip(_LABEL_NAMES, row)
         if value != 0.0
     )
     lines.extend(f"{feature}\t{label}\t{value!r}" for feature, label, value in records)
@@ -727,7 +744,7 @@ def parse_model(text: str) -> LinearSegmenterModel:
             continue
         try:
             feature, label_name, value_text = line.split("\t")
-            label = GapLabel[label_name]
+            label = _INDEX_OF_NAME[label_name]
             value = float(value_text)
         except (KeyError, ValueError):
             raise ModelFormatError(f"model line {number}: bad weight record {line!r}") from None

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from subseg.annotate import (
@@ -244,6 +246,16 @@ class TestReannotate:
         corpus, _, base = collapsed_setup
         with pytest.raises(ValueError, match="learning rate must be finite and non-negative"):
             reannotate(corpus, base, PROFILE, iterations=0, learning_rate=rate)
+
+    @pytest.mark.parametrize("iterations", [True, 1.5])
+    def test_iterations_that_are_not_an_int_fail_before_fine_tuning(
+        self, collapsed_setup, monkeypatch, iterations
+    ):
+        # a bool is not an int here, as in TrainingConfig
+        corpus, _, base = collapsed_setup
+        monkeypatch.setattr(pipeline, "fine_tune", lambda *args, **kwargs: pytest.fail("fine-tuned"))
+        with pytest.raises(ValueError, match=re.escape(f"iterations is not an integer, got {iterations!r}")):
+            reannotate(corpus, base, PROFILE, iterations=iterations)
 
 
 class TestStats:

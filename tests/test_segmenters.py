@@ -30,6 +30,7 @@ from subseg.segmenters import (
     _KEYS,
     _char_clamp,
     _decode,
+    _length_bucket,
     _path_differences,
     _score,
     _sentence_pass,
@@ -296,6 +297,13 @@ class TestExtractFeatures:
     def test_gap_out_of_range(self):
         with pytest.raises(ValueError):
             extract_features(("a",), 2, 0, GapLabel.EOB)
+
+    @pytest.mark.parametrize("to_end, bucket", [(59, 14), (60, 15), (63, 15), (64, 15), (200, 15)])
+    def test_length_to_the_sentence_end_is_bucketed_and_capped(self, to_end, bucket):
+        # the text after the first gap is one word of ``to_end`` characters
+        features = extract_features(("a", "x" * to_end), 1, 0, GapLabel.EOB, PROFILE)
+        assert bucket == _length_bucket(to_end)
+        assert [f for f in features if f.startswith("to_end=")] == [f"to_end={bucket}"]
 
     def test_negative_line_characters(self):
         with pytest.raises(ValueError, match="chars_since_break must be non-negative, got -1"):
@@ -865,6 +873,9 @@ class TestDecoderCaches:
         assert run("x" * 500) == [0, 1, 2, 3, clamp]
         # a longer word is clamped to the same line length: no new entries
         assert run("y" * 700) == [0, 1, 2, 3, clamp]
+        # any length past the clamp reads the clamp's table without storing it
+        assert tables[clamp + 1] is tables[clamp]
+        assert sorted(tables) == [0, 1, 2, 3, clamp]
 
 
 def _step(state, next_len, clamp, cpl_limit):
@@ -1380,11 +1391,29 @@ class TestModelPersistence:
         | st.fractions(min_value=0, max_value=10**9),
     )
     def test_header_round_trips_every_accepted_config_and_rate(self, epochs, seed, rate):
-        learning_rate = None if rate is None else segmenters._checked_rate(rate)
-        model = LinearSegmenterModel({"w=a": (0.0, 1.0, 0.0)}, TrainingConfig(epochs, seed), learning_rate)
+        model = LinearSegmenterModel({"w=a": (0.0, 1.0, 0.0)}, TrainingConfig(epochs, seed), rate)
         loaded = parse_model(dump_model(model))
         assert (loaded.config, loaded.learning_rate) == (model.config, model.learning_rate)
         assert dump_model(loaded) == dump_model(model)
+
+    def test_a_built_model_keeps_its_rate_as_a_float(self):
+        model = LinearSegmenterModel({"w=a": (0.0, 1.0, 0.0)}, TrainingConfig(), Fraction(1, 2))
+        assert type(model.learning_rate) is float
+        assert "learning_rate\t0.5\n" in dump_model(model)
+        assert parse_model(dump_model(model)) == model
+        assert parse_model(dump_model(model)).learning_rate == 0.5
+
+    @pytest.mark.parametrize("rate", [-1.0, float("nan"), True])
+    def test_a_built_model_rejects_a_rate_its_file_could_not_hold(self, rate):
+        error = f"learning rate must be finite and non-negative, got {rate!r}"
+        with pytest.raises(ValueError, match=re.escape(error)):
+            LinearSegmenterModel({}, TrainingConfig(), rate)
+
+    def test_a_built_model_without_a_rate_is_a_base_model(self):
+        model = LinearSegmenterModel({}, TrainingConfig(), None)
+        assert model.learning_rate is None
+        assert "fine_tuned\tfalse\n" in dump_model(model)
+        assert parse_model(dump_model(model)) == model
 
     V1_MODEL = Path(__file__).parent / "data" / "model_v1.tsv"
 
