@@ -181,6 +181,7 @@ class _IndexedTalk:
     words: tuple[str, ...]
     labels: bytes  # the GapLabel after each word
     starts: dict[str, list[int]]  # a cue's first word -> ascending offsets of such cues
+    has_symbol_word: bool  # some cue word is a break symbol
 
 
 def build_index(docs: Iterable[SubtitleDocument]) -> dict[str, _IndexedTalk]:
@@ -191,7 +192,10 @@ def build_index(docs: Iterable[SubtitleDocument]) -> dict[str, _IndexedTalk]:
     whitespace-split, the ``GapLabel`` after each word (``EOL`` ends a cue
     line, ``EOB`` ends the cue), and a map from a cue's first word to the
     ascending offsets where cues starting with it start.  Within a talk each
-    distinct word is one string object, however many cues repeat it.
+    distinct word is one string object, however many cues repeat it.  Each
+    talk also records, in ``has_symbol_word``, whether any of its cue words
+    is a break symbol, so ``align_sentence`` checks a matched run for one
+    only in such a talk.
     """
     index: dict[str, _IndexedTalk] = {}
     eol, eob = int(_EOL), _EOB_BYTE
@@ -213,7 +217,8 @@ def build_index(docs: Iterable[SubtitleDocument]) -> dict[str, _IndexedTalk]:
                 add_label(eol)
             labels[-1] = eob
             cues_at(words[first], []).append(first)
-        index[doc.talk_id] = _IndexedTalk(tuple(words), bytes(labels), starts)
+        has_symbol_word = not _LABEL_OF_SYMBOL.keys().isdisjoint(shared)
+        index[doc.talk_id] = _IndexedTalk(tuple(words), bytes(labels), starts, has_symbol_word)
     return index
 
 
@@ -239,7 +244,7 @@ def align_sentence(
         if end <= len(labels) and labels[end - 1] == eob:
             run = talk.words[first:end]
             if run == words:
-                if not _LABEL_OF_SYMBOL.keys().isdisjoint(run):
+                if talk.has_symbol_word and not _LABEL_OF_SYMBOL.keys().isdisjoint(run):
                     # a cue word is a break symbol: the checking constructor raises
                     return AnnotatedSentence(run, labels[first:end])
                 run_labels = tuple(map(_LABEL_OF_BYTE.__getitem__, labels[first:end]))

@@ -51,9 +51,10 @@ _Settings = Mapping[str, object]
 
 
 def _read_text(path: str) -> str:
-    """The file's text; a file that is not UTF-8 is named."""
+    """The file's text, without a leading byte-order mark; a file that is
+    not UTF-8 is named."""
     try:
-        return Path(path).read_text(encoding="utf-8")
+        return Path(path).read_text(encoding="utf-8-sig")
     except UnicodeDecodeError as exc:
         raise ValueError(f"{path}: {exc}") from None
 
@@ -156,8 +157,7 @@ def _cmd_build_corpus(args: Namespace, profile: ConstraintProfile, settings: _Se
                 for entry in log
             ),
         )
-    aligned = sum(1 for entry in log if entry.aligned)
-    print(f"aligned {aligned}/{len(log)} sentences")
+    print(f"aligned {len(corpus)}/{len(log)} sentences")
     return 0
 
 

@@ -8,7 +8,7 @@ import json
 import re
 import warnings
 from dataclasses import asdict, dataclass, replace
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .annotate import AnnotatedSentence, align_sentence, build_index
 from .constraints import (
@@ -23,8 +23,7 @@ from .segmenters import LinearSegmenterModel, TrainingConfig, _checked_rate, fin
 from .srt_io import SegmentDuration, Subtitle, SubtitleDocument
 
 
-@dataclass(frozen=True)
-class AlignmentLogEntry:
+class AlignmentLogEntry(NamedTuple):
     line_number: int
     talk_id: str
     aligned: bool
@@ -52,7 +51,7 @@ def preprocess_document(doc: SubtitleDocument) -> SubtitleDocument:
         if len(sub.lines) == 1 and "  " in sub.lines[0]:
             lines = _DOUBLE_SPACE_RE.split(sub.lines[0], maxsplit=1)
             if len(lines) == 2:
-                if more := len(_DOUBLE_SPACE_RE.findall(lines[1])):
+                if "  " in lines[1] and (more := len(_DOUBLE_SPACE_RE.findall(lines[1]))):
                     warnings.warn(
                         AnnotationWarning(
                             f"talk {doc.talk_id!r}, cue {sub.index}: line has {more + 1} "

@@ -230,8 +230,8 @@ def parse_srt(text: str, talk_id: str = "") -> SubtitleDocument:
             if timing is None:
                 start, end = _parse_timing(lines[1], number)
             else:
-                groups = timing.groups()
-                start, end = _millis(*groups[:4]), _millis(*groups[4:])
+                hh, mm, ss, ms, end_hh, end_mm, end_ss, end_ms = timing.groups()
+                start, end = _millis(hh, mm, ss, ms), _millis(end_hh, end_mm, end_ss, end_ms)
         except MalformedTimestamp as exc:
             raise MalformedTimestamp(f"cue block {number}: {exc}") from None
         try:  # the constructor names the first rule the cue breaks

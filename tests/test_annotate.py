@@ -12,7 +12,7 @@ from subseg.annotate import (
     render_srt,
     strip_breaks,
 )
-from subseg.pipeline import AnnotationWarning, preprocess_document
+from subseg.pipeline import AlignmentLogEntry, AnnotationWarning, build_corpus, preprocess_document
 from subseg.srt_io import SegmentDuration, Subtitle, SubtitleDocument, parse_srt
 
 NONE = GapLabel.NONE
@@ -290,6 +290,28 @@ class TestIndexAndAlign:
         assert talk.words[0] is talk.words[5]
         for record in (talk, doc.subtitles[0], doc.subtitles[0].start):
             assert not hasattr(record, "__dict__")
+
+    def test_a_talk_records_whether_a_cue_word_is_a_break_symbol(self, figure_srt):
+        plain = build_index([parse_srt(figure_srt, talk_id="talk")])["talk"]
+        assert plain.has_symbol_word is False
+        doc = SubtitleDocument(
+            "t", (Subtitle(1, 0, 1000, ("say <eob>",)), Subtitle(2, 1000, 2000, ("now",)))
+        )
+        talk = build_index([doc])["t"]
+        assert talk.has_symbol_word is True
+        # a run that holds the symbol still reaches the checking constructor
+        message = "word token '<eob>' collides with a break symbol"
+        with pytest.raises(ValueError, match=message) as raised:
+            align_sentence("say <eob> now", "t", {"t": talk})
+        assert type(raised.value) is ValueError
+        # a run without it in the same talk aligns unchecked
+        assert align_sentence("now", "t", {"t": talk}).to_text() == "now <eob>"
+        corpus, log = build_corpus([doc], ["t\tsay <eob> now", "t\tnow"])
+        assert [s.to_text() for s in corpus] == ["now <eob>"]
+        assert log == [
+            AlignmentLogEntry(1, "t", aligned=False, detail=message),
+            AlignmentLogEntry(2, "t", aligned=True),
+        ]
 
     def test_empty_index(self):
         index = build_index([])

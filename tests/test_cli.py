@@ -995,6 +995,70 @@ class TestBadSettings:
         assert not (tmp_path / "m.tsv").exists()
 
 
+class TestByteOrderMark:
+    """A UTF-8 byte-order mark at the start of any text input is dropped, as
+    ``parse_srt`` drops one from an .srt file: each command writes the same
+    stdout and files as for the input without it."""
+
+    @pytest.fixture
+    def inputs(self, tmp_path):
+        srt_dir = tmp_path / "srt"
+        srt_dir.mkdir()
+        write(srt_dir / "talk1.srt", FIGURE_SRT)
+        files = {
+            "sentences": f"talk1\t{FIGURE_SENTENCE}\n",
+            # a first line of exactly 42 characters, the default line limit
+            "corpus": f"{'a' * 42} <eob>\nb c <eol> d <eob>\n",
+            "plain": "abcde fghij klmno pqrst uvwxy\n",
+            "config": "seed = 3\n",
+            "profile": "cpl_limit = 10\n",
+            "metadata": "- {duration: 1.0, offset: 0.0, wav: t.wav}\n"
+            "- {duration: 2.0, offset: 1.0, wav: t.wav}\n",
+        }
+        return srt_dir, files
+
+    COMMANDS = {
+        "sentences": lambda f, out: [
+            "build-corpus", "--srt-dir", f["srt"], "--sentences", f["sentences"],
+            "--out", out, "--log", f"{out}.log",
+        ],
+        "hyp": lambda f, out: ["evaluate", "--hyp", f["corpus"], "--ref", f["plain_corpus"]],
+        "corpus": lambda f, out: ["stats", "--corpus", f["corpus"]],
+        "in": lambda f, out: ["segment", "--count-char", "--in", f["plain"], "--out", out],
+        "config": lambda f, out: [
+            "segment", "--count-char", "--in", f["plain"], "--out", out, "--config", f["config"],
+        ],
+        "profile": lambda f, out: ["stats", "--corpus", f["plain_corpus"], "--profile", f["profile"]],
+        "metadata": lambda f, out: [
+            "stats", "--corpus", f["plain_corpus"], "--metadata", f["metadata"],
+        ],
+    }
+    # the input file each command reads with or without the mark
+    MARKED = {"hyp": "corpus", "in": "plain"}
+
+    def run(self, tmp_path, capsys, inputs, kind, bom):
+        srt_dir, texts = inputs
+        marked = self.MARKED.get(kind, kind)
+        files = {"srt": str(srt_dir)}
+        for name, text in texts.items():
+            prefix = "\ufeff" if bom and name == marked else ""
+            files[name] = str(write(tmp_path / f"{name}.txt", prefix + text))
+        files["plain_corpus"] = str(write(tmp_path / "plain_corpus.txt", texts["corpus"]))
+        out = tmp_path / "out"
+        assert main(self.COMMANDS[kind](files, str(out))) == 0
+        written = sorted(tmp_path.glob("out*"))
+        outputs = {path.name: path.read_bytes() for path in written}
+        for path in written:
+            path.unlink()
+        return capsys.readouterr().out, outputs
+
+    @pytest.mark.parametrize("kind", list(COMMANDS))
+    def test_a_leading_mark_is_dropped(self, tmp_path, capsys, inputs, kind):
+        assert self.run(tmp_path, capsys, inputs, kind, bom=True) == self.run(
+            tmp_path, capsys, inputs, kind, bom=False
+        )
+
+
 class TestReadme:
     """The README's command lines and config table follow the parser."""
 

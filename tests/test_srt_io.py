@@ -138,6 +138,22 @@ class TestParseSrt:
     def test_empty_input(self):
         assert parse_srt("") == SubtitleDocument("", ())
 
+    def test_each_cue_time_is_read_from_its_own_fields(self):
+        # every field of every timestamp differs from the others, so a start
+        # read from the end's fields or a field read as another shows
+        timings = [
+            ("01:02:03,456", "04:05:07,890"),
+            ("12:34:56,078", "23:45:19,901"),
+            ("123:07:08,009", "456:10:11,012"),
+        ]
+        text = "".join(
+            f"{i}\n{start} --> {end}\ncue {i}\n\n" for i, (start, end) in enumerate(timings, 1)
+        )
+        cues = parse_srt(text).subtitles
+        assert [(cue.start, cue.end) for cue in cues] == [
+            (parse_timestamp(start), parse_timestamp(end)) for start, end in timings
+        ]
+
     def test_bom_tolerated(self, figure_srt):
         assert parse_srt("﻿" + figure_srt) == parse_srt(figure_srt)
 
